@@ -7,11 +7,10 @@ output directory.
 """
 
 import argparse
-import subprocess
 import sys
 from pathlib import Path
 
-HERE = Path(__file__).resolve().parent
+from make_manifest import write_manifest
 
 
 def main() -> int:
@@ -26,10 +25,7 @@ def main() -> int:
     if manifest is None:
         manifest = str(Path(args.out) / "manifest.tsv")
         Path(args.out).mkdir(parents=True, exist_ok=True)
-        subprocess.run(
-            [sys.executable, str(HERE / "make_manifest.py"), "--out", manifest],
-            check=True,
-        )
+        write_manifest(manifest)
 
     from ssein.cli import main as ssein_main
 

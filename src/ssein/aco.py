@@ -23,7 +23,7 @@ import numpy as np
 
 from .contact import Edge, SseInGraph, build_contact_map, induce_sse_in
 from .ingest import ProteinStructure
-from .metrics import TopologicalProfile, is_compatible, topological_profile
+from .metrics import TopologicalProfile, is_compatible
 
 
 class FamilyMatchError(ValueError):
@@ -65,19 +65,6 @@ class AcoParams:
 
 def round_half_up(x: float) -> int:
     return math.floor(x + 0.5)
-
-
-def average_family_chromosome(templates: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """Element-wise mean of template SSE-size vectors, rounded half-up."""
-    if not templates:
-        raise ValueError("no templates to average")
-    length = len(templates[0])
-    for t in templates:
-        if len(t) != length:
-            raise ValueError("templates must have equal SSE counts")
-    return tuple(
-        round_half_up(sum(t[i] for t in templates) / len(templates)) for i in range(length)
-    )
 
 
 def allele_distance(a: Sequence[int], b: Sequence[int]) -> int:
@@ -221,22 +208,6 @@ class HeuristicMatrix:
     @classmethod
     def from_q(cls, q: np.ndarray, e: float) -> "HeuristicMatrix":
         return cls(np.asarray(q, dtype=float), edge_probabilities(q, e), float(e))
-
-
-@dataclass(frozen=True)
-class EdgeBudget:
-    """Edge-count bookkeeping: the predicted total, its split over SSE
-    pairs, and how many candidates the local stage actually produced."""
-
-    e_total: int
-    per_pair: dict[tuple[int, int], int]
-    e_selected: int
-
-    def __post_init__(self):
-        if any(e < 0 for e in self.per_pair.values()):
-            raise ValueError("per-pair allocations must be nonnegative")
-        if self.per_pair and sum(self.per_pair.values()) != self.e_total:
-            raise ValueError("per-pair allocations must sum to the total")
 
 
 def allocate_pair_budgets(e_total: int, masses: Sequence[float]) -> list[int]:
@@ -483,11 +454,7 @@ def global_aco(
 
 
 def validate_built_network(
-    graph: SseInGraph, family_profile: TopologicalProfile, tol: float = 0.2
+    built_profile: TopologicalProfile, family_profile: TopologicalProfile, tol: float = 0.2
 ) -> bool:
-    """Accept the built SSE-IN iff its profile is family-compatible."""
-    if not graph.vertices:
-        raise ValueError("built network has no vertices")
-    return is_compatible(
-        topological_profile(graph.vertices, graph.edges), family_profile, tol
-    )
+    """Accept a built SSE-IN iff its topological profile is family-compatible."""
+    return is_compatible(built_profile, family_profile, tol)

@@ -134,7 +134,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     config = _build_config(args)
     report = run_predict(config)
     out_dir = Path(config.output_dir)
-    _write(out_dir, "report.json", emit_report(report, "json"))
+    _write(out_dir, "report.json", emit_report(report))
     _write(out_dir, "sse_incidence.tsv", incidence_to_tsv(report.incidence))
     _write(out_dir, "shortcut_edges.tsv", shortcut_edges_to_tsv(report.shortcut_rows))
     print(

@@ -15,8 +15,7 @@ from typing import Iterable
 import numpy as np
 
 from .ingest import ProteinStructure
-
-Edge = tuple[int, int]
+from .metrics import Edge, incidence_edges
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,11 +39,7 @@ class ContactMap:
 
     def edges(self) -> list[Edge]:
         """Contact pairs as 1-based (i, j) with i < j."""
-        rows, cols = np.nonzero(np.triu(self.bits, k=1))
-        return [(int(i) + 1, int(j) + 1) for i, j in zip(rows, cols)]
-
-    def to_tsv(self) -> str:
-        return "".join(f"{i}\t{j}\n" for i, j in self.edges())
+        return incidence_edges(self.bits)
 
 
 def build_contact_map(protein: ProteinStructure, threshold: float = 7.0) -> ContactMap:

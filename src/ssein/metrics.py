@@ -15,6 +15,7 @@ from typing import Hashable, Iterable, Mapping
 import numpy as np
 
 Vertex = Hashable
+Edge = tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -40,6 +41,13 @@ class TopologicalProfile:
             "mean_degree": self.mean_degree,
             "clustering_coeff": self.clustering_coeff,
         }
+
+
+def incidence_edges(matrix: np.ndarray) -> list[Edge]:
+    """Nonzero upper-triangle cells of a square matrix as 1-based (i, j)
+    pairs with i < j, in row-major order."""
+    rows, cols = np.nonzero(matrix)
+    return [(i + 1, j + 1) for i, j in zip(rows.tolist(), cols.tolist()) if i < j]
 
 
 def _adjacency(

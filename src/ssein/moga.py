@@ -20,7 +20,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .ingest import ProteinStructure
-from .metrics import TopologicalProfile, modularity, profile_deviation, topological_profile
+from .metrics import (
+    TopologicalProfile,
+    incidence_edges,
+    modularity,
+    profile_deviation,
+    topological_profile,
+)
 
 Genes = tuple[int, ...]
 
@@ -154,16 +160,6 @@ class SseContext:
             np.array(mean_hydro, dtype=float),
             tuple(sizes),
         )
-
-
-def validate_genes(genes: Sequence[int]) -> Genes:
-    m = len(genes)
-    if m < 1:
-        raise ValueError("chromosome must have at least one gene")
-    for g in genes:
-        if not 1 <= g <= m:
-            raise ValueError(f"allele {g} out of range 1..{m}")
-    return tuple(genes)
 
 
 def decode(genes: Genes) -> Clustering:
@@ -302,12 +298,7 @@ def assign_fitness(pool: Sequence[Individual], k: int) -> list[float]:
 def _deviation(ind: Individual, family_profile: TopologicalProfile) -> float:
     if ind._profile_dev is None:
         m = len(ind.genes)
-        edges = [
-            (i + 1, j + 1)
-            for i in range(m)
-            for j in range(i + 1, m)
-            if ind.decoded.incidence[i, j]
-        ]
+        edges = incidence_edges(ind.decoded.incidence)
         profile = topological_profile(range(1, m + 1), edges)
         ind._profile_dev = profile_deviation(profile, family_profile)
     return ind._profile_dev
@@ -433,26 +424,10 @@ def run_moga(
     final = [ind for ind in archive if ind.rank == 0]
     scored = []
     for ind in final:
-        mm = len(ind.genes)
-        edges = [
-            (i + 1, j + 1)
-            for i in range(mm)
-            for j in range(i + 1, mm)
-            if ind.decoded.incidence[i, j]
-        ]
-        q = modularity(range(1, mm + 1), edges, ind.decoded.assignment)
+        edges = incidence_edges(ind.decoded.incidence)
+        q = modularity(range(1, m + 1), edges, ind.decoded.assignment)
         scored.append((q, ind))
     scored.sort(key=lambda pair: (-pair[0], pair[1].genes))
     best = scored[0][1]
     return MogaResult(best, best.decoded, best.decoded.incidence.copy(), tuple(final))
 
-
-def archive_to_tsv(archive: Sequence[Individual]) -> str:
-    """Archive dump: rank, fitness, objectives and genes per line."""
-    header = "rank\tfitness\to_distance\to_torsion\to_hydro\tgenes\n"
-    rows = []
-    for ind in archive:
-        o = ind.objectives
-        genes = ",".join(str(g) for g in ind.genes)
-        rows.append(f"{ind.rank:g}\t{ind.fitness!r}\t{o[0]!r}\t{o[1]!r}\t{o[2]!r}\t{genes}\n")
-    return header + "".join(rows)

@@ -1,11 +1,16 @@
 """End-to-end prediction pipeline, benchmark harness and report emission.
 
-`run_predict` chains structure ingestion, the evolutionary SSE-graph stage
-and the two-stage ant colony, retrying the colony stage until a built
-network passes the family topology gate.  `run_benchmark` scores the stages
-on planted instances: the GA against the planted incidence, the colonies
-(fed the planted incidence, mirroring how the stages are analysed
-separately) against the planted shortcut edges across repeated simulations.
+Prediction and benchmark share one path.  `_ga_stage` splits the seed,
+profiles the template family (failing fast on a family the topology gate
+cannot use), runs the evolutionary SSE-graph stage and estimates the edge
+budget.  `gated_attempts` then yields one colony simulation at a time: the
+two-stage ant colony, the built SSE-IN, its topological profile (computed
+once) and the family gate's verdict.  `run_predict` stops at the first
+accepted attempt and reports it, or the last attempt if none passes;
+`run_benchmark` consumes every attempt of each planted instance and scores
+the GA against the planted incidence and the colonies (fed the planted
+incidence, mirroring how the stages are analysed separately) against the
+planted shortcut edges.
 
 Reports serialize deterministically: with an identical config and seed the
 emitted JSON and TSV bytes are identical run to run.  Stage timings are
@@ -20,13 +25,12 @@ import statistics
 import time
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from .aco import (
     AcoParams,
-    EdgeBudget,
     FamilyMatchError,
     HeuristicMatrix,
     TemplateProtein,
@@ -44,11 +48,22 @@ from .ingest import (
     load_family_index,
     parse_pdb_detailed,
 )
-from .metrics import TopologicalProfile, matrix_error_rate, prediction_accuracy, topological_profile
-from .moga import GaParams, SseContext, run_moga
+from .metrics import (
+    TopologicalProfile,
+    incidence_edges,
+    matrix_error_rate,
+    prediction_accuracy,
+    topological_profile,
+)
+from .moga import GaParams, MogaResult, SseContext, run_moga
 from .synth import PlantedInstance, make_planted_instance
 
 logger = logging.getLogger("ssein")
+
+
+class DegenerateFamilyError(ValueError):
+    """A family residue profile has a zero field, so the relative topology
+    gate cannot compare anything against it."""
 
 
 @dataclass(frozen=True)
@@ -100,15 +115,12 @@ def mean_profile(profiles: Sequence[TopologicalProfile]) -> TopologicalProfile:
 
 def family_sse_profile(templates: Sequence[TemplateProtein]) -> TopologicalProfile:
     """Mean profile of the templates' SSE-level adjacency graphs."""
-    profiles = []
-    for t in templates:
-        adjacency = t.sse_adjacency()
-        m = adjacency.shape[0]
-        edges = [
-            (i + 1, j + 1) for i in range(m) for j in range(i + 1, m) if adjacency[i, j]
+    return mean_profile(
+        [
+            topological_profile(range(1, t.sse_count + 1), incidence_edges(t.sse_adjacency()))
+            for t in templates
         ]
-        profiles.append(topological_profile(range(1, m + 1), edges))
-    return mean_profile(profiles)
+    )
 
 
 def family_residue_profile(templates: Sequence[TemplateProtein]) -> TopologicalProfile:
@@ -245,19 +257,9 @@ class RunReport:
         }
 
 
-def emit_report(report: RunReport, format: str = "json") -> str:
-    """Serialize a report: stable-keyed JSON or flat key/value TSV."""
-    payload = report.to_dict()
-    if format == "json":
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if format == "tsv":
-        lines = []
-        for key in sorted(payload):
-            value = payload[key]
-            if isinstance(value, (str, int, float, type(None))):
-                lines.append(f"{key}\t{value}")
-        return "\n".join(lines) + "\n"
-    raise ValueError(f"unknown report format {format!r}")
+def emit_report(report: RunReport) -> str:
+    """Serialize a report as stable-keyed JSON."""
+    return json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
 def incidence_to_tsv(incidence: np.ndarray) -> str:
@@ -273,9 +275,64 @@ def shortcut_edges_to_tsv(rows: Sequence[tuple[int, int, str, str, float]]) -> s
     )
 
 
-def _incidence_pairs(incidence: np.ndarray) -> list[tuple[int, int]]:
-    m = incidence.shape[0]
-    return [(i + 1, j + 1) for i in range(m) for j in range(i + 1, m) if incidence[i, j]]
+def _ga_stage(
+    ctx: SseContext,
+    templates: Sequence[TemplateProtein],
+    family: str,
+    config: RunConfig,
+    seed_seq: np.random.SeedSequence,
+) -> tuple[MogaResult, TopologicalProfile, int, list[np.random.SeedSequence]]:
+    """Everything before the colony stage: split the seed into the GA stream
+    and one stream per simulation, profile the family, run the GA and
+    estimate the edge budget E_p.
+
+    Returns (GA result, family residue profile, E_p, simulation streams).
+    """
+    moga_seq, *sim_seqs = seed_seq.spawn(1 + config.simulations)
+    profile_sse = family_sse_profile(templates)
+    profile_residue = family_residue_profile(templates)
+    for name, value in profile_residue.as_dict().items():
+        if value <= 0:
+            raise DegenerateFamilyError(
+                f"family {family}: residue-level {name} is {value}; "
+                "the topology gate needs every profile field positive"
+            )
+    moga = run_moga(ctx, config.ga, profile_sse, np.random.default_rng(moga_seq))
+    e_p = estimate_edge_budget(ctx.sse_sizes, templates)
+    return moga, profile_residue, e_p, sim_seqs
+
+
+def gated_attempts(
+    graph: SseInGraph,
+    sse_ranges: Sequence[tuple[int, int]],
+    pairs: Sequence[tuple[int, int]],
+    heuristics: Sequence[HeuristicMatrix],
+    e_p: int,
+    family_profile: TopologicalProfile,
+    params: AcoParams,
+    sim_seqs: Sequence[np.random.SeedSequence],
+) -> Iterator[tuple[AttemptOutcome, TopologicalProfile, bool]]:
+    """One colony simulation per stream, each built into an SSE-IN over the
+    query's intra-SSE edges and gated against the family profile.
+
+    Yields (outcome, built profile, accepted) per attempt, lazily, so a
+    caller may stop at the first accepted one.
+    """
+    for seq in sim_seqs:
+        outcome = aco_attempt(
+            pairs,
+            heuristics,
+            sse_ranges,
+            graph.vertices,
+            graph.sse_of,
+            graph.intra_edges,
+            e_p,
+            params,
+            seq,
+        )
+        built = SseInGraph(graph.vertices, graph.intra_edges, outcome.selected, graph.sse_of)
+        profile = topological_profile(built.vertices, built.edges)
+        yield outcome, profile, validate_built_network(profile, family_profile, tol=0.2)
 
 
 def run_predict(config: RunConfig) -> RunReport:
@@ -304,57 +361,28 @@ def run_predict(config: RunConfig) -> RunReport:
         raise FamilyMatchError(
             f"family {index.family_id} has no template with {len(protein.sse_list)} SSEs"
         )
-    profile_sse = family_sse_profile(matching)
-    profile_residue = family_residue_profile(matching)
     t_ingest = time.perf_counter()
 
-    master = np.random.SeedSequence(config.seed)
-    moga_seq, *sim_seqs = master.spawn(1 + config.simulations)
     ctx = SseContext.from_structure(protein)
-    moga = run_moga(ctx, config.ga, profile_sse, np.random.default_rng(moga_seq))
+    moga, profile_residue, e_p, sim_seqs = _ga_stage(
+        ctx, matching, index.family_id, config, np.random.SeedSequence(config.seed)
+    )
     t_moga = time.perf_counter()
 
     sse_sizes = protein.sse_sizes()
     sse_ranges = [(a.first_residue, a.last_residue) for a in protein.sse_list]
-    pairs = _incidence_pairs(moga.incidence)
-    e_p = estimate_edge_budget(sse_sizes, matching)
+    pairs = incidence_edges(moga.incidence)
     heuristics = pair_heuristics(pairs, sse_sizes, matching, e_p)
-
-    verdict = "rejected"
-    attempts = 0
-    outcome = AttemptOutcome((), (), {}, e_p)
-    built_profile: Optional[TopologicalProfile] = None
-    for attempt, seq in enumerate(sim_seqs, start=1):
-        attempts = attempt
-        outcome = aco_attempt(
-            pairs,
-            heuristics,
-            sse_ranges,
-            truth_graph.vertices,
-            truth_graph.sse_of,
-            truth_graph.intra_edges,
-            e_p,
-            config.aco,
-            seq,
-        )
-        built = SseInGraph(
-            truth_graph.vertices,
-            truth_graph.intra_edges,
-            outcome.selected,
-            truth_graph.sse_of,
-        )
-        built_profile = topological_profile(built.vertices, built.edges)
-        if validate_built_network(built, profile_residue, tol=0.2):
-            verdict = "accepted"
+    gated = gated_attempts(
+        truth_graph, sse_ranges, pairs, heuristics, e_p, profile_residue, config.aco, sim_seqs
+    )
+    # simulations >= 1, so the loop always binds the reported attempt
+    for attempt, (outcome, built_profile, accepted) in enumerate(gated, start=1):
+        if accepted:
             break
+    verdict = "accepted" if accepted else "rejected"
     t_aco = time.perf_counter()
 
-    budget = EdgeBudget(
-        e_p,
-        {pair: int(h.e) for pair, h in zip(pairs, heuristics)},
-        len(outcome.candidates),
-    )
-    logger.debug("edge budget: %s", budget)
     e_real = len(truth_graph.shortcut_edges)
     truth_incidence = truth_graph.sse_adjacency([a.sse_id for a in protein.sse_list])
     score = None
@@ -376,7 +404,7 @@ def run_predict(config: RunConfig) -> RunReport:
         sse_sizes=sse_sizes,
         incidence=moga.incidence,
         e_p=e_p,
-        e_candidates=budget.e_selected,
+        e_candidates=len(outcome.candidates),
         e_selected=len(outcome.selected),
         e_real=e_real,
         ac=prediction_accuracy(e_real, e_p) if e_p > 0 else None,
@@ -385,7 +413,7 @@ def run_predict(config: RunConfig) -> RunReport:
         built_profile=built_profile,
         family_profile=profile_residue,
         verdict=verdict,
-        attempts=attempts,
+        attempts=attempt,
         seed=config.seed,
         config=config.echo(),
         shortcut_rows=rows,
@@ -396,7 +424,7 @@ def run_predict(config: RunConfig) -> RunReport:
         },
     )
     logger.info(
-        "%s: verdict=%s attempts=%d timings=%s", protein.id, verdict, attempts, report.timings
+        "%s: verdict=%s attempts=%d timings=%s", protein.id, verdict, attempt, report.timings
     )
     return report
 
@@ -495,15 +523,11 @@ def benchmark_instance(
     The colony stage is fed the planted incidence pairs so its scores
     isolate the edge-prediction stages, the way they are analysed.
     """
-    moga_seq, *sim_seqs = seed_seq.spawn(1 + config.simulations)
-    profile_sse = family_sse_profile(instance.templates)
-    profile_residue = family_residue_profile(instance.templates)
-    moga = run_moga(
-        instance.ctx, config.ga, profile_sse, np.random.default_rng(moga_seq)
+    moga, profile_residue, e_p, sim_seqs = _ga_stage(
+        instance.ctx, instance.templates, instance.instance_id, config, seed_seq
     )
     error_rate = matrix_error_rate(moga.incidence, instance.true_incidence)
 
-    e_p = estimate_edge_budget(instance.sse_sizes, instance.templates)
     pairs = list(instance.incidence_pairs)
     heuristics = pair_heuristics(pairs, instance.sse_sizes, instance.templates, e_p)
     truth = set(instance.true_shortcuts)
@@ -512,28 +536,19 @@ def benchmark_instance(
     scores = []
     recoveries = []
     accepted = 0
-    for seq in sim_seqs:
-        outcome = aco_attempt(
-            pairs,
-            heuristics,
-            instance.sse_ranges,
-            instance.graph.vertices,
-            instance.graph.sse_of,
-            instance.graph.intra_edges,
-            e_p,
-            config.aco,
-            seq,
-        )
+    for outcome, _, passed in gated_attempts(
+        instance.graph,
+        instance.sse_ranges,
+        pairs,
+        heuristics,
+        e_p,
+        profile_residue,
+        config.aco,
+        sim_seqs,
+    ):
         recoveries.append(len(set(outcome.candidates) & truth) / e_real)
         scores.append(len(set(outcome.selected) & truth) / e_real)
-        built = SseInGraph(
-            instance.graph.vertices,
-            instance.graph.intra_edges,
-            outcome.selected,
-            instance.graph.sse_of,
-        )
-        if validate_built_network(built, profile_residue, tol=0.2):
-            accepted += 1
+        accepted += passed
 
     stddev = statistics.stdev(scores) if len(scores) > 1 else 0.0
     return InstanceResult(

@@ -46,18 +46,6 @@ class PlantedInstance:
     def e_real(self) -> int:
         return len(self.true_shortcuts)
 
-    def pair_sizes(self, pair: tuple[int, int]) -> tuple[int, int]:
-        a, b = pair
-        return self.sse_sizes[a - 1], self.sse_sizes[b - 1]
-
-    def residue_of_cell(self, pair: tuple[int, int], cell: tuple[int, int]) -> Edge:
-        """Map a pair-local (i, j) cell back to a residue edge."""
-        a, b = pair
-        first_a = self.sse_ranges[a - 1][0]
-        first_b = self.sse_ranges[b - 1][0]
-        u, v = first_a + cell[0] - 1, first_b + cell[1] - 1
-        return (u, v) if u < v else (v, u)
-
 
 def _cluster_split(m: int, clusters: int) -> list[list[int]]:
     clusters = max(1, min(clusters, m))

@@ -13,7 +13,6 @@ from ssein.aco import (
     TemplateProtein,
     allele_distance,
     allocate_pair_budgets,
-    average_family_chromosome,
     build_occurrence_matrix,
     edge_probabilities,
     estimate_edge_budget,
@@ -56,36 +55,6 @@ def template_from_sizes(protein_id, sizes, shortcut_cells=(), intra_span=2):
         shortcuts.append((min(u, v), max(u, v)))
     graph = SseInGraph(tuple(sorted(sse_of)), tuple(intra), tuple(shortcuts), sse_of)
     return TemplateProtein(protein_id, tuple(sizes), tuple(ranges), graph)
-
-
-class TestAverageChromosome:
-    def test_two_templates(self):
-        assert average_family_chromosome([(10, 12, 8), (12, 12, 10)]) == (11, 12, 9)
-
-    def test_single_template(self):
-        assert average_family_chromosome([(4, 7, 2)]) == (4, 7, 2)
-
-    def test_half_up_rounding(self):
-        assert average_family_chromosome([(1,), (2,)]) == (2,)
-
-    def test_matches_mean_oracle(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            k = int(rng.integers(1, 6))
-            n = int(rng.integers(1, 8))
-            templates = [tuple(rng.integers(1, 30, size=n).tolist()) for _ in range(k)]
-            result = average_family_chromosome(templates)
-            expected = tuple(
-                round_half_up(float(np.mean([t[i] for t in templates])))
-                for i in range(n)
-            )
-            assert result == expected
-
-    def test_errors(self):
-        with pytest.raises(ValueError):
-            average_family_chromosome([])
-        with pytest.raises(ValueError):
-            average_family_chromosome([(1, 2), (1, 2, 3)])
 
 
 class TestAlleleDistance:
@@ -409,7 +378,7 @@ class TestValidateBuiltNetwork:
     def test_template_accepts_itself(self):
         inst = make_planted_instance("v", (7, 7, 7, 7), np.random.default_rng(2))
         profile = topological_profile(inst.graph.vertices, inst.graph.edges)
-        assert validate_built_network(inst.graph, profile, tol=0.2)
+        assert validate_built_network(profile, profile, tol=0.2)
 
     def test_gross_distortion_rejected(self):
         inst = make_planted_instance("v", (7, 7, 7, 7), np.random.default_rng(2))
@@ -418,7 +387,8 @@ class TestValidateBuiltNetwork:
         stripped = SseInGraph(
             inst.graph.vertices, inst.graph.intra_edges, (), inst.graph.sse_of
         )
-        assert not validate_built_network(stripped, profile, tol=0.2)
+        built = topological_profile(stripped.vertices, stripped.edges)
+        assert not validate_built_network(built, profile, tol=0.2)
 
     def test_acceptance_degrades_with_perturbation(self):
         inst = make_planted_instance(
@@ -438,7 +408,8 @@ class TestValidateBuiltNetwork:
                 graph = SseInGraph(
                     inst.graph.vertices, inst.graph.intra_edges, kept, inst.graph.sse_of
                 )
-                accepted += validate_built_network(graph, profile, tol=0.2)
+                built = topological_profile(graph.vertices, graph.edges)
+                accepted += validate_built_network(built, profile, tol=0.2)
             acceptance.append(accepted)
         assert acceptance[0] == 10  # unperturbed always accepted
         assert acceptance[-1] < 10  # fully stripped mostly rejected
@@ -467,16 +438,6 @@ class TestTemplateProtein:
 
 
 class TestEdgeBudget:
-    def test_allocation_bookkeeping(self):
-        from ssein.aco import EdgeBudget
-
-        budget = EdgeBudget(5, {(1, 2): 3, (2, 3): 2}, 4)
-        assert budget.e_total == 5
-        with pytest.raises(ValueError):
-            EdgeBudget(5, {(1, 2): 3, (2, 3): 3}, 4)
-        with pytest.raises(ValueError):
-            EdgeBudget(1, {(1, 2): -1, (2, 3): 2}, 0)
-
     def test_heuristic_matrix_conservation_enforced(self):
         with pytest.raises(ValueError):
             HeuristicMatrix(np.ones((2, 2)), np.ones((2, 2)), 1.0)

@@ -59,12 +59,6 @@ class TestBuildContactMap:
         high = build_contact_map(protein, thr + bump)
         assert np.all(high.bits >= low.bits)
 
-    def test_tsv_edge_list(self):
-        cmap = build_contact_map(
-            protein_from_coords([(0, 0, 0), (0, 0, 3), (0, 0, 6)]), 7.0
-        )
-        assert cmap.to_tsv() == "1\t2\n1\t3\n2\t3\n"
-
     def test_symmetry_invariants_enforced(self):
         with pytest.raises(ValueError):
             ContactMap(np.array([[0, 1], [0, 0]], dtype=np.uint8))

@@ -1,0 +1,95 @@
+"""Golden sha256 digests of the output files for fixed seeds.
+
+Reruns agreeing with each other (criterion 11) cannot tell a refactor that
+keeps the outputs from one that changes them for every run alike; these
+digests can.  Every case runs in a fresh working directory with relative
+paths, because report.json echoes the paths it was given.  A digest is
+only re-recorded when an output is changed on purpose.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from conftest import multi_helix_protein, two_helix_protein
+from ssein.cli import main
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+DESK_SWEEP = {
+    "manifest.tsv": "1e2e02cf2ee632b39ffbdac8911295ccc98bb0eb307ce371d20d895ffaa9f83a",
+    "benchmark_table.tsv": "d203d0a986fb0ad197746968bba164b9da328e3fdee82dbb4878d40f098ae3de",
+    "figure3_curve.csv": "fd64dc97845500e431b78797b1a967ede2bf0a8867f25a0266f56bcafe5876ef",
+}
+FOUR_HELIX_ACCEPTED = {
+    "report.json": "b2f6e1efad2ea9eb4ec2cf3bd0b0b18252f4077111f950092c09024264ce6fbb",
+    "sse_incidence.tsv": "44bccd49318560974ae1f45e6a065206181f9cb0cba1b455c818a7e2d3be6d19",
+    "shortcut_edges.tsv": "c82825118d15aec4e7001fb86d966eaa5f47e06d9d999170eac9fa87e0a40e4c",
+}
+FAR_HELIX_REJECTED = {
+    "report.json": "c02e5b02e19f1e2c86bdff0e8c4800fae73c9d75ecedc2d7e87adf84709a8a71",
+    "sse_incidence.tsv": "b94354236cbc73b342a7624bd1d596b56bb068bdf40918c27d9c017c8a11e58d",
+    "shortcut_edges.tsv": "dc20d80e2eaedf5528b6125945d9a14fc2a30c97f6a3d4115a8c5e4866f63e39",
+}
+
+
+def _digests(out: Path, names) -> dict[str, str]:
+    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names}
+
+
+def _write_index(count: int, sse_count: int) -> str:
+    return "".join(f"t{t}\tt{t}.pdb\t{sse_count}\n" for t in range(1, count + 1))
+
+
+def test_desk_sweep_script_digests(tmp_path, monkeypatch, capsys):
+    """README sweep: the script's default manifest, seed 7, 20 simulations."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.syspath_prepend(str(SCRIPTS))  # as when the script runs directly
+    import run_desk_benchmark
+
+    monkeypatch.setattr(sys, "argv", ["run_desk_benchmark.py", "--out", "bench_out"])
+    assert run_desk_benchmark.main() == 0
+    assert _digests(Path("bench_out"), DESK_SWEEP) == DESK_SWEEP
+
+
+def test_four_helix_accepted_on_second_attempt(tmp_path, monkeypatch):
+    """Early stop: the report describes the first accepted attempt."""
+    monkeypatch.chdir(tmp_path)
+    text, _ = multi_helix_protein(4)
+    Path("q.pdb").write_text(text)
+    rng = np.random.default_rng(3)
+    for t in range(1, 4):
+        Path(f"t{t}.pdb").write_text(multi_helix_protein(4, jitter=rng)[0])
+    Path("fam.tsv").write_text(_write_index(3, 4))
+    code = main(
+        ["predict", "--pdb", "q.pdb", "--family", "fam.tsv",
+         "--seed", "13", "--simulations", "10", "--out", "out"]
+    )
+    assert code == 0
+    report = json.loads(Path("out/report.json").read_text())
+    assert (report["verdict"], report["attempts"]) == ("accepted", 2)
+    assert _digests(Path("out"), FOUR_HELIX_ACCEPTED) == FOUR_HELIX_ACCEPTED
+
+
+def test_far_helix_rejected_reports_last_attempt(tmp_path, monkeypatch):
+    """No attempt passes the gate: the report describes the last one."""
+    monkeypatch.chdir(tmp_path)
+    Path("far.pdb").write_text(two_helix_protein(separation=30.0, helix_len=6)[0])
+    rng = np.random.default_rng(1)
+    for t in range(1, 4):
+        text, _ = two_helix_protein(jitter=rng, separation=7.5, helix_len=6)
+        Path(f"t{t}.pdb").write_text(text)
+    Path("fam.tsv").write_text(_write_index(3, 2))
+    code = main(
+        ["predict", "--pdb", "far.pdb", "--family", "fam.tsv",
+         "--seed", "1", "--simulations", "5", "--out", "out"]
+    )
+    assert code == 2
+    report = json.loads(Path("out/report.json").read_text())
+    assert (report["verdict"], report["attempts"]) == ("rejected", 5)
+    assert _digests(Path("out"), FAR_HELIX_REJECTED) == FAR_HELIX_REJECTED

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from ssein.metrics import (
     TopologicalProfile,
+    incidence_edges,
     is_compatible,
     matrix_error_rate,
     modularity,
@@ -65,6 +66,20 @@ def profile_oracle(n, edges):
         )
         cc += tri / (k * (k - 1) / 2)
     return float(diameter), cpl, mean_degree, cc / n
+
+
+class TestIncidenceEdges:
+    def test_row_major_upper_triangle(self):
+        m = np.array([[0, 1, 1, 0], [1, 0, 0, 1], [1, 0, 0, 1], [0, 1, 1, 0]])
+        assert incidence_edges(m) == [(1, 2), (1, 3), (2, 4), (3, 4)]
+
+    @settings(max_examples=40)
+    @given(st.integers(1, 9), st.floats(0.0, 1.0), st.integers(0, 2**16))
+    def test_matches_nested_loop_order(self, n, p, seed):
+        upper = np.triu(np.random.default_rng(seed).random((n, n)) < p, k=1)
+        m = (upper | upper.T).astype(np.int8)
+        expected = [(i + 1, j + 1) for i in range(n) for j in range(i + 1, n) if m[i, j]]
+        assert incidence_edges(m) == expected
 
 
 class TestTopologicalProfile:

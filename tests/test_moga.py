@@ -482,19 +482,3 @@ class TestRunMoga:
         result = run_moga(instance.ctx, params, profile, np.random.default_rng(1))
         for ind in result.archive:
             assert ind.rank == 0
-
-    def test_archive_dump_format(self):
-        from ssein.moga import archive_to_tsv
-
-        instance = make_ga_instance(np.random.default_rng(2))
-        profile = family_sse_profile(instance.templates)
-        params = GaParams(population_size=10, archive_size=6, generations=5)
-        result = run_moga(instance.ctx, params, profile, np.random.default_rng(1))
-        dump = archive_to_tsv(result.archive)
-        lines = dump.splitlines()
-        assert lines[0] == "rank\tfitness\to_distance\to_torsion\to_hydro\tgenes"
-        assert len(lines) == 1 + len(result.archive)
-        first = lines[1].split("\t")
-        assert len(first) == 6
-        assert len(first[5].split(",")) == instance.sse_count
-        assert dump == archive_to_tsv(result.archive)  # bit-stable

@@ -7,6 +7,7 @@ from conftest import write_family
 from ssein.aco import FamilyMatchError
 from ssein.cli import main
 from ssein.pipeline import (
+    DegenerateFamilyError,
     RunConfig,
     benchmark_instance,
     emit_report,
@@ -58,10 +59,38 @@ class TestRunPredict:
         with pytest.raises(FamilyMatchError):
             run_predict(config)
 
+    def test_degenerate_family_fails_before_the_ga(self, tmp_path, monkeypatch, capsys):
+        from conftest import atom_line, helix_record
+
+        query, _ = write_family(tmp_path)
+        # two single-residue helices 20 Å apart: the template SSE-IN is edgeless
+        lines = [
+            helix_record(1, "ALA", "ALA", "A", 1, 1),
+            helix_record(2, "LEU", "LEU", "A", 2, 2),
+            atom_line(1, "CA", "ALA", "A", 1, (0.0, 0.0, 0.0)),
+            atom_line(2, "CA", "LEU", "A", 2, (20.0, 0.0, 0.0)),
+            "END",
+        ]
+        (tmp_path / "dot.pdb").write_text("\n".join(lines) + "\n")
+        index = tmp_path / "dots.tsv"
+        index.write_text("dot\tdot.pdb\t2\n")
+
+        def no_ga(*args, **kwargs):
+            raise AssertionError("the GA ran on a degenerate family")
+
+        monkeypatch.setattr("ssein.pipeline.run_moga", no_ga)
+        config = RunConfig(pdb_path=str(query), family_index_path=str(index))
+        with pytest.raises(DegenerateFamilyError, match="family dots: residue-level diameter"):
+            run_predict(config)
+        code = main(["predict", "--pdb", str(query), "--family", str(index),
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "family dots" in capsys.readouterr().err
+
     def test_deterministic_report_bytes(self, tmp_path):
         config = predict_config(tmp_path)
-        first = emit_report(run_predict(config), "json")
-        second = emit_report(run_predict(config), "json")
+        first = emit_report(run_predict(config))
+        second = emit_report(run_predict(config))
         assert first == second
 
     def test_seed_changes_streams_not_contract(self, tmp_path):
@@ -73,23 +102,11 @@ class TestRunPredict:
 class TestEmitReport:
     def test_json_roundtrip_and_stable_keys(self, tmp_path):
         report = run_predict(predict_config(tmp_path))
-        text = emit_report(report, "json")
+        text = emit_report(report)
         parsed = json.loads(text)
         assert parsed == report.to_dict()
         assert list(parsed) == sorted(parsed)
-        assert emit_report(report, "json") == text
-
-    def test_tsv_flat_scalars(self, tmp_path):
-        report = run_predict(predict_config(tmp_path))
-        tsv = emit_report(report, "tsv")
-        lines = dict(line.split("\t", 1) for line in tsv.strip().splitlines())
-        assert lines["verdict"] == "accepted"
-        assert int(lines["sse_count"]) == 2
-
-    def test_unknown_format(self, tmp_path):
-        report = run_predict(predict_config(tmp_path))
-        with pytest.raises(ValueError):
-            emit_report(report, "xml")
+        assert emit_report(report) == text
 
     def test_incidence_tsv(self):
         text = incidence_to_tsv(np.array([[0, 1], [1, 0]]))
@@ -123,6 +140,13 @@ class TestManifest:
 
 
 class TestBenchmark:
+    def test_degenerate_family_names_the_instance(self):
+        # one-link SSEs: the planted family has no triangle, clustering is 0
+        instance = make_planted_instance("pairs", (2, 2), np.random.default_rng(0))
+        config = RunConfig(simulations=2)
+        with pytest.raises(DegenerateFamilyError, match="pairs: residue-level clustering_coeff"):
+            benchmark_instance(instance, config, np.random.SeedSequence(0))
+
     def test_single_instance_row(self, tmp_path):
         manifest = tmp_path / "m.tsv"
         manifest.write_text("one\t11\t9,8,10,9,8,10,9,8\t1.0\n")
