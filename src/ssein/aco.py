@@ -11,10 +11,16 @@ Pheromone updates follow tau = (1 - rho) tau + n_moves * delta_tau on
 inter-SSE edges, while intra-SSE edges stay pinned to the inter-SSE mean.
 Transition weights tau^alpha * s^beta are evaluated in log space so the
 published exponents (alpha = 25, beta = 12) cannot overflow.
+
+Both stages run one array-backed `Colony`.  Its random draws, in order:
+V ant starts from one integers(0, V); then per step one random(k) for the
+k ants not on an isolated vertex, in ant order, each inverted through its
+vertex's cumulative transition row exactly as Generator.choice(p=row) would.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
@@ -229,173 +235,143 @@ def allocate_pair_budgets(e_total: int, masses: Sequence[float]) -> list[int]:
     return base
 
 
-def _key(u: int, v: int) -> Edge:
-    return (u, v) if u < v else (v, u)
+# choice(p=...) rejects a row whose sum misses 1 by more than this.
+_ROW_SUM_TOL = math.sqrt(np.finfo(float).eps)
 
 
-@dataclass
-class PheromoneState:
-    """Colony state: graph, heuristic weights, pheromone field and ants.
+class Colony:
+    """Ant-colony state over vertices 0..V-1 and numbered edge slots.
 
-    Inter-SSE edges carry individual tau values; every intra-SSE edge is
-    pinned to the mean inter-SSE tau after each update.
+    Slots 0..E-1 are the inter-SSE edges, each with its own tau and s;
+    slot E is shared by every intra-SSE edge, whose tau is pinned to the
+    inter-SSE mean after each update and whose s is s_intra.  Every vertex
+    lists its neighbours in ascending order with the slot of each edge,
+    and V ants start on uniformly random vertices.
     """
 
-    neighbors: dict[int, tuple[int, ...]]
-    sse_of: dict[int, object]
-    inter_edges: tuple[Edge, ...]
-    s: dict[Edge, float]
-    s_intra: float
-    tau: dict[Edge, float]
-    tau_intra: float
-    ants: list[int]
-
-    @classmethod
-    def for_pair(
-        cls,
-        n: int,
-        m: int,
-        h: HeuristicMatrix,
-        params: AcoParams,
-        rng: np.random.Generator,
-    ) -> "PheromoneState":
-        """Complete bipartite pair graph: X = 1..n, Y = n+1..n+m.
-
-        Vertices of one SSE are mutually reachable so ants can wander
-        within it; n + m ants start on uniformly random vertices.
-        """
-        if n < 1 or m < 1:
-            raise ValueError("both SSEs must be non-empty")
-        if h.s.shape != (n, m):
-            raise ValueError(f"heuristic matrix shape {h.s.shape} != ({n}, {m})")
-        x_vertices = list(range(1, n + 1))
-        y_vertices = list(range(n + 1, n + m + 1))
-        neighbors = {}
-        for v in x_vertices:
-            neighbors[v] = tuple(u for u in x_vertices if u != v) + tuple(y_vertices)
-        for v in y_vertices:
-            neighbors[v] = tuple(x_vertices) + tuple(u for u in y_vertices if u != v)
-        sse_of = {v: 0 for v in x_vertices}
-        sse_of.update({v: 1 for v in y_vertices})
-        inter = tuple((x, y) for x in x_vertices for y in y_vertices)
-        s = {(x, y): float(h.s[x - 1, y - n - 1]) for x, y in inter}
-        tau0 = params.resolve_initial_tau(len(inter))
-        tau = {e: tau0 for e in inter}
-        count = n + m
-        ants = [int(v) for v in rng.integers(1, count + 1, size=count)]
-        return cls(neighbors, sse_of, inter, s, float(h.s.mean()), tau, tau0, ants)
-
-    @classmethod
-    def for_network(
-        cls,
-        vertices: Iterable[int],
-        sse_of: Mapping[int, object],
+    def __init__(
+        self,
+        vertex_count: int,
+        inter_edges: Sequence[Edge],
+        s: Sequence[float],
         intra_edges: Iterable[Edge],
-        candidates: Mapping[Edge, float],
+        s_intra: float,
         params: AcoParams,
         rng: np.random.Generator,
-    ) -> "PheromoneState":
-        """Network over candidate shortcut edges plus fixed intra-SSE edges."""
-        verts = sorted(vertices)
-        adjacency: dict[int, set[int]] = {v: set() for v in verts}
-        inter = tuple(sorted(_key(u, v) for u, v in candidates))
-        for u, v in inter:
-            adjacency[u].add(v)
-            adjacency[v].add(u)
-        for u, v in intra_edges:
-            adjacency[u].add(v)
-            adjacency[v].add(u)
-        neighbors = {v: tuple(sorted(adjacency[v])) for v in verts}
-        s = {e: float(candidates[e]) for e in inter}
-        s_intra = sum(s.values()) / len(s) if s else 0.0
-        tau0 = params.resolve_initial_tau(len(inter))
-        tau = {e: tau0 for e in inter}
-        ants = [verts[int(i)] for i in rng.integers(0, len(verts), size=len(verts))]
-        return cls(neighbors, dict(sse_of), inter, s, s_intra, tau, tau0, ants)
+    ):
+        e = len(inter_edges)
+        if e == 0:
+            raise ValueError("a colony needs at least one inter-SSE edge")
+        adjacency: list[dict[int, int]] = [{} for _ in range(vertex_count)]
+        for slot, (i, j) in enumerate(inter_edges):
+            adjacency[i][j] = slot
+            adjacency[j][i] = slot
+        for i, j in intra_edges:
+            adjacency[i].setdefault(j, e)
+            adjacency[j].setdefault(i, e)
+        self.neighbors = [np.array(sorted(a), dtype=np.intp) for a in adjacency]
+        self.slots = [np.array([a[j] for j in sorted(a)], dtype=np.intp) for a in adjacency]
+        self.degree = np.array([len(a) for a in adjacency], dtype=np.intp)
+        self.n_inter = e
+        self.params = params
+        self.rng = rng
+        self.tau = np.full(e + 1, params.resolve_initial_tau(e))
+        log_s = np.array([_log(x) for x in [*s, s_intra]])
+        self._s_term = params.beta * log_s if params.beta > 0 else np.zeros(e + 1)
+        self.ants = rng.integers(0, vertex_count, size=vertex_count)
 
+    def log_weights(self) -> np.ndarray:
+        """alpha ln tau + beta ln s per slot; a zero tau or s gives -inf."""
+        if self.params.alpha <= 0:
+            return self._s_term
+        log_tau = np.array([_log(t) for t in self.tau.tolist()])
+        return self.params.alpha * log_tau + self._s_term
 
-def transition_distribution(
-    vertex: int, state: PheromoneState, params: AcoParams
-) -> tuple[tuple[int, ...], np.ndarray]:
-    """Move probabilities from a vertex: p_ij ~ tau_ij^alpha * s_ij^beta.
+    def row(self, vertex: int, log_weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Move probabilities from a vertex: p_ij ~ tau_ij^alpha * s_ij^beta.
 
-    Computed as exp(alpha ln tau + beta ln s - max) so the published
-    exponents stay finite; zero-weight candidates get probability zero,
-    and a vertex whose every candidate is zero-weight moves uniformly.
-    """
-    nbrs = state.neighbors[vertex]
-    if not nbrs:
-        return nbrs, np.zeros(0)
-    logw = np.empty(len(nbrs))
-    for idx, j in enumerate(nbrs):
-        e = _key(vertex, j)
-        if e in state.s:
-            tau, s = state.tau[e], state.s[e]
-        else:
-            tau, s = state.tau_intra, state.s_intra
-        term = 0.0
-        if params.alpha > 0:
-            term += params.alpha * (math.log(tau) if tau > 0 else -math.inf)
-        if params.beta > 0:
-            term += params.beta * (math.log(s) if s > 0 else -math.inf)
-        logw[idx] = term
-    peak = logw.max()
-    if peak == -math.inf:
-        probs = np.full(len(nbrs), 1.0 / len(nbrs))
-    else:
+        Computed as exp(w - max w) so the published exponents stay finite;
+        zero-weight candidates get probability zero, and a vertex whose
+        every candidate is zero-weight moves uniformly.
+        """
+        nbrs = self.neighbors[vertex]
+        logw = log_weights[self.slots[vertex]]
+        peak = logw.max()
+        if peak == -math.inf:
+            return nbrs, np.full(len(nbrs), 1.0 / len(nbrs))
         probs = np.exp(logw - peak)
         probs /= probs.sum()
-    return nbrs, probs
+        return nbrs, probs
+
+    def update(self, move_counts: np.ndarray) -> None:
+        """Evaporate and deposit on inter-SSE slots, then re-pin intra-SSE tau."""
+        e = self.n_inter
+        self.tau[:e] = (1.0 - self.params.rho) * self.tau[:e] + move_counts * self.params.delta_tau
+        # A sequential sum, as the stop rule's mean has always been taken.
+        self.tau[e] = sum(self.tau[:e].tolist()) / e
+
+    def step(self) -> np.ndarray:
+        """Move every ant once; returns the move count per inter-SSE slot.
+
+        Ants on isolated vertices stay put and draw nothing.  The others
+        take one uniform each, in ant order, from a single draw, and invert
+        their vertex's cumulative row with it, as Generator.choice(p=row)
+        would.
+        """
+        e = self.n_inter
+        live = np.flatnonzero(self.degree[self.ants])
+        u = self.rng.random(live.size)
+        at = self.ants[live]
+        crossed = np.empty(live.size, dtype=np.intp)
+        log_weights = self.log_weights()
+        for vertex in set(at.tolist()):  # groups are disjoint, so any order
+            group = np.flatnonzero(at == vertex)
+            nbrs, probs = self.row(vertex, log_weights)
+            if probs.min() < 0 or not abs(probs.sum() - 1.0) <= _ROW_SUM_TOL:
+                raise ValueError(f"transition row of vertex {vertex} is not a distribution")
+            cdf = probs.cumsum()
+            cdf /= cdf[-1]
+            pick = cdf.searchsorted(u[group], side="right")
+            self.ants[live[group]] = nbrs[pick]
+            crossed[group] = self.slots[vertex][pick]
+        return np.bincount(crossed, minlength=e + 1)[:e]
+
+    def run(self) -> int:
+        """Iterate moves and updates until max tau >= e_stop * mean tau, or the
+        iteration cap; returns the iterations executed."""
+        e = self.n_inter
+        for iteration in range(1, self.params.max_iterations + 1):
+            self.update(self.step())
+            if self.tau[:e].max() >= self.params.e_stop * self.tau[e]:
+                return iteration
+        return self.params.max_iterations
 
 
-def update_pheromone(
-    state: PheromoneState, move_counts: Mapping[Edge, int], params: AcoParams
-) -> None:
-    """Evaporate and deposit on inter-SSE edges, then re-pin intra-SSE tau."""
-    for e in state.inter_edges:
-        state.tau[e] = (1.0 - params.rho) * state.tau[e] + move_counts.get(e, 0) * params.delta_tau
-    if state.tau:
-        state.tau_intra = sum(state.tau.values()) / len(state.tau)
-
-
-def step_colony(
-    state: PheromoneState, params: AcoParams, rng: np.random.Generator
-) -> dict[Edge, int]:
-    """Move every ant once; returns inter-SSE move counts for the update."""
-    counts: dict[Edge, int] = {}
-    for idx, vertex in enumerate(state.ants):
-        nbrs, probs = transition_distribution(vertex, state, params)
-        if not nbrs:
-            continue  # isolated vertex: the ant stays put this iteration
-        j = int(rng.choice(np.array(nbrs), p=probs))
-        e = _key(vertex, j)
-        if e in state.s:
-            counts[e] = counts.get(e, 0) + 1
-        state.ants[idx] = j
-    return counts
-
-
-def run_colony(state: PheromoneState, params: AcoParams, rng: np.random.Generator) -> int:
-    """Iterate moves and updates until max tau >= e_stop * mean tau, or the
-    iteration cap; returns the iterations executed."""
-    if not state.inter_edges:
-        return 0
-    for iteration in range(1, params.max_iterations + 1):
-        counts = step_colony(state, params, rng)
-        update_pheromone(state, counts, params)
-        values = state.tau.values()
-        if max(values) >= params.e_stop * (sum(values) / len(values)):
-            return iteration
-    return params.max_iterations
+def _log(x: float) -> float:
+    # math.log, not np.log: the two differ in the last bit on some inputs.
+    return math.log(x) if x > 0 else -math.inf
 
 
 @dataclass(frozen=True)
 class LocalResult:
-    """Per-pair candidates: cells are (position in X, position in Y), 1-based."""
+    """Per-pair candidates: cells are (position in X, position in Y), 1-based;
+    normalized_tau[i - 1, j - 1] is cell (i, j)'s tau / max tau."""
 
     cells: tuple[tuple[int, int], ...]
-    normalized_tau: dict[tuple[int, int], float]
+    normalized_tau: np.ndarray
     iterations: int
+
+
+def pair_colony(h: HeuristicMatrix, params: AcoParams, rng: np.random.Generator) -> Colony:
+    """The colony of one SSE pair, complete on its n + m residues.
+
+    X = 0..n-1 and Y = n..n+m-1, so ants can also wander within one SSE;
+    the X-Y edges are the inter-SSE slots, cell (i, j) at slot i * m + j.
+    """
+    n, m = h.s.shape
+    inter = [(x, y) for x in range(n) for y in range(n, n + m)]
+    intra = [*itertools.combinations(range(n), 2), *itertools.combinations(range(n, n + m), 2)]
+    return Colony(n + m, inter, h.s.ravel().tolist(), intra, float(h.s.mean()), params, rng)
 
 
 def local_aco(
@@ -406,13 +382,15 @@ def local_aco(
 ) -> LocalResult:
     """Stage one: keep pair edges whose tau / max tau clears lambda_min."""
     n, m = pair_sizes
-    state = PheromoneState.for_pair(n, m, h, params, rng)
-    iterations = run_colony(state, params, rng)
-    tau_max = max(state.tau.values())
-    normalized = {
-        (x, y - n): state.tau[(x, y)] / tau_max for x, y in state.inter_edges
-    }
-    cells = tuple(sorted(c for c, v in normalized.items() if v >= params.lambda_min))
+    if n < 1 or m < 1:
+        raise ValueError("both SSEs must be non-empty")
+    if h.s.shape != (n, m):
+        raise ValueError(f"heuristic matrix shape {h.s.shape} != ({n}, {m})")
+    colony = pair_colony(h, params, rng)
+    iterations = colony.run()
+    tau = colony.tau[: n * m]
+    normalized = tau.reshape(n, m) / tau.max()
+    cells = tuple((int(i) + 1, int(j) + 1) for i, j in np.argwhere(normalized >= params.lambda_min))
     return LocalResult(cells, normalized, iterations)
 
 
@@ -426,7 +404,6 @@ class GlobalResult:
 
 def global_aco(
     vertices: Iterable[int],
-    sse_of: Mapping[int, object],
     intra_edges: Iterable[Edge],
     candidates: Mapping[Edge, float],
     e_p: int,
@@ -440,13 +417,25 @@ def global_aco(
     """
     if e_p <= 0:
         raise ValueError(f"number of edges to predict must be positive, got {e_p}")
-    cand = {_key(u, v): float(w) for (u, v), w in candidates.items()}
+    cand = {(min(u, v), max(u, v)): float(w) for (u, v), w in candidates.items()}
     if not cand:
         return GlobalResult((), {}, e_p, 0)
-    state = PheromoneState.for_network(vertices, sse_of, intra_edges, cand, params, rng)
-    iterations = run_colony(state, params, rng)
-    tau_max = max(state.tau.values())
-    normalized = {e: state.tau[e] / tau_max for e in state.inter_edges}
+    inter = sorted(cand)
+    s = [cand[e] for e in inter]
+    index = {v: i for i, v in enumerate(sorted(vertices))}
+    colony = Colony(
+        len(index),
+        [(index[u], index[v]) for u, v in inter],
+        s,
+        ((index[u], index[v]) for u, v in intra_edges),
+        sum(s) / len(s),
+        params,
+        rng,
+    )
+    iterations = colony.run()
+    taus = colony.tau[: len(inter)]
+    tau_max = float(taus.max())
+    normalized = {e: tau / tau_max for e, tau in zip(inter, taus.tolist())}
     ranked = sorted(normalized, key=lambda e: (-normalized[e], e))
     selected = tuple(sorted(ranked[: min(e_p, len(ranked))]))
     shortfall = max(0, e_p - len(selected))

@@ -233,18 +233,11 @@ def strength_ranks(pool: Sequence[Individual]) -> list[float]:
     Strength s(y) counts the pool members y dominates, so every
     non-dominated individual ends up with r = 0.
     """
-    n = len(pool)
-    dom = [[False] * n for _ in range(n)]
-    strength = [0] * n
-    for i in range(n):
-        for j in range(n):
-            if i != j and dominates(pool[i].objectives, pool[j].objectives):
-                dom[i][j] = True
-                strength[i] += 1
-    ranks = []
-    for j in range(n):
-        ranks.append(float(sum(strength[i] for i in range(n) if dom[i][j])))
-    return ranks
+    obj = np.array([ind.objectives for ind in pool], dtype=float).reshape(-1, 3)
+    a, b = obj[:, None, :], obj[None, :, :]
+    dom = (a <= b).all(axis=-1) & (a < b).any(axis=-1)  # dom[i, j]: i dominates j
+    # Integer sums, so exact: r(j) = sum of s(i) over every i dominating j.
+    return (dom.sum(axis=1) @ dom).astype(float).tolist()
 
 
 def _normalized_objectives(pool: Sequence[Individual]) -> np.ndarray:

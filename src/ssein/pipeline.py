@@ -1,12 +1,13 @@
 """End-to-end prediction pipeline, benchmark harness and report emission.
 
-Prediction and benchmark share one path.  `_ga_stage` splits the seed,
-profiles the template family (failing fast on a family the topology gate
-cannot use), runs the evolutionary SSE-graph stage and estimates the edge
-budget.  `gated_attempts` then yields one colony simulation at a time: the
-two-stage ant colony, the built SSE-IN, its topological profile (computed
-once) and the family gate's verdict.  `run_predict` stops at the first
-accepted attempt and reports it, or the last attempt if none passes;
+Prediction and benchmark share one path.  `_family_profiles` profiles the
+template family (failing fast on a family the topology gate cannot use);
+`_ga_stage` splits the seed, runs the evolutionary SSE-graph stage and
+estimates the edge budget.  `gated_attempts` then yields one colony
+simulation at a time: the two-stage ant colony, the built SSE-IN, its
+topological profile (computed once) and the family gate's verdict.
+`run_predict` stops at the first accepted attempt and reports it, or the
+last attempt if none passes;
 `run_benchmark` consumes every attempt of each planted instance and scores
 the GA against the planted incidence and the colonies (fed the planted
 incidence, mirroring how the stages are analysed separately) against the
@@ -182,7 +183,6 @@ def aco_attempt(
     heuristics: Sequence[HeuristicMatrix],
     sse_ranges: Sequence[tuple[int, int]],
     graph_vertices: Sequence[int],
-    sse_of: dict,
     intra_edges: Sequence[Edge],
     e_p: int,
     params: AcoParams,
@@ -203,9 +203,7 @@ def aco_attempt(
     if e_p <= 0 or not candidates:
         return AttemptOutcome(tuple(sorted(candidates)), (), {}, max(e_p, 0))
     rng_global = np.random.default_rng(streams[-1])
-    result = global_aco(
-        graph_vertices, sse_of, intra_edges, candidates, e_p, params, rng_global
-    )
+    result = global_aco(graph_vertices, intra_edges, candidates, e_p, params, rng_global)
     return AttemptOutcome(
         tuple(sorted(candidates)), result.selected, result.normalized_tau, result.shortfall
     )
@@ -275,20 +273,11 @@ def shortcut_edges_to_tsv(rows: Sequence[tuple[int, int, str, str, float]]) -> s
     )
 
 
-def _ga_stage(
-    ctx: SseContext,
-    templates: Sequence[TemplateProtein],
-    family: str,
-    config: RunConfig,
-    seed_seq: np.random.SeedSequence,
-) -> tuple[MogaResult, TopologicalProfile, int, list[np.random.SeedSequence]]:
-    """Everything before the colony stage: split the seed into the GA stream
-    and one stream per simulation, profile the family, run the GA and
-    estimate the edge budget E_p.
-
-    Returns (GA result, family residue profile, E_p, simulation streams).
-    """
-    moga_seq, *sim_seqs = seed_seq.spawn(1 + config.simulations)
+def _family_profiles(
+    templates: Sequence[TemplateProtein], family: str
+) -> tuple[TopologicalProfile, TopologicalProfile]:
+    """The family's SSE-level and residue-level mean profiles; fails on a
+    residue-level field of 0, which the topology gate cannot use."""
     profile_sse = family_sse_profile(templates)
     profile_residue = family_residue_profile(templates)
     for name, value in profile_residue.as_dict().items():
@@ -297,9 +286,26 @@ def _ga_stage(
                 f"family {family}: residue-level {name} is {value}; "
                 "the topology gate needs every profile field positive"
             )
+    return profile_sse, profile_residue
+
+
+def _ga_stage(
+    ctx: SseContext,
+    templates: Sequence[TemplateProtein],
+    profile_sse: TopologicalProfile,
+    config: RunConfig,
+    seed_seq: np.random.SeedSequence,
+) -> tuple[MogaResult, int, list[np.random.SeedSequence]]:
+    """Everything between the family profiles and the colony stage: split
+    the seed into the GA stream and one stream per simulation, run the GA
+    and estimate the edge budget E_p.
+
+    Returns (GA result, E_p, simulation streams).
+    """
+    moga_seq, *sim_seqs = seed_seq.spawn(1 + config.simulations)
     moga = run_moga(ctx, config.ga, profile_sse, np.random.default_rng(moga_seq))
     e_p = estimate_edge_budget(ctx.sse_sizes, templates)
-    return moga, profile_residue, e_p, sim_seqs
+    return moga, e_p, sim_seqs
 
 
 def gated_attempts(
@@ -324,7 +330,6 @@ def gated_attempts(
             heuristics,
             sse_ranges,
             graph.vertices,
-            graph.sse_of,
             graph.intra_edges,
             e_p,
             params,
@@ -364,8 +369,9 @@ def run_predict(config: RunConfig) -> RunReport:
     t_ingest = time.perf_counter()
 
     ctx = SseContext.from_structure(protein)
-    moga, profile_residue, e_p, sim_seqs = _ga_stage(
-        ctx, matching, index.family_id, config, np.random.SeedSequence(config.seed)
+    profile_sse, profile_residue = _family_profiles(matching, index.family_id)
+    moga, e_p, sim_seqs = _ga_stage(
+        ctx, matching, profile_sse, config, np.random.SeedSequence(config.seed)
     )
     t_moga = time.perf_counter()
 
@@ -523,8 +529,13 @@ def benchmark_instance(
     The colony stage is fed the planted incidence pairs so its scores
     isolate the edge-prediction stages, the way they are analysed.
     """
-    moga, profile_residue, e_p, sim_seqs = _ga_stage(
-        instance.ctx, instance.templates, instance.instance_id, config, seed_seq
+    profile_sse, profile_residue = _family_profiles(instance.templates, instance.instance_id)
+    if instance.e_real == 0:
+        raise ValueError(
+            f"instance {instance.instance_id}: no planted shortcut edge to score against"
+        )
+    moga, e_p, sim_seqs = _ga_stage(
+        instance.ctx, instance.templates, profile_sse, config, seed_seq
     )
     error_rate = matrix_error_rate(moga.incidence, instance.true_incidence)
 

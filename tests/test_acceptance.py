@@ -17,10 +17,8 @@ from conftest import write_family
 from ssein.aco import (
     AcoParams,
     HeuristicMatrix,
-    PheromoneState,
     edge_probabilities,
-    transition_distribution,
-    update_pheromone,
+    pair_colony,
 )
 from ssein.cli import main
 from ssein.metrics import matrix_error_rate, prediction_accuracy, topological_profile
@@ -137,12 +135,13 @@ def test_criterion_05_transition_stability():
     for _ in range(10_000):
         n, m = int(rng.integers(1, 5)), int(rng.integers(1, 5))
         h = HeuristicMatrix.from_q(rng.uniform(0.1, 40, size=(n, m)), float(rng.integers(1, 9)))
-        state = PheromoneState.for_pair(n, m, h, params, rng)
-        for e in state.tau:
-            state.tau[e] = float(rng.uniform(0.1, 10.0 ** rng.integers(0, 8)))
-        state.tau_intra = sum(state.tau.values()) / len(state.tau)
-        vertex = int(rng.integers(1, n + m + 1))
-        _, probs = transition_distribution(vertex, state, params)
+        colony = pair_colony(h, params, rng)
+        e = colony.n_inter
+        for slot in range(e):
+            colony.tau[slot] = float(rng.uniform(0.1, 10.0 ** rng.integers(0, 8)))
+        colony.tau[e] = sum(colony.tau[:e].tolist()) / e
+        vertex = int(rng.integers(0, n + m))
+        _, probs = colony.row(vertex, colony.log_weights())
         assert np.all(np.isfinite(probs))
         worst = max(worst, abs(float(probs.sum()) - 1.0))
     assert worst < 1e-9
@@ -152,23 +151,23 @@ def test_criterion_05_transition_stability():
 def test_criterion_06_pheromone_dynamics():
     """Eq substitution 8000.3 plus intra pinning over a 1000-step colony."""
     params = AcoParams(rho=0.7, delta_tau=4000.0)
-    state = PheromoneState.for_pair(
-        1, 1, HeuristicMatrix.from_q(np.ones((1, 1)), 1.0), params, np.random.default_rng(0)
+    colony = pair_colony(
+        HeuristicMatrix.from_q(np.ones((1, 1)), 1.0), params, np.random.default_rng(0)
     )
-    state.tau[(1, 2)] = 1.0
-    update_pheromone(state, {(1, 2): 2}, params)
-    assert state.tau[(1, 2)] == pytest.approx(8000.3, abs=1e-12)
+    colony.tau[0] = 1.0
+    colony.update(np.array([2]))
+    assert colony.tau[0] == pytest.approx(8000.3, abs=1e-12)
 
     rng = np.random.default_rng(20240006)
-    state = PheromoneState.for_pair(
-        4, 5, HeuristicMatrix.from_q(rng.uniform(0.5, 5, size=(4, 5)), 6.0), params, rng
+    colony = pair_colony(
+        HeuristicMatrix.from_q(rng.uniform(0.5, 5, size=(4, 5)), 6.0), params, rng
     )
+    e = colony.n_inter
     worst = 0.0
     for _ in range(1000):
-        counts = {e: int(rng.integers(0, 4)) for e in state.inter_edges}
-        update_pheromone(state, counts, params)
-        mean = sum(state.tau.values()) / len(state.tau)
-        worst = max(worst, abs(state.tau_intra - mean) / mean)
+        colony.update(np.array([int(rng.integers(0, 4)) for _ in range(e)]))
+        mean = sum(colony.tau[:e].tolist()) / e
+        worst = max(worst, abs(colony.tau[e] - mean) / mean)
     assert worst < 1e-9
     report(f"criterion 6 PASS: tau'=8000.3 and intra pinning rel err {worst:.2e}")
 

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -8,8 +9,8 @@ from hypothesis import strategies as st
 from ssein.aco import (
     AcoParams,
     FamilyMatchError,
+    Colony,
     HeuristicMatrix,
-    PheromoneState,
     TemplateProtein,
     allele_distance,
     allocate_pair_budgets,
@@ -18,9 +19,8 @@ from ssein.aco import (
     estimate_edge_budget,
     global_aco,
     local_aco,
+    pair_colony,
     round_half_up,
-    transition_distribution,
-    update_pheromone,
     validate_built_network,
 )
 from ssein.contact import SseInGraph
@@ -191,36 +191,41 @@ class TestAllocatePairBudgets:
 
 def pair_state(n, m, q, e, params, seed=0):
     h = HeuristicMatrix.from_q(q, e)
-    return PheromoneState.for_pair(n, m, h, params, np.random.default_rng(seed)), h
+    assert h.s.shape == (n, m)
+    return pair_colony(h, params, np.random.default_rng(seed)), h
+
+
+def row(colony, vertex):
+    return colony.row(vertex, colony.log_weights())
 
 
 class TestTransitionDistribution:
     def test_uniform_over_neighbors(self):
         params = AcoParams(alpha=1.0, beta=1.0)
-        state, _ = pair_state(2, 2, np.ones((2, 2)), 2.0, params)
-        nbrs, probs = transition_distribution(1, state, params)
+        colony, _ = pair_state(2, 2, np.ones((2, 2)), 2.0, params)
+        nbrs, probs = row(colony, 0)
         # from x1: intra x2 carries the mean weight, inter y1, y2 identical
         assert probs == pytest.approx(np.full(3, 1 / 3))
 
     def test_tau_ratio_two_alpha_one_beta_zero(self):
         params = AcoParams(alpha=1.0, beta=0.0)
-        state, _ = pair_state(1, 2, np.ones((1, 2)), 2.0, params)
-        state.tau[(1, 2)] = 2.0
-        state.tau[(1, 3)] = 1.0
-        nbrs, probs = transition_distribution(1, state, params)
-        assert nbrs == (2, 3)
+        colony, _ = pair_state(1, 2, np.ones((1, 2)), 2.0, params)
+        colony.tau[0] = 2.0  # x1-y1
+        colony.tau[1] = 1.0  # x1-y2
+        nbrs, probs = row(colony, 0)
+        assert nbrs.tolist() == [1, 2]
         assert probs == pytest.approx([2 / 3, 1 / 3])
 
     def test_log_space_matches_exact_rationals(self):
         # small integer tau/s evaluated exactly with Fractions at the
         # published exponents alpha=25, beta=12
         params = AcoParams()
-        state, h = pair_state(1, 3, np.array([[1.0, 2.0, 3.0]]), 6.0, params)
-        taus = {(1, 2): 2.0, (1, 3): 1.0, (1, 4): 3.0}
-        state.tau.update(taus)
-        nbrs, probs = transition_distribution(1, state, params)
+        colony, h = pair_state(1, 3, np.array([[1.0, 2.0, 3.0]]), 6.0, params)
+        taus = [2.0, 1.0, 3.0]  # x1-y1, x1-y2, x1-y3
+        colony.tau[:3] = taus
+        nbrs, probs = row(colony, 0)
         weights = [
-            Fraction(int(taus[(1, j)])) ** 25 * Fraction(h.s[0, j - 2]).limit_denominator(10**12) ** 12
+            Fraction(int(taus[j - 1])) ** 25 * Fraction(h.s[0, j - 1]).limit_denominator(10**12) ** 12
             for j in nbrs
         ]
         total = sum(weights)
@@ -230,11 +235,11 @@ class TestTransitionDistribution:
     def test_stability_at_published_exponents(self):
         params = AcoParams()
         rng = np.random.default_rng(4)
-        state, _ = pair_state(4, 5, rng.uniform(0.5, 50, size=(4, 5)), 5.0, params)
-        for e in state.tau:
-            state.tau[e] = float(rng.uniform(1, 1e7))
-        for v in range(1, 10):
-            _, probs = transition_distribution(v, state, params)
+        colony, _ = pair_state(4, 5, rng.uniform(0.5, 50, size=(4, 5)), 5.0, params)
+        for slot in range(colony.n_inter):
+            colony.tau[slot] = float(rng.uniform(1, 1e7))
+        for v in range(9):
+            _, probs = row(colony, v)
             assert np.all(np.isfinite(probs))
             assert probs.sum() == pytest.approx(1.0, abs=1e-9)
 
@@ -242,35 +247,143 @@ class TestTransitionDistribution:
 class TestUpdatePheromone:
     def test_documented_substitution(self):
         params = AcoParams(rho=0.7, delta_tau=4000.0)
-        state, _ = pair_state(1, 1, np.ones((1, 1)), 1.0, params)
-        state.tau[(1, 2)] = 1.0
-        update_pheromone(state, {(1, 2): 2}, params)
-        assert state.tau[(1, 2)] == pytest.approx(8000.3)
+        colony, _ = pair_state(1, 1, np.ones((1, 1)), 1.0, params)
+        colony.tau[0] = 1.0
+        colony.update(np.array([2]))
+        assert colony.tau[0] == pytest.approx(8000.3)
 
     def test_pure_evaporation(self):
         params = AcoParams(rho=0.7)
-        state, _ = pair_state(2, 2, np.ones((2, 2)), 2.0, params)
-        before = dict(state.tau)
-        update_pheromone(state, {}, params)
-        for e, tau in state.tau.items():
-            assert tau == pytest.approx(0.3 * before[e])
+        colony, _ = pair_state(2, 2, np.ones((2, 2)), 2.0, params)
+        before = colony.tau[:4].copy()
+        colony.update(np.zeros(4, dtype=int))
+        assert colony.tau[:4] == pytest.approx(0.3 * before)
 
     def test_intra_pinned_to_inter_mean(self):
         params = AcoParams()
-        state, _ = pair_state(3, 3, np.ones((3, 3)), 3.0, params)
+        colony, _ = pair_state(3, 3, np.ones((3, 3)), 3.0, params)
         rng = np.random.default_rng(0)
         for step in range(50):
-            counts = {e: int(rng.integers(0, 3)) for e in state.inter_edges}
-            update_pheromone(state, counts, params)
-            mean = np.mean(list(state.tau.values()))
-            assert state.tau_intra == pytest.approx(mean, rel=1e-12)
+            counts = np.array([int(rng.integers(0, 3)) for _ in range(colony.n_inter)])
+            colony.update(counts)
+            mean = np.mean(colony.tau[:9])
+            assert colony.tau[9] == pytest.approx(mean, rel=1e-12)
 
     def test_positivity_preserved(self):
         params = AcoParams()
-        state, _ = pair_state(2, 3, np.ones((2, 3)), 2.0, params)
+        colony, _ = pair_state(2, 3, np.ones((2, 3)), 2.0, params)
         for _ in range(200):
-            update_pheromone(state, {}, params)
-            assert all(tau > 0 for tau in state.tau.values())
+            colony.update(np.zeros(6, dtype=int))
+            assert np.all(colony.tau > 0)
+
+
+def reference_step(adjacency, s, s_intra, tau, tau_intra, ants, params, rng):
+    """The per-ant colony step over dict-keyed edges: one transition row and
+    one rng.choice per ant.  Returns the move count per inter-SSE edge."""
+    counts = {}
+    for idx, vertex in enumerate(ants):
+        nbrs = adjacency[vertex]
+        if not nbrs:
+            continue
+        logw = np.empty(len(nbrs))
+        for k, j in enumerate(nbrs):
+            e = (min(vertex, j), max(vertex, j))
+            t, w = (tau[e], s[e]) if e in s else (tau_intra, s_intra)
+            term = 0.0
+            if params.alpha > 0:
+                term += params.alpha * (math.log(t) if t > 0 else -math.inf)
+            if params.beta > 0:
+                term += params.beta * (math.log(w) if w > 0 else -math.inf)
+            logw[k] = term
+        peak = logw.max()
+        if peak == -math.inf:
+            probs = np.full(len(nbrs), 1.0 / len(nbrs))
+        else:
+            probs = np.exp(logw - peak)
+            probs /= probs.sum()
+        j = int(rng.choice(np.array(nbrs), p=probs))
+        e = (min(vertex, j), max(vertex, j))
+        if e in s:
+            counts[e] = counts.get(e, 0) + 1
+        ants[idx] = j
+    return counts
+
+
+class TestColonyOracle:
+    """Colony steps against the per-ant reference: same ant positions, move
+    counts, pheromone and generator state after every step."""
+
+    def check(self, vertex_count, inter, s, intra, s_intra, params, seed, ants, steps=40):
+        colony = Colony(
+            vertex_count, inter, s, intra, s_intra, params, np.random.default_rng(seed)
+        )
+        rng = np.random.default_rng(seed)
+        ants = ants(rng)
+        assert colony.ants.tolist() == ants
+        adjacency = {v: set() for v in range(vertex_count)}
+        for u, v in [*inter, *intra]:
+            adjacency[u].add(v)
+            adjacency[v].add(u)
+        adjacency = {v: tuple(sorted(a)) for v, a in adjacency.items()}
+        s_of = dict(zip(inter, s))
+        tau_intra = params.resolve_initial_tau(len(inter))
+        tau = {e: tau_intra for e in inter}
+        for _ in range(steps):
+            counts = reference_step(adjacency, s_of, s_intra, tau, tau_intra, ants, params, rng)
+            moved = colony.step()
+            assert colony.ants.tolist() == ants
+            assert moved.tolist() == [counts.get(e, 0) for e in inter]
+            for e in inter:
+                tau[e] = (1.0 - params.rho) * tau[e] + counts.get(e, 0) * params.delta_tau
+            tau_intra = sum(tau.values()) / len(tau)
+            colony.update(moved)
+            assert colony.tau.tolist() == [*tau.values(), tau_intra]
+        assert colony.rng.bit_generator.state == rng.bit_generator.state
+
+    def check_pair(self, q, e, params, seed):
+        h = HeuristicMatrix.from_q(q, e)
+        n, m = h.s.shape
+        colony = pair_colony(h, params, np.random.default_rng(seed))
+        inter = [(x, y) for x in range(n) for y in range(n, n + m)]
+        assert colony.n_inter == len(inter)
+        intra = [(u, v) for u in range(n + m) for v in range(u + 1, n + m) if (u < n) == (v < n)]
+        self.check(
+            n + m, inter, h.s.ravel().tolist(), intra, float(h.s.mean()), params, seed,
+            # pair ants were drawn as 1-based residue ids
+            lambda rng: [int(v) - 1 for v in rng.integers(1, n + m + 1, size=n + m)],
+        )
+
+    def test_random_pairs(self):
+        rng = np.random.default_rng(31)
+        exponents = [(25.0, 12.0), (0.0, 12.0), (25.0, 0.0), (1.0, 1.0)]
+        for seed in range(12):
+            n, m = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+            q = rng.uniform(0.1, 30, size=(n, m))
+            alpha, beta = exponents[seed % 4]
+            params = AcoParams(alpha=alpha, beta=beta)
+            self.check_pair(q, float(rng.integers(1, 12)), params, seed)
+
+    def test_zero_budget_pair_moves_uniformly(self):
+        # all-zero S: every transition weight is zero, so rows are uniform
+        self.check_pair(np.ones((4, 5)), 0.0, AcoParams(), 3)
+
+    def test_random_networks_with_isolated_vertex(self):
+        rng = np.random.default_rng(32)
+        for seed in range(12):
+            vertex_count = int(rng.integers(6, 25))
+            pairs = [
+                (u, v) for u in range(vertex_count - 1) for v in range(u + 1, vertex_count - 1)
+            ]
+            # the last vertex touches no edge: its ants stay put and draw nothing
+            picked = rng.permutation(len(pairs))[: int(rng.integers(2, len(pairs)))]
+            cut = max(1, len(picked) // 3)
+            inter = sorted(pairs[i] for i in picked[:cut])
+            intra = [pairs[i] for i in picked[cut:]]
+            s = rng.uniform(0.05, 3.0, size=len(inter)).tolist()
+            self.check(
+                vertex_count, inter, s, intra, sum(s) / len(s), AcoParams(), seed,
+                lambda rng: rng.integers(0, vertex_count, size=vertex_count).tolist(),
+            )
 
 
 class TestLocalAco:
@@ -289,7 +402,7 @@ class TestLocalAco:
         params = AcoParams(lambda_min=1.0)
         h = HeuristicMatrix.from_q(np.ones((4, 4)), 4.0)
         result = local_aco((4, 4), h, params, np.random.default_rng(1))
-        max_cells = [c for c, v in result.normalized_tau.items() if v == 1.0]
+        max_cells = [(int(i) + 1, int(j) + 1) for i, j in np.argwhere(result.normalized_tau == 1.0)]
         assert sorted(result.cells) == sorted(max_cells)
 
     def test_planted_signal_recovery(self):
@@ -311,7 +424,7 @@ class TestLocalAco:
         params = AcoParams()
         h = HeuristicMatrix.from_q(np.ones((5, 5)), 5.0)
         result = local_aco((5, 5), h, params, np.random.default_rng(3))
-        values = list(result.normalized_tau.values())
+        values = result.normalized_tau.ravel()
         assert max(values) == pytest.approx(1.0)
         assert all(0 <= v <= 1 + 1e-12 for v in values)
 
@@ -328,7 +441,6 @@ class TestGlobalAco:
         candidates = {e: 1.0 for e in inst.true_shortcuts[:2]}
         result = global_aco(
             inst.graph.vertices,
-            inst.graph.sse_of,
             inst.graph.intra_edges,
             candidates,
             5,
@@ -343,7 +455,6 @@ class TestGlobalAco:
         candidates = {e: 1.0 for e in inst.true_shortcuts}
         result = global_aco(
             inst.graph.vertices,
-            inst.graph.sse_of,
             inst.graph.intra_edges,
             candidates,
             1,
@@ -360,7 +471,6 @@ class TestGlobalAco:
         for e_p in (1, 2, len(candidates), len(candidates) + 3):
             result = global_aco(
                 inst.graph.vertices,
-                inst.graph.sse_of,
                 inst.graph.intra_edges,
                 candidates,
                 e_p,
@@ -371,7 +481,7 @@ class TestGlobalAco:
 
     def test_nonpositive_budget_rejected(self):
         with pytest.raises(ValueError):
-            global_aco([1, 2], {1: "a", 2: "b"}, [], {(1, 2): 1.0}, 0, AcoParams(), np.random.default_rng(0))
+            global_aco([1, 2], [], {(1, 2): 1.0}, 0, AcoParams(), np.random.default_rng(0))
 
 
 class TestValidateBuiltNetwork:

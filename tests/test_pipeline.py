@@ -238,6 +238,19 @@ class TestCli:
         assert (out / "benchmark_table.tsv").exists()
         assert (out / "figure3_curve.csv").exists()
 
+    def test_benchmark_instance_without_shortcuts_exits_one(self, tmp_path, capsys):
+        # two 4-residue SSEs fall into two one-SSE clusters: no planted edge
+        manifest = tmp_path / "m.tsv"
+        manifest.write_text("solo\t1\t4,4\t1.0\n")
+        code = main(
+            ["benchmark", "--manifest", str(manifest), "--simulations", "2",
+             "--out", str(tmp_path / "bench")]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "error:" in err and "solo" in err
+        assert "Traceback" not in err
+
     def test_config_file_applies_and_flags_win(self, tmp_path):
         query, index = write_family(tmp_path)
         cfg = tmp_path / "run.cfg"
