@@ -29,8 +29,6 @@ THREE_TO_ONE: dict[str, str] = {
     "SER": "S", "THR": "T", "TRP": "W", "TYR": "Y", "VAL": "V",
 }
 
-ONE_TO_THREE: dict[str, str] = {v: k for k, v in THREE_TO_ONE.items()}
-
 
 class PdbParseError(ValueError):
     """Malformed structure-file record; carries the 1-based line number."""
@@ -191,8 +189,10 @@ def parse_pdb_detailed(text: str, protein_id: str = "unknown") -> PdbParseResult
 
     First chain, first model only.  A residue enters the structure iff it has
     a Cα atom and a standard residue name; others are counted and dropped.
-    Duplicate atom records (alternate locations) resolve to the first
-    occurrence.
+    Of alternate locations (column 17) only blank and ``A`` are read, so a
+    residue with other locations only is dropped; a residue insertion code
+    (column 27) raises PdbParseError, since it would merge two residues
+    under one number.
     """
     atoms: dict[int, dict[str, Vec3]] = {}
     resnames: dict[int, str] = {}
@@ -228,6 +228,8 @@ def parse_pdb_detailed(text: str, protein_id: str = "unknown") -> PdbParseResult
                 chain = atom_chain
             if atom_chain != chain:
                 continue
+            if line[26] != " ":
+                raise PdbParseError(line_no, f"insertion code {line[26]!r} is not supported")
             name = line[12:16].strip()
             if name not in ("N", "CA", "C"):
                 continue
@@ -237,14 +239,15 @@ def parse_pdb_detailed(text: str, protein_id: str = "unknown") -> PdbParseResult
             z = _parse_float(line[46:54], line_no, "z coordinate")
             if res_seq not in atoms:
                 atoms[res_seq] = {}
-                resnames[res_seq] = line[17:20].strip()
                 order.append(res_seq)
-            atoms[res_seq].setdefault(name, (x, y, z))
+            if line[16] in " A":
+                resnames.setdefault(res_seq, line[17:20].strip())
+                atoms[res_seq].setdefault(name, (x, y, z))
 
     dropped = 0
     kept: list[int] = []
     for res_seq in order:
-        code = THREE_TO_ONE.get(resnames[res_seq])
+        code = THREE_TO_ONE.get(resnames.get(res_seq))
         if code is None or "CA" not in atoms[res_seq]:
             dropped += 1
             continue
@@ -305,40 +308,6 @@ def parse_pdb_detailed(text: str, protein_id: str = "unknown") -> PdbParseResult
 def parse_pdb(text: str, protein_id: str = "unknown") -> ProteinStructure:
     """Parse PDB text into a ProteinStructure (see parse_pdb_detailed)."""
     return parse_pdb_detailed(text, protein_id).structure
-
-
-def emit_pdb(structure: ProteinStructure) -> str:
-    """Canonical PDB text for a structure: HELIX/SHEET records, then Cα ATOMs.
-
-    parse_pdb of the emitted text reproduces the structure (coordinates are
-    written at the format's native 3-decimal precision).
-    """
-    lines: list[str] = []
-    helix_no = 0
-    sheet_no = 0
-    for a in structure.sse_list:
-        first = structure.residues[a.first_residue - 1]
-        last = structure.residues[a.last_residue - 1]
-        if a.kind == "helix":
-            helix_no += 1
-            lines.append(
-                f"HELIX  {helix_no:3d} {helix_no:3d} {ONE_TO_THREE[first.code]} A "
-                f"{a.first_residue:4d}  {ONE_TO_THREE[last.code]} A {a.last_residue:4d}  1"
-            )
-        else:
-            sheet_no += 1
-            lines.append(
-                f"SHEET  {sheet_no:3d} {sheet_no:3d} 1 {ONE_TO_THREE[first.code]} A"
-                f"{a.first_residue:4d}  {ONE_TO_THREE[last.code]} A{a.last_residue:4d} 0"
-            )
-    for r in structure.residues:
-        x, y, z = r.ca
-        lines.append(
-            f"ATOM  {r.index:5d}  CA  {ONE_TO_THREE[r.code]} A{r.index:4d}    "
-            f"{x:8.3f}{y:8.3f}{z:8.3f}  1.00  0.00           C"
-        )
-    lines.append("END")
-    return "\n".join(lines) + "\n"
 
 
 def _sub(a: Vec3, b: Vec3) -> Vec3:

@@ -3,12 +3,15 @@
 The topological profile (diameter, characteristic path length, mean degree,
 clustering coefficient) summarizes a graph; families of proteins accept a
 candidate network when every profile field deviates at most 20% from the
-family template.
+family template.  Hop distances come from one breadth-first search run from
+all sources at once over per-vertex bitsets.  Of equal largest components,
+the one holding the earliest vertex in input order is measured, and float
+sums run left to right in vertex order, so profiles are exact across Python
+versions (builtin `sum` over floats is compensated from 3.12 on).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Mapping
 
@@ -64,74 +67,71 @@ def _adjacency(
     return adj
 
 
-def _bfs_distances(adj: Mapping[Vertex, set[Vertex]], source: Vertex) -> dict[Vertex, int]:
-    dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for w in adj[u]:
-            if w not in dist:
-                dist[w] = dist[u] + 1
-                queue.append(w)
-    return dist
-
-
-def _largest_component(adj: Mapping[Vertex, set[Vertex]]) -> list[Vertex]:
-    seen: set[Vertex] = set()
-    best: list[Vertex] = []
-    for v in adj:
-        if v in seen:
-            continue
-        component = list(_bfs_distances(adj, v))
-        seen |= set(component)
-        if len(component) > len(best):
-            best = component
-    return best
-
-
 def topological_profile(
     vertices: Iterable[Vertex], edges: Iterable[tuple[Vertex, Vertex]]
 ) -> TopologicalProfile:
     """Profile of an undirected graph.
 
     Diameter and characteristic path length are hop counts over the largest
-    connected component (BFS from every vertex); mean degree is 2|E|/|V| over
-    the whole graph; the clustering coefficient averages per-vertex triangle
-    density, counting 0 for vertices of degree < 2.
+    connected component; mean degree is 2|E|/|V| over the whole graph; the
+    clustering coefficient averages per-vertex triangle density, counting 0
+    for vertices of degree < 2.
     """
     adj = _adjacency(vertices, edges)
     if not adj:
         raise ValueError("graph has no vertices")
 
-    component = _largest_component(adj)
-    diameter = 0
-    path_sum = 0
-    pair_count = 0
-    for v in component:
-        dist = _bfs_distances(adj, v)
-        for u, d in dist.items():
-            if u != v:
-                path_sum += d
-                pair_count += 1
-                diameter = max(diameter, d)
-    cpl = path_sum / pair_count if pair_count else 0.0
+    index = {v: i for i, v in enumerate(adj)}
+    nbrs = [[index[u] for u in adj[v]] for v in adj]
+    n = len(nbrs)
 
-    degree_total = sum(len(nbrs) for nbrs in adj.values())
-    mean_degree = degree_total / len(adj)
+    # Bit s of reached[v]: source s is within the current level of v (hop
+    # distance is symmetric); frontier[v]: the sources new at the last level.
+    # A vertex that gains no source at a level has none left to gain.
+    frontier = [1 << v for v in range(n)]
+    reached = frontier[:]
+    dist_sum = [0] * n
+    ecc = [0] * n
+    active = [v for v in range(n) if nbrs[v]]
+    level = 0
+    while active:
+        level += 1
+        gained = [0] * n
+        still = []
+        for v in active:
+            new = 0
+            for u in nbrs[v]:
+                new |= frontier[u]
+            new &= ~reached[v]
+            if new:
+                gained[v] = new
+                reached[v] |= new
+                dist_sum[v] += level * new.bit_count()
+                ecc[v] = level
+                still.append(v)
+        frontier, active = gained, still
 
+    # reached[v] is now v's component; ties go to the first in vertex order.
+    size = [r.bit_count() for r in reached]
+    largest = max(size)
+    component = reached[size.index(largest)]
+    members = [v for v in range(n) if component >> v & 1]
+    diameter = max(ecc[v] for v in members)
+    pair_count = largest * (largest - 1)
+    cpl = sum(dist_sum[v] for v in members) / pair_count if pair_count else 0.0
+
+    mean_degree = sum(len(nb) for nb in nbrs) / n
+
+    # Neighbour masks count each triangle at v twice.
+    mask = [sum(1 << u for u in nb) for nb in nbrs]
     clustering_sum = 0.0
-    for v, nbrs in adj.items():
-        k = len(nbrs)
+    for v, nb in enumerate(nbrs):
+        k = len(nb)
         if k < 2:
             continue
-        links = 0
-        nbr_list = list(nbrs)
-        for a in range(len(nbr_list)):
-            for b in range(a + 1, len(nbr_list)):
-                if nbr_list[b] in adj[nbr_list[a]]:
-                    links += 1
+        links = sum((mask[u] & mask[v]).bit_count() for u in nb) // 2
         clustering_sum += links / (k * (k - 1) / 2)
-    clustering = clustering_sum / len(adj)
+    clustering = clustering_sum / n
 
     return TopologicalProfile(float(diameter), cpl, mean_degree, clustering)
 

@@ -73,7 +73,6 @@ class Individual:
     density: Optional[float] = None
     fitness: Optional[float] = None
     _decoded: Optional[Clustering] = field(default=None, repr=False)
-    _profile_dev: Optional[float] = field(default=None, repr=False)
 
     @property
     def decoded(self) -> Clustering:
@@ -288,19 +287,24 @@ def assign_fitness(pool: Sequence[Individual], k: int) -> list[float]:
     return fitnesses
 
 
-def _deviation(ind: Individual, family_profile: TopologicalProfile) -> float:
-    if ind._profile_dev is None:
-        m = len(ind.genes)
+def _deviation(
+    ind: Individual, family_profile: TopologicalProfile, memo: dict[bytes, float]
+) -> float:
+    """Profile deviation of the decoded graph, memoized by its packed
+    incidence bits: many chromosomes decode to the same graph."""
+    key = np.packbits(ind.decoded.incidence).tobytes()
+    if key not in memo:
         edges = incidence_edges(ind.decoded.incidence)
-        profile = topological_profile(range(1, m + 1), edges)
-        ind._profile_dev = profile_deviation(profile, family_profile)
-    return ind._profile_dev
+        profile = topological_profile(range(1, len(ind.genes) + 1), edges)
+        memo[key] = profile_deviation(profile, family_profile)
+    return memo[key]
 
 
 def environmental_selection(
     pool: Sequence[Individual],
     archive_size: int,
     family_profile: TopologicalProfile,
+    deviations: dict[bytes, float],
 ) -> list[Individual]:
     """Build the next archive from an evaluated pool.
 
@@ -308,22 +312,25 @@ def environmental_selection(
     whose decoded graph deviates most from the family profile is removed
     first (ties: smaller sigma_k, then lowest gene vector); under capacity,
     the best dominated individuals fill up by (fitness, deviation, genes).
+    `deviations` memoizes the deviation per decoded graph across calls.
     """
+
+    def deviation(ind: Individual) -> float:
+        return _deviation(ind, family_profile, deviations)
+
     non_dominated = [ind for ind in pool if ind.rank == 0]
     dominated = [ind for ind in pool if ind.rank != 0]
     if len(non_dominated) > archive_size:
         # Removal order: worst deviation first, denser (smaller sigma) first.
         ordered = sorted(
             non_dominated,
-            key=lambda ind: (-_deviation(ind, family_profile), ind.sigma_k, ind.genes),
+            key=lambda ind: (-deviation(ind), ind.sigma_k, ind.genes),
         )
         return sorted(ordered[len(non_dominated) - archive_size :], key=lambda i: i.genes)
     archive = list(non_dominated)
     fill = archive_size - len(archive)
     if fill > 0 and dominated:
-        dominated.sort(
-            key=lambda ind: (ind.fitness, _deviation(ind, family_profile), ind.genes)
-        )
+        dominated.sort(key=lambda ind: (ind.fitness, deviation(ind), ind.genes))
         archive.extend(dominated[:fill])
     return archive
 
@@ -392,13 +399,14 @@ def run_moga(
         population.append(Individual(tuple(int(g) for g in rng.integers(1, m + 1, size=m))))
 
     archive: list[Individual] = []
+    deviations: dict[bytes, float] = {}
     for generation in range(params.generations):
         pool = population + archive
         for ind in pool:
             if ind.objectives is None:
                 ind.objectives = evaluate_objectives(ind.genes, ctx)
         assign_fitness(pool, min(k, len(pool) - 1))
-        archive = environmental_selection(pool, params.archive_size, family_profile)
+        archive = environmental_selection(pool, params.archive_size, family_profile, deviations)
         if generation == params.generations - 1:
             break
         offspring = []

@@ -4,6 +4,7 @@ Backbones are grown atom by atom from internal coordinates (bond length,
 bond angle, torsion), so fixtures have exact, known dihedrals.  The
 two-helix protein packs two ideal helices side by side with a short loop,
 giving a realistic little SSE-IN with both intra and shortcut contacts.
+`emit_pdb` writes a structure back as PDB text for the parse round trips.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ import math
 from pathlib import Path
 
 import numpy as np
+
+from ssein.ingest import THREE_TO_ONE, ProteinStructure
 
 # Standard backbone internal coordinates.
 BOND_N_CA = 1.458
@@ -23,11 +26,7 @@ ANGLE_C_N_CA = 121.7
 
 SEQUENCE = "ALAVKLIGERMNDFYQWHST"  # cycled for fixture residue names
 
-THREE = {
-    "A": "ALA", "L": "LEU", "V": "VAL", "K": "LYS", "I": "ILE", "G": "GLY",
-    "E": "GLU", "R": "ARG", "M": "MET", "N": "ASN", "D": "ASP", "F": "PHE",
-    "Y": "TYR", "Q": "GLN", "W": "TRP", "H": "HIS", "S": "SER", "T": "THR",
-}
+ONE_TO_THREE = {v: k for k, v in THREE_TO_ONE.items()}
 
 
 def place_atom(a, b, c, bond_length, bond_angle_deg, torsion_deg):
@@ -81,7 +80,7 @@ def helix_record(serial, res3_first, res3_last, chain, first, last):
 
 
 def residue_name(index):
-    return THREE[SEQUENCE[(index - 1) % len(SEQUENCE)]]
+    return ONE_TO_THREE[SEQUENCE[(index - 1) % len(SEQUENCE)]]
 
 
 def multi_helix_protein(n_helices=2, jitter=None, helix_len=10, loop_len=4, separation=11.0):
@@ -163,3 +162,37 @@ def write_family(tmp_path: Path, n_templates: int = 3, seed: int = 9) -> tuple[P
     index_path = tmp_path / "family.tsv"
     index_path.write_text("# protein_id\tpath\tsse_count\n" + "\n".join(index_lines) + "\n")
     return query_path, index_path
+
+
+def emit_pdb(structure: ProteinStructure) -> str:
+    """Canonical PDB text for a structure: HELIX/SHEET records, then Cα ATOMs.
+
+    parse_pdb of the emitted text reproduces the structure (coordinates are
+    written at the format's native 3-decimal precision).
+    """
+    lines: list[str] = []
+    helix_no = 0
+    sheet_no = 0
+    for a in structure.sse_list:
+        first = structure.residues[a.first_residue - 1]
+        last = structure.residues[a.last_residue - 1]
+        if a.kind == "helix":
+            helix_no += 1
+            lines.append(
+                f"HELIX  {helix_no:3d} {helix_no:3d} {ONE_TO_THREE[first.code]} A "
+                f"{a.first_residue:4d}  {ONE_TO_THREE[last.code]} A {a.last_residue:4d}  1"
+            )
+        else:
+            sheet_no += 1
+            lines.append(
+                f"SHEET  {sheet_no:3d} {sheet_no:3d} 1 {ONE_TO_THREE[first.code]} A"
+                f"{a.first_residue:4d}  {ONE_TO_THREE[last.code]} A{a.last_residue:4d} 0"
+            )
+    for r in structure.residues:
+        x, y, z = r.ca
+        lines.append(
+            f"ATOM  {r.index:5d}  CA  {ONE_TO_THREE[r.code]} A{r.index:4d}    "
+            f"{x:8.3f}{y:8.3f}{z:8.3f}  1.00  0.00           C"
+        )
+    lines.append("END")
+    return "\n".join(lines) + "\n"

@@ -5,7 +5,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import atom_line, build_chain, helix_record, residue_name, two_helix_protein
+from conftest import (
+    atom_line,
+    build_chain,
+    emit_pdb,
+    helix_record,
+    residue_name,
+    two_helix_protein,
+)
 from ssein.ingest import (
     EmptyStructureError,
     FamilyIndexError,
@@ -13,7 +20,6 @@ from ssein.ingest import (
     assign_hydrophobicity,
     compute_backbone_dihedrals,
     dihedral_angle,
-    emit_pdb,
     load_family_index,
     parse_pdb,
     parse_pdb_detailed,
@@ -74,6 +80,33 @@ class TestParsePdb:
         structure = parse_pdb(line_a + "\n" + line_b + "\n")
         assert len(structure.residues) == 1
         assert structure.residues[0].ca == (1.0, 0.0, 0.0)
+
+    def test_altloc_b_before_a_reads_a(self):
+        line_b = atom_line(1, "CA", "ALA", "A", 1, (9.0, 0.0, 0.0))
+        line_a = atom_line(2, "CA", "ALA", "A", 1, (1.0, 0.0, 0.0))
+        line_b = line_b[:16] + "B" + line_b[17:]
+        line_a = line_a[:16] + "A" + line_a[17:]
+        structure = parse_pdb(line_b + "\n" + line_a + "\n")
+        assert len(structure.residues) == 1
+        assert structure.residues[0].ca == (1.0, 0.0, 0.0)
+
+    def test_residue_with_altloc_b_only_is_dropped_and_counted(self):
+        text = _ca_text([(0.0, 0.0, 0.0), (3.8, 0.0, 0.0), (7.6, 0.0, 0.0)])
+        lines = text.splitlines()
+        lines[1] = lines[1][:16] + "B" + lines[1][17:]
+        result = parse_pdb_detailed("\n".join(lines) + "\n")
+        assert [r.ca for r in result.structure.residues] == [(0.0, 0.0, 0.0), (7.6, 0.0, 0.0)]
+        assert result.dropped_residues == 1
+
+    def test_insertion_code_names_the_line(self):
+        lines = [
+            atom_line(1, "CA", "ALA", "A", 52, (0.0, 0.0, 0.0)),
+            atom_line(2, "CA", "GLY", "A", 52, (3.8, 0.0, 0.0)),
+        ]
+        lines[1] = lines[1][:26] + "A" + lines[1][27:]  # residue 52A
+        with pytest.raises(PdbParseError, match="insertion code") as err:
+            parse_pdb("\n".join(lines) + "\n")
+        assert err.value.line_number == 2
 
     def test_first_chain_only(self):
         text = _ca_text([(0.0, 0.0, 0.0)])

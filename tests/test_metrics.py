@@ -1,4 +1,6 @@
 import itertools
+import random
+from collections import deque
 
 import numpy as np
 import pytest
@@ -140,6 +142,213 @@ class TestTopologicalProfile:
             TopologicalProfile(1.0, 2.0, 1.0, 0.5)  # cpl > diameter
         with pytest.raises(ValueError):
             TopologicalProfile(1.0, 1.0, 1.0, 1.5)
+
+
+def reference_adjacency(vertices, edges):
+    adj = {v: set() for v in vertices}
+    for u, v in edges:
+        if u == v:
+            raise ValueError(f"self-loop at {u!r}")
+        if u not in adj or v not in adj:
+            raise ValueError(f"edge ({u!r}, {v!r}) endpoint outside vertex set")
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
+
+
+def reference_bfs_distances(adj, source):
+    dist = {source: 0}
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for w in adj[u]:
+            if w not in dist:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    return dist
+
+
+def reference_largest_component(adj):
+    seen = set()
+    best = []
+    for v in adj:
+        if v in seen:
+            continue
+        component = list(reference_bfs_distances(adj, v))
+        seen |= set(component)
+        if len(component) > len(best):
+            best = component
+    return best
+
+
+def reference_profile(vertices, edges):
+    """The per-source BFS profile: one dict-and-deque BFS per vertex of the
+    first largest component, pair counts and triangle links by set lookups,
+    floats summed left to right in vertex order."""
+    adj = reference_adjacency(vertices, edges)
+    if not adj:
+        raise ValueError("graph has no vertices")
+
+    component = reference_largest_component(adj)
+    diameter = 0
+    path_sum = 0
+    pair_count = 0
+    for v in component:
+        dist = reference_bfs_distances(adj, v)
+        for u, d in dist.items():
+            if u != v:
+                path_sum += d
+                pair_count += 1
+                diameter = max(diameter, d)
+    cpl = path_sum / pair_count if pair_count else 0.0
+
+    degree_total = sum(len(nbrs) for nbrs in adj.values())
+    mean_degree = degree_total / len(adj)
+
+    clustering_sum = 0.0
+    for v, nbrs in adj.items():
+        k = len(nbrs)
+        if k < 2:
+            continue
+        links = 0
+        nbr_list = list(nbrs)
+        for a in range(len(nbr_list)):
+            for b in range(a + 1, len(nbr_list)):
+                if nbr_list[b] in adj[nbr_list[a]]:
+                    links += 1
+        clustering_sum += links / (k * (k - 1) / 2)
+    clustering = clustering_sum / len(adj)
+
+    return TopologicalProfile(float(diameter), cpl, mean_degree, clustering)
+
+
+LABELS = {
+    "int": lambda i: i,
+    "str": lambda i: f"r{i}",
+    "tuple": lambda i: ("A", i),
+}
+
+
+def labelled_graph(rng, sizes, density, isolated, label):
+    """Connected components of the given sizes plus isolated vertices, in
+    shuffled vertex order, edges reversed at random and some listed twice."""
+    edges = []
+    first = 0
+    for size in sizes:
+        members = list(range(first, first + size))
+        for i in range(1, size):  # a random spanning tree keeps it connected
+            edges.append((members[i], members[rng.randrange(i)]))
+        for a, b in itertools.combinations(members, 2):
+            if rng.random() < density:
+                edges.append((a, b))
+        first += size
+    order = list(range(first + isolated))
+    rng.shuffle(order)
+    edges = [(b, a) if rng.random() < 0.5 else (a, b) for a, b in edges]
+    edges += [(b, a) for a, b in rng.sample(edges, len(edges) // 4)]
+    rng.shuffle(edges)
+    return [label(v) for v in order], [(label(a), label(b)) for a, b in edges]
+
+
+@st.composite
+def profile_graphs(draw):
+    """Components of random sizes or of one shared size (so the tie rule
+    decides), up to ~200 vertices, with int, string or tuple labels."""
+    count = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        sizes = [draw(st.integers(1, 50))] * count
+    else:
+        sizes = draw(st.lists(st.integers(1, 50), min_size=count, max_size=count))
+    return labelled_graph(
+        random.Random(draw(st.integers(0, 2**32 - 1))),
+        sizes,
+        draw(st.floats(0.0, 0.3)),
+        draw(st.integers(0, 5)),
+        LABELS[draw(st.sampled_from(sorted(LABELS)))],
+    )
+
+
+class TestProfileOracle:
+    """The all-sources bitset BFS against the per-source BFS reference:
+    every field equal, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(profile_graphs())
+    def test_matches_per_source_bfs(self, graph):
+        vertices, edges = graph
+        got = topological_profile(vertices, edges)
+        assert got.as_dict() == reference_profile(vertices, edges).as_dict()
+
+    def test_matches_per_source_bfs_near_200_vertices(self):
+        rng = random.Random(8)
+        for trial in range(12):
+            size = rng.randint(45, 50)
+            sizes = [size] * 4 if trial % 2 else [rng.randint(30, 50) for _ in range(4)]
+            label = LABELS[sorted(LABELS)[trial % 3]]
+            vertices, edges = labelled_graph(rng, sizes, rng.uniform(0, 0.1), 3, label)
+            got = topological_profile(vertices, edges)
+            assert got.as_dict() == reference_profile(vertices, edges).as_dict()
+
+    @pytest.mark.parametrize("star_first", [True, False])
+    def test_first_largest_component_wins(self, star_first):
+        path = [("p", i) for i in range(4)]
+        star = [("s", i) for i in range(4)]
+        edges = [(path[i], path[i + 1]) for i in range(3)] + [(star[0], v) for v in star[1:]]
+        vertices = star + path if star_first else path + star
+        got = topological_profile(vertices, edges)
+        assert got.diameter == (2.0 if star_first else 3.0)
+        assert got == reference_profile(vertices, edges)
+
+    def test_duplicate_vertices_and_edges_collapse(self):
+        got = topological_profile([1, 2, 3, 2, 1], [(1, 2), (2, 1), (2, 3), (1, 2)])
+        assert got == topological_profile([1, 2, 3], [(1, 2), (2, 3)])
+
+    def test_errors(self):
+        with pytest.raises(ValueError, match="self-loop at 'a'"):
+            topological_profile(["a", "b"], [("a", "b"), ("a", "a")])
+        with pytest.raises(ValueError, match=r"edge \('a', 'z'\) endpoint outside"):
+            topological_profile(["a", "b"], [("a", "z")])
+        with pytest.raises(ValueError, match="graph has no vertices"):
+            topological_profile([], [])
+
+
+class TestLargeGraphProfiles:
+    """Closed forms on large graphs; exact, since each field is one
+    correctly rounded division of integers."""
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 2000])
+    def test_path(self, n):
+        p = topological_profile(range(n), [(i, i + 1) for i in range(n - 1)])
+        assert p.diameter == n - 1
+        assert p.char_path_length == (n + 1) / 3
+        assert p.mean_degree == 2 * (n - 1) / n
+        assert p.clustering_coeff == 0.0
+
+    @pytest.mark.parametrize("n", [4, 7, 1000, 1001])
+    def test_cycle(self, n):
+        k = n // 2
+        per_vertex = k * k if n % 2 == 0 else k * (k + 1)  # distance sum from one vertex
+        p = topological_profile(range(n), [(i, (i + 1) % n) for i in range(n)])
+        assert p.diameter == k
+        assert p.char_path_length == per_vertex / (n - 1)
+        assert p.mean_degree == 2.0
+        assert p.clustering_coeff == 0.0
+
+    @pytest.mark.parametrize("n", [3, 10, 2000])
+    def test_star(self, n):
+        p = topological_profile(range(n), [(0, i) for i in range(1, n)])
+        assert p.diameter == 2
+        assert p.char_path_length == 2 * (n - 1) / n
+        assert p.mean_degree == 2 * (n - 1) / n
+        assert p.clustering_coeff == 0.0
+
+    @pytest.mark.parametrize("n", [2, 3, 60, 400])
+    def test_complete(self, n):
+        p = topological_profile(range(n), list(itertools.combinations(range(n), 2)))
+        assert p.diameter == 1
+        assert p.char_path_length == 1.0
+        assert p.mean_degree == n - 1
+        assert p.clustering_coeff == (1.0 if n > 2 else 0.0)
 
 
 class TestIsCompatible:

@@ -307,7 +307,7 @@ class TestEnvironmentalSelection:
         pool = evaluated_pool(rows)
         non_dominated = [i for i in pool if i.rank == 0]
         assert len(non_dominated) == 3
-        archive = environmental_selection(pool, 5, FAMILY)
+        archive = environmental_selection(pool, 5, FAMILY, {})
         assert len(archive) == 5
         assert all(any(ind is member for member in archive) for ind in non_dominated)
         filler = sorted(i.fitness for i in archive if i.rank != 0)
@@ -317,13 +317,13 @@ class TestEnvironmentalSelection:
     def test_truncation_keeps_lowest_deviation(self):
         rows = [(1, 8 - i, i) for i in range(8)]  # eight mutually non-dominated
         pool = evaluated_pool(rows, genes_len=5)
-        archive = environmental_selection(pool, 5, FAMILY)
+        archive = environmental_selection(pool, 5, FAMILY, {})
         assert len(archive) == 5
         from ssein.moga import _deviation
 
-        kept = sorted(_deviation(i, FAMILY) for i in archive)
+        kept = sorted(_deviation(i, FAMILY, {}) for i in archive)
         dropped = sorted(
-            _deviation(i, FAMILY) for i in pool if i not in archive
+            _deviation(i, FAMILY, {}) for i in pool if i not in archive
         )
         assert kept[-1] <= dropped[0] + 1e-12
 
@@ -333,13 +333,13 @@ class TestEnvironmentalSelection:
         rng = np.random.default_rng(seed)
         rows = [tuple(rng.uniform(0, 5, size=3)) for _ in range(n)]
         pool = evaluated_pool(rows)
-        archive = environmental_selection(pool, 5, FAMILY)
+        archive = environmental_selection(pool, 5, FAMILY, {})
         assert len(archive) == 5
 
     def test_truncated_archive_is_mutually_non_dominated(self):
         rows = [(1, 8 - i, i) for i in range(8)] + [(9, 9, 9)]
         pool = evaluated_pool(rows)
-        archive = environmental_selection(pool, 4, FAMILY)
+        archive = environmental_selection(pool, 4, FAMILY, {})
         for a, b in itertools.permutations(archive, 2):
             assert not dominates(a.objectives, b.objectives)
 

@@ -226,6 +226,19 @@ class TestCli:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    def test_insertion_code_exits_one(self, tmp_path, capsys):
+        query, index = write_family(tmp_path)
+        lines = query.read_text().splitlines()
+        # the first ATOM line gains insertion code A
+        at = next(i for i, line in enumerate(lines) if line.startswith("ATOM"))
+        lines[at] = lines[at][:26] + "A" + lines[at][27:]
+        query.write_text("\n".join(lines) + "\n")
+        code = main(["predict", "--pdb", str(query), "--family", str(index),
+                     "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"line {at + 1}: insertion code" in err
+
     def test_benchmark_cli(self, tmp_path):
         manifest = tmp_path / "m.tsv"
         manifest.write_text("one\t11\t9,8,10,9,8,10,9,8\t1.0\n")
