@@ -16,11 +16,13 @@ Both stages run one array-backed `Colony`.  Its random draws, in order:
 V ant starts from one integers(0, V); then per step one random(k) for the
 k ants not on an isolated vertex, in ant order, each inverted through its
 vertex's cumulative transition row exactly as Generator.choice(p=row) would.
+A step computes the rows of all occupied vertices together, in one 2-D pass
+per vertex degree.  Rows are grouped by degree, never padded: padding would
+regroup numpy's pairwise row sum and move its last bit.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
@@ -29,7 +31,7 @@ import numpy as np
 
 from .contact import Edge, SseInGraph, build_contact_map, induce_sse_in
 from .ingest import ProteinStructure
-from .metrics import TopologicalProfile, is_compatible
+from .metrics import TopologicalProfile, is_compatible, left_sum
 
 
 class FamilyMatchError(ValueError):
@@ -153,7 +155,7 @@ def estimate_edge_budget(
     for t in ranked:
         if allele_distance(sequence_sizes, t.sse_sizes) < 0.2 * cumulated:
             return round_half_up(t.shortcut_rate * cumulated)
-    mean_rate = sum(t.shortcut_rate for t in matching) / len(matching)
+    mean_rate = left_sum(t.shortcut_rate for t in matching) / len(matching)
     return round_half_up(mean_rate * cumulated)
 
 
@@ -222,7 +224,7 @@ def allocate_pair_budgets(e_total: int, masses: Sequence[float]) -> list[int]:
         raise ValueError("edge total must be nonnegative")
     if not masses:
         return []
-    total = float(sum(masses))
+    total = float(left_sum(masses))
     if total <= 0:
         quotas = [e_total / len(masses)] * len(masses)
     else:
@@ -244,13 +246,38 @@ class Colony:
 
     Slots 0..E-1 are the inter-SSE edges, each with its own tau and s;
     slot E is shared by every intra-SSE edge, whose tau is pinned to the
-    inter-SSE mean after each update and whose s is s_intra.  Every vertex
-    lists its neighbours in ascending order with the slot of each edge,
-    and V ants start on uniformly random vertices.
+    inter-SSE mean after each update and whose s is s_intra.  Row v of the
+    (V, max degree) tables `neighbors` and `slots` holds vertex v's
+    degree[v] neighbours in ascending order and the slot of each edge; the
+    rest of the row is padding.  V ants start on uniformly random vertices.
     """
 
     def __init__(
         self,
+        neighbors: np.ndarray,
+        slots: np.ndarray,
+        degree: np.ndarray,
+        s: Sequence[float],
+        s_intra: float,
+        params: AcoParams,
+        rng: np.random.Generator,
+    ):
+        e = len(s)
+        if e == 0:
+            raise ValueError("a colony needs at least one inter-SSE edge")
+        self.neighbors = neighbors
+        self.slots = slots
+        self.degree = degree
+        self.n_inter = e
+        self.params = params
+        self.rng = rng
+        self.tau = np.full(e + 1, params.resolve_initial_tau(e))
+        self._s_term = params.beta * _logs([*s, s_intra]) if params.beta > 0 else np.zeros(e + 1)
+        self.ants = rng.integers(0, len(degree), size=len(degree))
+
+    @classmethod
+    def from_edges(
+        cls,
         vertex_count: int,
         inter_edges: Sequence[Edge],
         s: Sequence[float],
@@ -258,57 +285,67 @@ class Colony:
         s_intra: float,
         params: AcoParams,
         rng: np.random.Generator,
-    ):
+    ) -> "Colony":
+        """The colony of a graph given as edge lists over 0..vertex_count-1;
+        an intra-SSE edge that is also an inter-SSE edge is inter."""
         e = len(inter_edges)
-        if e == 0:
-            raise ValueError("a colony needs at least one inter-SSE edge")
-        adjacency: list[dict[int, int]] = [{} for _ in range(vertex_count)]
-        for slot, (i, j) in enumerate(inter_edges):
-            adjacency[i][j] = slot
-            adjacency[j][i] = slot
-        for i, j in intra_edges:
-            adjacency[i].setdefault(j, e)
-            adjacency[j].setdefault(i, e)
-        self.neighbors = [np.array(sorted(a), dtype=np.intp) for a in adjacency]
-        self.slots = [np.array([a[j] for j in sorted(a)], dtype=np.intp) for a in adjacency]
-        self.degree = np.array([len(a) for a in adjacency], dtype=np.intp)
-        self.n_inter = e
-        self.params = params
-        self.rng = rng
-        self.tau = np.full(e + 1, params.resolve_initial_tau(e))
-        log_s = np.array([_log(x) for x in [*s, s_intra]])
-        self._s_term = params.beta * log_s if params.beta > 0 else np.zeros(e + 1)
-        self.ants = rng.integers(0, vertex_count, size=vertex_count)
+        ends = np.array([*inter_edges, *intra_edges], dtype=np.intp).reshape(-1, 2)
+        slot = np.minimum(np.arange(len(ends)), e)
+        src = np.concatenate([ends[:, 0], ends[:, 1]])
+        dst = np.concatenate([ends[:, 1], ends[:, 0]])
+        slot = np.concatenate([slot, slot])
+        # Ascending (vertex, neighbour), the inter slot first among duplicates.
+        order = np.lexsort((slot, dst, src))
+        src, dst, slot = src[order], dst[order], slot[order]
+        first = np.ones(src.size, dtype=bool)
+        first[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
+        src, dst, slot = src[first], dst[first], slot[first]
+        degree = np.bincount(src, minlength=vertex_count)
+        if degree.size != vertex_count:
+            raise ValueError(f"an edge leaves the vertices 0..{vertex_count - 1}")
+        column = np.arange(src.size) - (np.cumsum(degree) - degree)[src]
+        width = int(degree.max(initial=0))
+        neighbors = np.zeros((vertex_count, width), dtype=np.intp)
+        slots = np.zeros((vertex_count, width), dtype=np.intp)
+        neighbors[src, column] = dst
+        slots[src, column] = slot
+        return cls(neighbors, slots, degree, s, s_intra, params, rng)
 
     def log_weights(self) -> np.ndarray:
         """alpha ln tau + beta ln s per slot; a zero tau or s gives -inf."""
         if self.params.alpha <= 0:
             return self._s_term
-        log_tau = np.array([_log(t) for t in self.tau.tolist()])
-        return self.params.alpha * log_tau + self._s_term
+        return self.params.alpha * _logs(self.tau.tolist()) + self._s_term
 
-    def row(self, vertex: int, log_weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Move probabilities from a vertex: p_ij ~ tau_ij^alpha * s_ij^beta.
+    def rows(self, vertices: np.ndarray, log_weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Move probabilities from vertices of one degree d, as (k, d) arrays
+        of neighbours and probabilities: p_ij ~ tau_ij^alpha * s_ij^beta.
 
         Computed as exp(w - max w) so the published exponents stay finite;
         zero-weight candidates get probability zero, and a vertex whose
-        every candidate is zero-weight moves uniformly.
+        every candidate is zero-weight moves uniformly.  Each row is summed
+        on its own, never padded, so it is bit for bit the 1-D computation.
         """
-        nbrs = self.neighbors[vertex]
-        logw = log_weights[self.slots[vertex]]
-        peak = logw.max()
-        if peak == -math.inf:
-            return nbrs, np.full(len(nbrs), 1.0 / len(nbrs))
-        probs = np.exp(logw - peak)
-        probs /= probs.sum()
-        return nbrs, probs
+        degrees = self.degree[vertices]
+        d = int(degrees[0])
+        if not (degrees == d).all():
+            raise ValueError("rows takes vertices of one degree")
+        w = log_weights[self.slots[vertices, :d]]
+        peak = w.max(axis=1, keepdims=True)
+        if peak.min() == -math.inf:
+            # All zero-weight: shift by 0 from 0, never -inf - -inf; the row
+            # of ones sums to d exactly, so each entry becomes 1 / d.
+            dead = peak[:, 0] == -math.inf
+            w[dead] = peak[dead] = 0.0
+        probs = np.exp(w - peak)
+        probs /= probs.sum(axis=1, keepdims=True)
+        return self.neighbors[vertices, :d], probs
 
     def update(self, move_counts: np.ndarray) -> None:
         """Evaporate and deposit on inter-SSE slots, then re-pin intra-SSE tau."""
         e = self.n_inter
         self.tau[:e] = (1.0 - self.params.rho) * self.tau[:e] + move_counts * self.params.delta_tau
-        # A sequential sum, as the stop rule's mean has always been taken.
-        self.tau[e] = sum(self.tau[:e].tolist()) / e
+        self.tau[e] = left_sum(self.tau[:e].tolist()) / e
 
     def step(self) -> np.ndarray:
         """Move every ant once; returns the move count per inter-SSE slot.
@@ -316,24 +353,43 @@ class Colony:
         Ants on isolated vertices stay put and draw nothing.  The others
         take one uniform each, in ant order, from a single draw, and invert
         their vertex's cumulative row with it, as Generator.choice(p=row)
-        would.
+        would.  The rows of the occupied vertices are built in one pass
+        per degree.
         """
         e = self.n_inter
-        live = np.flatnonzero(self.degree[self.ants])
+        live = self.degree[self.ants].nonzero()[0]
         u = self.rng.random(live.size)
+        if not live.size:
+            return np.zeros(e, dtype=np.intp)
         at = self.ants[live]
-        crossed = np.empty(live.size, dtype=np.intp)
+        occupied = np.zeros(self.degree.size, dtype=bool)
+        occupied[at] = True
+        verts = occupied.nonzero()[0]
+        verts = verts[self.degree[verts].argsort(kind="stable")]
+        degrees = self.degree[verts]
+        row_at = np.empty(self.degree.size, dtype=np.intp)
+        row_at[verts] = np.arange(verts.size)
+        bounds = [0, verts.size]
+        if degrees[0] != degrees[-1]:
+            bounds[1:1] = ((degrees[1:] != degrees[:-1]).nonzero()[0] + 1).tolist()
+        # Each degree group's cumulative rows, computed unpadded, are stored
+        # over a padding above every uniform, so a pick counts real entries.
+        cdf = np.full((verts.size, degrees[-1]), 2.0)
         log_weights = self.log_weights()
-        for vertex in set(at.tolist()):  # groups are disjoint, so any order
-            group = np.flatnonzero(at == vertex)
-            nbrs, probs = self.row(vertex, log_weights)
-            if probs.min() < 0 or not abs(probs.sum() - 1.0) <= _ROW_SUM_TOL:
+        for start, stop in zip(bounds, bounds[1:]):
+            _, probs = self.rows(verts[start:stop], log_weights)
+            rows = probs.cumsum(axis=1)
+            miss = np.abs(rows[:, -1] - 1.0)
+            if not (probs.min() >= 0 and miss.max() <= _ROW_SUM_TOL):
+                bad = ~((probs.min(axis=1) >= 0) & (miss <= _ROW_SUM_TOL))
+                vertex = int(verts[start + bad.argmax()])
                 raise ValueError(f"transition row of vertex {vertex} is not a distribution")
-            cdf = probs.cumsum()
-            cdf /= cdf[-1]
-            pick = cdf.searchsorted(u[group], side="right")
-            self.ants[live[group]] = nbrs[pick]
-            crossed[group] = self.slots[vertex][pick]
+            rows /= rows[:, -1:]
+            cdf[start:stop, : rows.shape[1]] = rows
+        # searchsorted(side="right") on each ant's non-decreasing row
+        pick = (cdf[row_at[at]] <= u[:, None]).sum(axis=1)
+        self.ants[live] = self.neighbors[at, pick]
+        crossed = self.slots[at, pick]
         return np.bincount(crossed, minlength=e + 1)[:e]
 
     def run(self) -> int:
@@ -347,9 +403,13 @@ class Colony:
         return self.params.max_iterations
 
 
-def _log(x: float) -> float:
-    # math.log, not np.log: the two differ in the last bit on some inputs.
-    return math.log(x) if x > 0 else -math.inf
+def _logs(values: list[float]) -> np.ndarray:
+    """ln of each value, -inf for a zero.  math.log, not np.log: the two
+    differ in the last bit on some inputs."""
+    try:
+        return np.array(list(map(math.log, values)))
+    except ValueError:  # a zero
+        return np.array([math.log(x) if x > 0 else -math.inf for x in values])
 
 
 @dataclass(frozen=True)
@@ -369,9 +429,14 @@ def pair_colony(h: HeuristicMatrix, params: AcoParams, rng: np.random.Generator)
     the X-Y edges are the inter-SSE slots, cell (i, j) at slot i * m + j.
     """
     n, m = h.s.shape
-    inter = [(x, y) for x in range(n) for y in range(n, n + m)]
-    intra = [*itertools.combinations(range(n), 2), *itertools.combinations(range(n, n + m), 2)]
-    return Colony(n + m, inter, h.s.ravel().tolist(), intra, float(h.s.mean()), params, rng)
+    v = n + m
+    vertex = np.arange(v)[:, None]
+    neighbors = np.arange(v - 1)[None, :]
+    neighbors = neighbors + (neighbors >= vertex)  # every other vertex, ascending
+    x, y = np.minimum(vertex, neighbors), np.maximum(vertex, neighbors)
+    slots = np.where((x < n) & (y >= n), x * m + y - n, n * m)
+    degree = np.full(v, v - 1)
+    return Colony(neighbors, slots, degree, h.s.ravel().tolist(), float(h.s.mean()), params, rng)
 
 
 def local_aco(
@@ -423,12 +488,12 @@ def global_aco(
     inter = sorted(cand)
     s = [cand[e] for e in inter]
     index = {v: i for i, v in enumerate(sorted(vertices))}
-    colony = Colony(
+    colony = Colony.from_edges(
         len(index),
         [(index[u], index[v]) for u, v in inter],
         s,
         ((index[u], index[v]) for u, v in intra_edges),
-        sum(s) / len(s),
+        left_sum(s) / len(s),
         params,
         rng,
     )

@@ -344,13 +344,20 @@ def dihedral_angle(p0: Vec3, p1: Vec3, p2: Vec3, p3: Vec3) -> float:
     return math.degrees(math.atan2(y, x))
 
 
+# Longest C(i-1)-N(i) distance read as a peptide bond, in Å: the bond is
+# 1.33 Å, and residues further apart sit across a chain break.
+PEPTIDE_BOND_MAX = 2.5
+
+
 def compute_backbone_dihedrals(
     protein: ProteinStructure, backbone: Mapping[int, BackboneAtoms]
 ) -> ProteinStructure:
     """Fill phi/psi from backbone atoms; termini and gaps stay absent.
 
     phi(i) uses C(i-1), N(i), Cα(i), C(i); psi(i) uses N(i), Cα(i), C(i),
-    N(i+1).  A missing atom leaves that residue's angle unset.
+    N(i+1).  A missing atom leaves that residue's angle unset, and so does a
+    chain break: an angle is computed only across a C-N peptide bond of at
+    most PEPTIDE_BOND_MAX.
     """
     n = len(protein.residues)
     updated = []
@@ -362,9 +369,9 @@ def compute_backbone_dihedrals(
         phi = None
         psi = None
         if here is not None and here.n and here.ca and here.c:
-            if prev is not None and prev.c:
+            if prev is not None and prev.c and math.dist(prev.c, here.n) <= PEPTIDE_BOND_MAX:
                 phi = dihedral_angle(prev.c, here.n, here.ca, here.c)
-            if nxt is not None and nxt.n:
+            if nxt is not None and nxt.n and math.dist(here.c, nxt.n) <= PEPTIDE_BOND_MAX:
                 psi = dihedral_angle(here.n, here.ca, here.c, nxt.n)
         updated.append(replace(r, phi=phi, psi=psi))
     return replace(protein, residues=tuple(updated))

@@ -46,6 +46,15 @@ class TopologicalProfile:
         }
 
 
+def left_sum(values: Iterable[float]) -> float:
+    """Float sum taken left to right without compensation, as builtin `sum`
+    took it before Python 3.12, so results are the same on every version."""
+    total = 0.0
+    for x in values:
+        total += x
+    return total
+
+
 def incidence_edges(matrix: np.ndarray) -> list[Edge]:
     """Nonzero upper-triangle cells of a square matrix as 1-based (i, j)
     pairs with i < j, in row-major order."""

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -23,6 +24,7 @@ from .ingest import ProteinStructure
 from .metrics import (
     TopologicalProfile,
     incidence_edges,
+    left_sum,
     modularity,
     profile_deviation,
     topological_profile,
@@ -135,6 +137,22 @@ class SseContext:
     def sse_count(self) -> int:
         return self.centroids.shape[0]
 
+    @cached_property
+    def pair_terms(self) -> dict[tuple[int, int], tuple[float, float, float]]:
+        """(distance, torsion, hydro) objective terms of each 1-based SSE
+        pair i < j, computed once per context."""
+        terms = {}
+        for a in range(self.sse_count):
+            for b in range(a + 1, self.sse_count):
+                dphi = _wrap_degrees(self.mean_phi[a] - self.mean_phi[b])
+                dpsi = _wrap_degrees(self.mean_psi[a] - self.mean_psi[b])
+                terms[a + 1, b + 1] = (
+                    float(np.linalg.norm(self.centroids[a] - self.centroids[b])),
+                    float((dphi + dpsi) / 2.0),
+                    float(self.mean_hydro[a] * self.mean_hydro[b]),
+                )
+        return terms
+
     @classmethod
     def from_structure(cls, protein: ProteinStructure) -> "SseContext":
         centroids = []
@@ -148,9 +166,9 @@ class SseContext:
             centroids.append(coords.mean(axis=0))
             phis = [r.phi for r in members if r.phi is not None]
             psis = [r.psi for r in members if r.psi is not None]
-            mean_phi.append(sum(phis) / len(phis) if phis else 0.0)
-            mean_psi.append(sum(psis) / len(psis) if psis else 0.0)
-            mean_hydro.append(sum(r.hydrophobicity for r in members) / len(members))
+            mean_phi.append(left_sum(phis) / len(phis) if phis else 0.0)
+            mean_psi.append(left_sum(psis) / len(psis) if psis else 0.0)
+            mean_hydro.append(left_sum(r.hydrophobicity for r in members) / len(members))
             sizes.append(a.size)
         return cls(
             np.array(centroids, dtype=float),
@@ -207,16 +225,15 @@ def evaluate_objectives(genes: Genes, ctx: SseContext) -> ObjectiveVector:
     pairs = sorted({(min(i, g), max(i, g)) for i, g in enumerate(genes, start=1) if g != i})
     if not pairs:
         return ObjectiveVector(WORST_OBJECTIVE, WORST_OBJECTIVE, WORST_OBJECTIVE)
+    terms = ctx.pair_terms
     dist_sum = 0.0
     torsion_sum = 0.0
     hydro_sum = 0.0
-    for i, j in pairs:
-        a, b = i - 1, j - 1
-        dist_sum += float(np.linalg.norm(ctx.centroids[a] - ctx.centroids[b]))
-        dphi = _wrap_degrees(ctx.mean_phi[a] - ctx.mean_phi[b])
-        dpsi = _wrap_degrees(ctx.mean_psi[a] - ctx.mean_psi[b])
-        torsion_sum += (dphi + dpsi) / 2.0
-        hydro_sum += float(ctx.mean_hydro[a] * ctx.mean_hydro[b])
+    for pair in pairs:
+        distance, torsion, hydro = terms[pair]
+        dist_sum += distance
+        torsion_sum += torsion
+        hydro_sum += hydro
     n = len(pairs)
     return ObjectiveVector(dist_sum / n, torsion_sum / n, -hydro_sum / n)
 
@@ -265,12 +282,8 @@ def density(pool: Sequence[Individual], k: int) -> list[tuple[float, float]]:
     coords = _normalized_objectives(pool)
     diff = coords[:, None, :] - coords[None, :, :]
     dist = np.sqrt(np.sum(diff * diff, axis=-1))
-    out = []
-    for i in range(n):
-        row = np.sort(dist[i])  # row[0] is the self distance 0
-        sigma = float(row[k])
-        out.append((sigma, 1.0 / (sigma + 1.0)))
-    return out
+    sigmas = np.sort(dist, axis=1)[:, k].tolist()  # column 0 is the self distance 0
+    return [(sigma, 1.0 / (sigma + 1.0)) for sigma in sigmas]
 
 
 def assign_fitness(pool: Sequence[Individual], k: int) -> list[float]:

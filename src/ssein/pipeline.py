@@ -52,6 +52,7 @@ from .ingest import (
 from .metrics import (
     TopologicalProfile,
     incidence_edges,
+    left_sum,
     matrix_error_rate,
     prediction_accuracy,
     topological_profile,
@@ -107,10 +108,10 @@ def mean_profile(profiles: Sequence[TopologicalProfile]) -> TopologicalProfile:
         raise ValueError("no profiles to average")
     n = len(profiles)
     return TopologicalProfile(
-        sum(p.diameter for p in profiles) / n,
-        sum(p.char_path_length for p in profiles) / n,
-        sum(p.mean_degree for p in profiles) / n,
-        sum(p.clustering_coeff for p in profiles) / n,
+        left_sum(p.diameter for p in profiles) / n,
+        left_sum(p.char_path_length for p in profiles) / n,
+        left_sum(p.mean_degree for p in profiles) / n,
+        left_sum(p.clustering_coeff for p in profiles) / n,
     )
 
 

@@ -24,7 +24,7 @@ from ssein.aco import (
     validate_built_network,
 )
 from ssein.contact import SseInGraph
-from ssein.metrics import topological_profile
+from ssein.metrics import left_sum, topological_profile
 from ssein.synth import make_planted_instance
 
 
@@ -196,7 +196,8 @@ def pair_state(n, m, q, e, params, seed=0):
 
 
 def row(colony, vertex):
-    return colony.row(vertex, colony.log_weights())
+    nbrs, probs = colony.rows(np.array([vertex]), colony.log_weights())
+    return nbrs[0], probs[0]
 
 
 class TestTransitionDistribution:
@@ -277,6 +278,27 @@ class TestUpdatePheromone:
             assert np.all(colony.tau > 0)
 
 
+def reference_row(adjacency, s, s_intra, tau, tau_intra, vertex, params):
+    """One vertex's transition row over dict-keyed edges, as a 1-D array."""
+    nbrs = adjacency[vertex]
+    logw = np.empty(len(nbrs))
+    for k, j in enumerate(nbrs):
+        e = (min(vertex, j), max(vertex, j))
+        t, w = (tau[e], s[e]) if e in s else (tau_intra, s_intra)
+        term = 0.0
+        if params.alpha > 0:
+            term += params.alpha * (math.log(t) if t > 0 else -math.inf)
+        if params.beta > 0:
+            term += params.beta * (math.log(w) if w > 0 else -math.inf)
+        logw[k] = term
+    peak = logw.max()
+    if peak == -math.inf:
+        return np.full(len(nbrs), 1.0 / len(nbrs))
+    probs = np.exp(logw - peak)
+    probs /= probs.sum()
+    return probs
+
+
 def reference_step(adjacency, s, s_intra, tau, tau_intra, ants, params, rng):
     """The per-ant colony step over dict-keyed edges: one transition row and
     one rng.choice per ant.  Returns the move count per inter-SSE edge."""
@@ -285,22 +307,7 @@ def reference_step(adjacency, s, s_intra, tau, tau_intra, ants, params, rng):
         nbrs = adjacency[vertex]
         if not nbrs:
             continue
-        logw = np.empty(len(nbrs))
-        for k, j in enumerate(nbrs):
-            e = (min(vertex, j), max(vertex, j))
-            t, w = (tau[e], s[e]) if e in s else (tau_intra, s_intra)
-            term = 0.0
-            if params.alpha > 0:
-                term += params.alpha * (math.log(t) if t > 0 else -math.inf)
-            if params.beta > 0:
-                term += params.beta * (math.log(w) if w > 0 else -math.inf)
-            logw[k] = term
-        peak = logw.max()
-        if peak == -math.inf:
-            probs = np.full(len(nbrs), 1.0 / len(nbrs))
-        else:
-            probs = np.exp(logw - peak)
-            probs /= probs.sum()
+        probs = reference_row(adjacency, s, s_intra, tau, tau_intra, vertex, params)
         j = int(rng.choice(np.array(nbrs), p=probs))
         e = (min(vertex, j), max(vertex, j))
         if e in s:
@@ -309,22 +316,99 @@ def reference_step(adjacency, s, s_intra, tau, tau_intra, ants, params, rng):
     return counts
 
 
+def reference_adjacency(vertex_count, edges):
+    adjacency = {v: set() for v in range(vertex_count)}
+    for u, v in edges:
+        adjacency[u].add(v)
+        adjacency[v].add(u)
+    return {v: tuple(sorted(a)) for v, a in adjacency.items()}
+
+
+# Row widths at numpy's pairwise-sum boundaries: sequential below 8, eight
+# accumulators from 8, blocks of 128 split in halves above.
+BLOCK_DEGREES = (5, 8, 9, 17, 129, 200)
+
+
+def star_network(rng, degrees=BLOCK_DEGREES):
+    """Two stars per degree, each centre joined to its own leaves: one
+    centre's edges all have s = 0 (so its row and its leaves' rows are
+    all -inf), the other's mix inter edges of random s with intra edges.
+    Returns (vertex_count, inter, s, intra)."""
+    inter, s, intra = [], [], []
+    vertex_count = 0
+    for d in degrees:
+        for dead in (True, False):
+            centre = vertex_count
+            for leaf in range(centre + 1, centre + d + 1):
+                if dead or rng.random() < 0.7:
+                    inter.append((centre, leaf))
+                    s.append(0.0 if dead else float(rng.uniform(0.05, 3.0)))
+                else:
+                    intra.append((centre, leaf))
+            vertex_count += d + 1
+    return vertex_count, inter, s, intra
+
+
+class TestBatchedRows:
+    """`Colony.rows` against the 1-D per-vertex formula, bit for bit."""
+
+    def check(self, vertex_count, inter, s, intra, s_intra, params, rng):
+        colony = Colony.from_edges(vertex_count, inter, s, intra, s_intra, params, rng)
+        colony.tau[:] = rng.uniform(1.0, 1e4, size=colony.tau.size)
+        tau = dict(zip(inter, colony.tau.tolist()))
+        s_of = dict(zip(inter, s))
+        adjacency = reference_adjacency(vertex_count, [*inter, *intra])
+        log_weights = colony.log_weights()
+        for d in sorted(set(colony.degree.tolist()) - {0}):
+            group = np.flatnonzero(colony.degree == d)
+            nbrs, probs = colony.rows(group, log_weights)
+            assert nbrs.shape == probs.shape == (group.size, d)
+            for k, v in enumerate(group.tolist()):
+                expected = reference_row(
+                    adjacency, s_of, s_intra, tau, colony.tau[-1], v, params
+                )
+                assert nbrs[k].tolist() == list(adjacency[v])
+                assert probs[k].tolist() == expected.tolist()
+
+    def test_block_boundary_degrees_with_dead_rows(self):
+        rng = np.random.default_rng(41)
+        vertex_count, inter, s, intra = star_network(rng)
+        for params in (AcoParams(), AcoParams(alpha=1.0, beta=1.0), AcoParams(beta=0.0)):
+            self.check(vertex_count, inter, s, intra, 0.5, params, rng)
+
+    def test_random_networks(self):
+        rng = np.random.default_rng(42)
+        for _ in range(8):
+            vertex_count = int(rng.integers(10, 60))
+            pairs = [(u, v) for u in range(vertex_count) for v in range(u + 1, vertex_count)]
+            picked = rng.permutation(len(pairs))[: int(rng.integers(5, len(pairs)))]
+            cut = max(1, len(picked) // 2)
+            inter = sorted(pairs[i] for i in picked[:cut])
+            intra = [pairs[i] for i in picked[cut:]]
+            s = rng.uniform(0.05, 3.0, size=len(inter)).tolist()
+            self.check(vertex_count, inter, s, intra, sum(s) / len(s), AcoParams(), rng)
+
+    def test_mixed_degrees_rejected(self):
+        colony = Colony.from_edges(
+            4, [(0, 1), (1, 2)], [1.0, 1.0], [(2, 3)], 1.0, AcoParams(),
+            np.random.default_rng(0),
+        )
+        with pytest.raises(ValueError, match="one degree"):
+            colony.rows(np.array([0, 1]), colony.log_weights())
+
+
 class TestColonyOracle:
     """Colony steps against the per-ant reference: same ant positions, move
     counts, pheromone and generator state after every step."""
 
     def check(self, vertex_count, inter, s, intra, s_intra, params, seed, ants, steps=40):
-        colony = Colony(
+        colony = Colony.from_edges(
             vertex_count, inter, s, intra, s_intra, params, np.random.default_rng(seed)
         )
         rng = np.random.default_rng(seed)
         ants = ants(rng)
         assert colony.ants.tolist() == ants
-        adjacency = {v: set() for v in range(vertex_count)}
-        for u, v in [*inter, *intra]:
-            adjacency[u].add(v)
-            adjacency[v].add(u)
-        adjacency = {v: tuple(sorted(a)) for v, a in adjacency.items()}
+        adjacency = reference_adjacency(vertex_count, [*inter, *intra])
         s_of = dict(zip(inter, s))
         tau_intra = params.resolve_initial_tau(len(inter))
         tau = {e: tau_intra for e in inter}
@@ -335,7 +419,7 @@ class TestColonyOracle:
             assert moved.tolist() == [counts.get(e, 0) for e in inter]
             for e in inter:
                 tau[e] = (1.0 - params.rho) * tau[e] + counts.get(e, 0) * params.delta_tau
-            tau_intra = sum(tau.values()) / len(tau)
+            tau_intra = left_sum(tau.values()) / len(tau)
             colony.update(moved)
             assert colony.tau.tolist() == [*tau.values(), tau_intra]
         assert colony.rng.bit_generator.state == rng.bit_generator.state
@@ -384,6 +468,31 @@ class TestColonyOracle:
                 vertex_count, inter, s, intra, sum(s) / len(s), AcoParams(), seed,
                 lambda rng: rng.integers(0, vertex_count, size=vertex_count).tolist(),
             )
+
+    def test_every_ant_on_an_isolated_vertex(self):
+        colony = Colony.from_edges(
+            5, [(0, 1)], [1.0], [], 1.0, AcoParams(), np.random.default_rng(0)
+        )
+        colony.ants[:] = [2, 3, 4, 4, 2]
+        state = colony.rng.bit_generator.state
+        assert colony.step().tolist() == [0]
+        assert colony.ants.tolist() == [2, 3, 4, 4, 2]
+        assert colony.rng.bit_generator.state == state
+
+    def test_block_boundary_degrees_with_dead_rows(self):
+        # several degree groups occupied in every step, all -inf rows among them
+        rng = np.random.default_rng(33)
+        vertex_count, inter, s, intra = star_network(rng)
+        self.check(
+            vertex_count, inter, s, intra, 0.5, AcoParams(), 5,
+            lambda rng: rng.integers(0, vertex_count, size=vertex_count).tolist(),
+            steps=8,
+        )
+
+    def test_large_pair_rows(self):
+        # a 70 + 65 pair: every row has degree 134, past one pairwise block
+        rng = np.random.default_rng(34)
+        self.check_pair(rng.uniform(0.1, 30, size=(70, 65)), 9.0, AcoParams(), 6)
 
 
 class TestLocalAco:

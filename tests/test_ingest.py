@@ -220,6 +220,24 @@ class TestDihedrals:
         assert protein.residues[11].phi is None
         assert protein.residues[11].psi is None
 
+    def test_chain_break_leaves_angles_absent(self):
+        # an ideal helix with residues 6 and 7 missing: 5 and 8 become
+        # neighbours in the file, their C-N 3.8 Å apart
+        lines, serial = [], 0
+        for res_seq, atoms in enumerate(build_chain(12), start=1):
+            if res_seq in (6, 7):
+                continue
+            for name, xyz in zip(("N", "CA", "C"), atoms):
+                serial += 1
+                lines.append(atom_line(serial, name, residue_name(res_seq), "A", res_seq, xyz))
+        result = parse_pdb_detailed("\n".join(lines) + "\nEND\n")
+        protein = compute_backbone_dihedrals(result.structure, result.backbone)
+        before, after = protein.residues[4], protein.residues[5]  # residues 5 and 8
+        assert before.psi is None
+        assert after.phi is None
+        assert before.phi == pytest.approx(-57.0, abs=1.0)
+        assert after.psi == pytest.approx(-47.0, abs=1.0)
+
     @given(
         st.lists(
             st.tuples(

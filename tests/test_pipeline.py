@@ -1,10 +1,12 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 from conftest import write_family
-from ssein.aco import FamilyMatchError
+from ssein import aco, pipeline
+from ssein.aco import AcoParams, FamilyMatchError, HeuristicMatrix, pair_colony
 from ssein.cli import main
 from ssein.pipeline import (
     DegenerateFamilyError,
@@ -190,6 +192,34 @@ class TestMeanProfile:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             mean_profile([])
+
+
+class TestFloatSumsAcrossPythonVersions:
+    """From Python 3.12 on builtin `sum` over floats is compensated, so a
+    float mean taken with it changes the output bytes there.  A module-level
+    `sum = math.fsum` stands in for 3.12 on older versions: the means that
+    decide outputs must not move under it."""
+
+    def test_mean_profile(self, monkeypatch):
+        profiles = [TopologicalProfile(0.1 * k + 0.1, 0.1, 0.7, 0.1) for k in range(10)]
+        expected = mean_profile(profiles)
+        # on these fields the compensated and the left-to-right sums differ
+        assert math.fsum(p.char_path_length for p in profiles) / 10 != expected.char_path_length
+        monkeypatch.setattr(pipeline, "sum", math.fsum, raising=False)
+        assert mean_profile(profiles) == expected
+
+    def test_colony_update(self, monkeypatch):
+        def updated_tau():
+            h = HeuristicMatrix.from_q(np.ones((4, 5)), 2.0)
+            colony = pair_colony(h, AcoParams(), np.random.default_rng(0))
+            colony.tau[:20] = np.random.default_rng(3).uniform(1.0, 1e4, size=20)
+            colony.update(np.arange(20) % 3)
+            return colony.tau.tolist()
+
+        expected = updated_tau()
+        assert math.fsum(expected[:20]) / 20 != expected[20]
+        monkeypatch.setattr(aco, "sum", math.fsum, raising=False)
+        assert updated_tau() == expected
 
 
 class TestCli:
