@@ -114,12 +114,14 @@ class TemplateProtein:
     def shortcut_rate(self) -> float:
         return self.shortcut_count / self.residue_total
 
-    def sse_position(self, vertex: int) -> tuple[int, float]:
-        """(1-based SSE index, relative position in (0, 1]) of a residue."""
-        for k, (first, last) in enumerate(self.sse_ranges, start=1):
-            if first <= vertex <= last:
-                return k, (vertex - first + 1) / (last - first + 1)
-        raise ValueError(f"vertex {vertex} is outside every SSE range")
+    def sse_positions(self) -> dict[int, tuple[int, float]]:
+        """Residue -> (1-based SSE index, relative position in (0, 1]) for
+        every residue of an SSE range."""
+        return {
+            v: (k, (v - first + 1) / (last - first + 1))
+            for k, (first, last) in enumerate(self.sse_ranges, start=1)
+            for v in range(first, last + 1)
+        }
 
     def sse_adjacency(self) -> np.ndarray:
         order = [self.graph.sse_of[first] for first, _ in self.sse_ranges]
@@ -160,20 +162,34 @@ def estimate_edge_budget(
 
 
 def build_occurrence_matrix(
-    templates: Sequence[TemplateProtein], pair: tuple[int, int], n: int, m: int
+    templates: Sequence[TemplateProtein],
+    pair: tuple[int, int],
+    n: int,
+    m: int,
+    positions: Optional[Sequence[Mapping[int, tuple[int, float]]]] = None,
 ) -> np.ndarray:
     """Occurrence matrix Q for an SSE pair, with add-one smoothing.
 
     Template shortcut edges between the pair's SSEs are mapped by nearest
     relative position onto the n x m query cells and counted; the +1
-    smoothing keeps every transition weight positive.
+    smoothing keeps every transition weight positive.  `positions` holds
+    each template's `sse_positions()`, so callers that build several pairs
+    make the tables once.
     """
+    if positions is None:
+        positions = [t.sse_positions() for t in templates]
     a, b = pair
     counts = np.zeros((n, m), dtype=float)
-    for t in templates:
+    for t, table in zip(templates, positions):
         for u, w in t.graph.shortcut_edges:
-            ku, ru = t.sse_position(u)
-            kw, rw = t.sse_position(w)
+            try:
+                ku, ru = table[u]
+                kw, rw = table[w]
+            except KeyError as missing:
+                raise ValueError(
+                    f"template {t.protein_id}: vertex {missing.args[0]} "
+                    "is outside every SSE range"
+                ) from None
             if (ku, kw) == (a, b):
                 ra, rb = ru, rw
             elif (ku, kw) == (b, a):

@@ -5,6 +5,12 @@ threshold (7 Å by default).  The SSE interaction network (SSE-IN) is the
 subgraph of the contact map induced by residues belonging to a secondary
 structure element; its inter-SSE edges are the shortcut edges the ant colony
 stage predicts.
+
+The map is built in blocks of `BLOCK_ROWS` rows, one coordinate axis at a
+time: the squared distance is `(dx*dx + dy*dy) + dz*dz`, the association
+numpy's length-3 `sum` over an (N, N, 3) difference array uses, then `sqrt`
+and the strict comparison.  The bits are those of the full-array formula,
+while memory stays at the (N, N) uint8 map plus a few (64, N) float rows.
 """
 
 from __future__ import annotations
@@ -15,7 +21,9 @@ from typing import Iterable
 import numpy as np
 
 from .ingest import ProteinStructure
-from .metrics import Edge, incidence_edges
+from .metrics import Edge
+
+BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,21 +45,29 @@ class ContactMap:
     def n(self) -> int:
         return self.bits.shape[0]
 
-    def edges(self) -> list[Edge]:
-        """Contact pairs as 1-based (i, j) with i < j."""
-        return incidence_edges(self.bits)
-
 
 def build_contact_map(protein: ProteinStructure, threshold: float = 7.0) -> ContactMap:
     """Contact map over Cα distances; strict `< threshold` comparison."""
     if threshold <= 0:
         raise ValueError(f"threshold must be positive, got {threshold}")
-    coords = np.array([r.ca for r in protein.residues], dtype=float)
-    diff = coords[:, None, :] - coords[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=-1))
-    bits = (dist < threshold).astype(np.uint8)
+    x, y, z = np.array([r.ca for r in protein.residues], dtype=float).reshape(-1, 3).T.copy()
+    n = len(x)
+    bits = np.empty((n, n), dtype=np.uint8)
+    for start in range(0, n, BLOCK_ROWS):
+        rows = slice(start, start + BLOCK_ROWS)
+        dist = _axis_square(x[rows], x)
+        dist += _axis_square(y[rows], y)
+        dist += _axis_square(z[rows], z)
+        np.sqrt(dist, out=dist)
+        np.less(dist, threshold, out=bits[rows])
     np.fill_diagonal(bits, 0)
     return ContactMap(bits)
+
+
+def _axis_square(block: np.ndarray, axis: np.ndarray) -> np.ndarray:
+    """(len(block), len(axis)) squared coordinate differences on one axis."""
+    d = block[:, None] - axis[None, :]
+    return np.multiply(d, d, out=d)
 
 
 @dataclass(frozen=True)
@@ -104,9 +120,21 @@ def induce_sse_in(cmap: ContactMap, protein: ProteinStructure) -> SseInGraph:
         )
     sse_of = {r.index: r.sse_id for r in protein.residues if r.sse_id is not None}
     vertices = tuple(sorted(sse_of))
-    intra: list[Edge] = []
-    shortcut: list[Edge] = []
-    for i, j in cmap.edges():
-        if i in sse_of and j in sse_of:
-            (intra if sse_of[i] == sse_of[j] else shortcut).append((i, j))
-    return SseInGraph(vertices, tuple(intra), tuple(shortcut), sse_of)
+    # Residue indices run 1..N, so the sorted vertices are increasing rows of
+    # the map; the induced submatrix keeps the row-major edge order.
+    rows = np.array(vertices, dtype=np.intp) - 1
+    label_of = {sse_id: k for k, sse_id in enumerate(dict.fromkeys(sse_of.values()))}
+    labels = np.array([label_of[sse_of[v]] for v in vertices], dtype=np.intp)
+    i, j = np.nonzero(np.triu(cmap.bits[np.ix_(rows, rows)], 1))
+    same = labels[i] == labels[j]
+    return SseInGraph(
+        vertices,
+        _edge_tuple(rows[i[same]], rows[j[same]]),
+        _edge_tuple(rows[i[~same]], rows[j[~same]]),
+        sse_of,
+    )
+
+
+def _edge_tuple(i: np.ndarray, j: np.ndarray) -> tuple[Edge, ...]:
+    """0-based row and column arrays as 1-based (i, j) Python-int pairs."""
+    return tuple(zip((i + 1).tolist(), (j + 1).tolist()))

@@ -171,8 +171,11 @@ def pair_heuristics(
     e_total: int,
 ) -> list[HeuristicMatrix]:
     """Per-pair occurrence matrices with the edge budget split by Q mass."""
+    positions = [t.sse_positions() for t in templates]
     qs = [
-        build_occurrence_matrix(templates, (a, b), sse_sizes[a - 1], sse_sizes[b - 1])
+        build_occurrence_matrix(
+            templates, (a, b), sse_sizes[a - 1], sse_sizes[b - 1], positions
+        )
         for a, b in pairs
     ]
     budgets = allocate_pair_budgets(e_total, [float(q.sum()) for q in qs])

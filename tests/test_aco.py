@@ -57,6 +57,46 @@ def template_from_sizes(protein_id, sizes, shortcut_cells=(), intra_span=2):
     return TemplateProtein(protein_id, tuple(sizes), tuple(ranges), graph)
 
 
+def reference_sse_position(template, vertex):
+    """The linear scan over SSE ranges the position table replaces."""
+    for k, (first, last) in enumerate(template.sse_ranges, start=1):
+        if first <= vertex <= last:
+            return k, (vertex - first + 1) / (last - first + 1)
+    raise ValueError(f"vertex {vertex} is outside every SSE range")
+
+
+def reference_occurrence_matrix(templates, pair, n, m):
+    """The counting loop over template shortcut edges, one scan per endpoint."""
+    a, b = pair
+    counts = np.zeros((n, m), dtype=float)
+    for t in templates:
+        for u, w in t.graph.shortcut_edges:
+            ku, ru = reference_sse_position(t, u)
+            kw, rw = reference_sse_position(t, w)
+            if (ku, kw) == (a, b):
+                ra, rb = ru, rw
+            elif (ku, kw) == (b, a):
+                ra, rb = rw, ru
+            else:
+                continue
+            i = min(max(round_half_up(ra * n), 1), n)
+            j = min(max(round_half_up(rb * m), 1), m)
+            counts[i - 1, j - 1] += 1
+    return counts + 1.0
+
+
+def random_template(protein_id, rng, sse_count, edges):
+    """Template with random SSE sizes (one-residue SSEs included) and random
+    shortcut cells, written in both orientations."""
+    sizes = tuple(int(x) for x in rng.integers(1, 14, size=sse_count))
+    cells = []
+    for _ in range(edges):
+        a, b = (int(k) + 1 for k in rng.choice(sse_count, size=2, replace=False))
+        cells.append(((a, int(rng.integers(1, sizes[a - 1] + 1))),
+                      (b, int(rng.integers(1, sizes[b - 1] + 1)))))
+    return template_from_sizes(protein_id, sizes, cells)
+
+
 class TestAlleleDistance:
     def test_identical(self):
         assert allele_distance((3, 4, 5), (3, 4, 5)) == 0
@@ -145,6 +185,31 @@ class TestOccurrenceMatrix:
         template = template_from_sizes("t", (4, 6), [((2, 3), (1, 2))])
         q = build_occurrence_matrix([template], (1, 2), 4, 6)
         assert q[1, 2] == 2.0  # stored as (pair SSE1 pos 2, SSE2 pos 3)
+
+    def test_matches_counting_loop(self):
+        # several templates, both orientations of every pair, query sizes
+        # above, equal to and below the template sizes
+        rng = np.random.default_rng(17)
+        templates = [random_template(f"t{k}", rng, 5, 30) for k in range(6)]
+        positions = [t.sse_positions() for t in templates]
+        for a in range(1, 6):
+            for b in range(1, 6):
+                if a == b:
+                    continue
+                n, m = (int(x) for x in rng.integers(1, 16, size=2))
+                expected = reference_occurrence_matrix(templates, (a, b), n, m)
+                for got in (
+                    build_occurrence_matrix(templates, (a, b), n, m),
+                    build_occurrence_matrix(templates, (a, b), n, m, positions),
+                ):
+                    assert np.array_equal(got, expected), (a, b, n, m)
+
+    def test_endpoint_outside_every_sse_names_the_vertex(self):
+        sse_of = {1: "A", 2: "A", 3: "B", 4: "B", 9: "C"}
+        graph = SseInGraph((1, 2, 3, 4, 9), (), ((2, 9),), sse_of)
+        template = TemplateProtein("stray", (2, 2), ((1, 2), (3, 4)), graph)
+        with pytest.raises(ValueError, match="vertex 9 is outside every SSE range"):
+            build_occurrence_matrix([template], (1, 2), 2, 2)
 
 
 class TestEdgeProbabilities:
@@ -637,10 +702,19 @@ class TestValidateBuiltNetwork:
 
 class TestTemplateProtein:
     def test_position_mapping(self):
-        template = template_from_sizes("t", (4, 6))
-        assert template.sse_position(1) == (1, pytest.approx(0.25))
-        assert template.sse_position(4) == (1, pytest.approx(1.0))
-        assert template.sse_position(5) == (2, pytest.approx(1 / 6))
+        positions = template_from_sizes("t", (4, 6)).sse_positions()
+        assert positions[1] == (1, pytest.approx(0.25))
+        assert positions[4] == (1, pytest.approx(1.0))
+        assert positions[5] == (2, pytest.approx(1 / 6))
+
+    def test_position_table_matches_range_scan(self):
+        rng = np.random.default_rng(5)
+        for k in range(4):
+            template = random_template(f"t{k}", rng, 6, 0)
+            positions = template.sse_positions()
+            assert sorted(positions) == list(range(1, template.residue_total + 1))
+            for v, position in positions.items():
+                assert position == reference_sse_position(template, v)
 
     def test_mismatched_ranges_rejected(self):
         graph = SseInGraph((1, 2), (), (), {1: "A", 2: "A"})

@@ -1,11 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import two_helix_protein
-from ssein.contact import ContactMap, build_contact_map, induce_sse_in
+from ssein.contact import ContactMap, SseInGraph, build_contact_map, induce_sse_in
 from ssein.ingest import ProteinStructure, Residue, SseAnnotation, parse_pdb
+from ssein.metrics import incidence_edges
 
 
 def protein_from_coords(coords, annotations=()):
@@ -24,6 +27,63 @@ def protein_from_coords(coords, annotations=()):
     return ProteinStructure("p", residues, tuple(annotations))
 
 
+def reference_contact_bits(protein, threshold=7.0):
+    """The unblocked formula: one (N, N, 3) difference array, summed."""
+    coords = np.array([r.ca for r in protein.residues], dtype=float)
+    diff = coords[:, None, :] - coords[None, :, :]
+    dist = np.sqrt(np.sum(diff * diff, axis=-1))
+    bits = (dist < threshold).astype(np.uint8)
+    np.fill_diagonal(bits, 0)
+    return bits
+
+
+def reference_induce_sse_in(cmap, protein):
+    """The per-contact loop over every contact pair."""
+    sse_of = {r.index: r.sse_id for r in protein.residues if r.sse_id is not None}
+    vertices = tuple(sorted(sse_of))
+    intra = []
+    shortcut = []
+    for i, j in incidence_edges(cmap.bits):
+        if i in sse_of and j in sse_of:
+            (intra if sse_of[i] == sse_of[j] else shortcut).append((i, j))
+    return SseInGraph(vertices, tuple(intra), tuple(shortcut), sse_of)
+
+
+def random_walk(n, rng, step=3.8):
+    """Cα trace of a chain with fixed-length steps in random directions."""
+    directions = rng.normal(size=(n, 3))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    directions[0] = 0.0
+    return np.cumsum(step * directions, axis=0)
+
+
+def annotate(coords, spans):
+    """Protein over coords with one helix per inclusive (first, last) span."""
+    annotations = [
+        SseAnnotation(f"H{k}", "helix", first, last)
+        for k, (first, last) in enumerate(spans, start=1)
+    ]
+    return protein_from_coords(coords, annotations)
+
+
+def boundary_coords(rng, count=40):
+    """Residue 1 at the origin; every other residue sits where the last bit
+    of its distance from residue 1 hangs on the formula: either the order
+    the three axis squares are added in moves sqrt of the sum, or it lies
+    on an axis at x with sqrt(x * x) != x."""
+    coords = [(0.0, 0.0, 0.0)]
+    while len(coords) < count:
+        dx, dy, dz = rng.uniform(-7.0, 7.0, size=3)
+        a, b, c = dx * dx, dy * dy, dz * dz
+        sums = {np.sqrt((a + b) + c), np.sqrt((c + a) + b), np.sqrt(a + (b + c))}
+        if len(sums) > 1:
+            coords.append((dx, dy, dz))
+        x = rng.uniform(5.0, 7.5)
+        if np.sqrt(x * x) != x:
+            coords.append((x, 0.0, 0.0))
+    return coords
+
+
 class TestBuildContactMap:
     def test_single_residue(self):
         cmap = build_contact_map(protein_from_coords([(0, 0, 0)]), 7.0)
@@ -34,7 +94,7 @@ class TestBuildContactMap:
         cmap = build_contact_map(
             protein_from_coords([(0, 0, 0), (0, 0, 5), (0, 0, 12)]), 7.0
         )
-        assert cmap.edges() == [(1, 2)]  # d=5 in, d=7 and d=12 out
+        assert incidence_edges(cmap.bits) == [(1, 2)]  # d=5 in, d=7 and d=12 out
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(30)
@@ -58,6 +118,60 @@ class TestBuildContactMap:
         low = build_contact_map(protein, thr)
         high = build_contact_map(protein, thr + bump)
         assert np.all(high.bits >= low.bits)
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 129, 300])
+    def test_matches_unblocked_formula_across_block_edges(self, n):
+        rng = np.random.default_rng(n)
+        for coords in (rng.uniform(-15, 15, size=(n, 3)), random_walk(n, rng)):
+            protein = protein_from_coords(coords)
+            for threshold in (7.0, 4.0, 11.5):
+                assert np.array_equal(
+                    build_contact_map(protein, threshold).bits,
+                    reference_contact_bits(protein, threshold),
+                )
+
+    def test_exact_seven_angstrom_distances_are_out(self):
+        # 2-3-6 and 0-0-7 triangles: distance exactly 7.0 from residue 1
+        coords = [(0, 0, 0), (7, 0, 0), (0, -7, 0), (2, 3, 6), (-6, 2, -3), (0, 0, 6.999)]
+        protein = protein_from_coords(coords)
+        bits = build_contact_map(protein, 7.0).bits
+        assert np.array_equal(bits, reference_contact_bits(protein, 7.0))
+        assert bits[0].tolist() == [0, 0, 0, 0, 0, 1]
+
+    def test_last_bit_boundaries_match_unblocked_formula(self):
+        # Thresholds at, and one ulp above, every distance from residue 1
+        # and every on-axis x: a map that adds the axis squares in another
+        # order or compares squared distances with threshold**2 differs.
+        coords = boundary_coords(np.random.default_rng(71))
+        protein = protein_from_coords(coords)
+        origin_dist = np.sqrt(np.sum(np.square(coords), axis=1))[1:]
+        on_axis = [x for x, y, z in coords if y == 0.0 and z == 0.0 and x > 0]
+        thresholds = set(origin_dist) | set(np.nextafter(origin_dist, np.inf)) | set(on_axis)
+        for threshold in sorted(thresholds):
+            assert np.array_equal(
+                build_contact_map(protein, float(threshold)).bits,
+                reference_contact_bits(protein, float(threshold)),
+            ), threshold
+
+    def test_large_chain_stays_within_three_bytes_per_cell(self):
+        # A 2,000-residue chain: the unblocked formula peaks at about 224 MB
+        # (two N x N x 3 float arrays and the N x N distances); the blocked
+        # map needs about 2 N^2 bytes, the map and its symmetry check.
+        n = 2000
+        coords = random_walk(n, np.random.default_rng(2000))
+        protein = annotate(coords, [(10, 40), (55, 55), (300, 360), (1200, 1290), (1990, 2000)])
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            cmap = build_contact_map(protein)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * n * n
+        graph = induce_sse_in(cmap, protein)
+        reference = reference_induce_sse_in(cmap, protein)
+        assert graph == reference
+        assert graph.shortcut_edges and graph.intra_edges
 
     def test_symmetry_invariants_enforced(self):
         with pytest.raises(ValueError):
@@ -102,8 +216,30 @@ class TestInduceSseIn:
         protein = parse_pdb(text)
         cmap = build_contact_map(protein)
         graph = induce_sse_in(cmap, protein)
-        contact_edges = set(cmap.edges())
+        contact_edges = set(incidence_edges(cmap.bits))
         assert set(graph.edges) <= contact_edges
+
+    @pytest.mark.parametrize(
+        "n, spans",
+        [
+            (1, [(1, 1)]),
+            (63, [(1, 1), (3, 3), (10, 20), (21, 21), (40, 63)]),
+            (65, [(2, 30), (31, 64)]),
+            (129, [(5, 5), (6, 6), (7, 7), (60, 70), (100, 128)]),
+            (300, [(1, 40), (41, 41), (120, 180), (250, 251), (299, 300)]),
+        ],
+    )
+    def test_matches_per_contact_loop(self, n, spans):
+        # residues outside every SSE, one-residue SSEs, adjacent SSEs
+        rng = np.random.default_rng(n + 1)
+        for coords in (random_walk(n, rng), rng.uniform(-12, 12, size=(n, 3))):
+            protein = annotate(coords, spans)
+            cmap = build_contact_map(protein)
+            graph = induce_sse_in(cmap, protein)
+            assert graph == reference_induce_sse_in(cmap, protein)
+            assert all(
+                type(v) is int for edge in graph.edges for v in edge
+            ), "edges must hold Python ints"
 
     @settings(max_examples=20)
     @given(st.integers(4, 10))

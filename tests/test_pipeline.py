@@ -294,6 +294,37 @@ class TestCli:
         assert "error:" in err and "solo" in err
         assert "Traceback" not in err
 
+    def test_zero_edge_budget_predict(self, tmp_path, monkeypatch):
+        # E_p = 0: no colony edge survives, the gate rejects every attempt
+        monkeypatch.setattr("ssein.pipeline.estimate_edge_budget", lambda *args: 0)
+        query, index = write_family(tmp_path)
+        out = tmp_path / "out"
+        code = main(
+            ["predict", "--pdb", str(query), "--family", str(index),
+             "--simulations", "10", "--seed", "5", "--out", str(out)]
+        )
+        assert code == 2
+        report = json.loads((out / "report.json").read_text())
+        assert (report["e_p"], report["ac"], report["e_selected"]) == (0, None, 0)
+        assert (report["verdict"], report["attempts"]) == ("rejected", 10)
+        assert (out / "shortcut_edges.tsv").read_text() == (
+            "res_i\tres_j\tsse_i\tsse_j\tpheromone_normalized\n"
+        )
+
+    def test_zero_edge_budget_benchmark(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("ssein.pipeline.estimate_edge_budget", lambda *args: 0)
+        manifest = tmp_path / "m.tsv"
+        manifest.write_text("one\t11\t9,8,10,9,8,10,9,8\t1.0\n")
+        out = tmp_path / "bench"
+        code = main(
+            ["benchmark", "--manifest", str(manifest), "--seed", "3",
+             "--simulations", "4", "--out", str(out)]
+        )
+        assert code == 0
+        header, row = (out / "benchmark_table.tsv").read_text().splitlines()
+        fields = dict(zip(header.split("\t"), row.split("\t")))
+        assert (fields["e_p"], fields["ac"], fields["score"]) == ("0", "nan", "0.000000")
+
     def test_config_file_applies_and_flags_win(self, tmp_path):
         query, index = write_family(tmp_path)
         cfg = tmp_path / "run.cfg"
