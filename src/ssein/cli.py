@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import dataclasses
 import logging
 import os
 import sys
@@ -104,6 +103,8 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         value = getattr(args, flag, None)
         if value is not None:
             run[key] = value
+    if args.command == "benchmark":
+        run.setdefault("simulations", 20)  # desk-scale default
 
     ga = dict(sections["ga"])
     for flag, key in (
@@ -146,8 +147,6 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 
 def _cmd_benchmark(args: argparse.Namespace) -> int:
     config = _build_config(args)
-    if getattr(args, "simulations", None) is None and not _has_config_simulations(args):
-        config = dataclasses.replace(config, simulations=20)  # desk-scale default
     result = run_benchmark(config)
     out_dir = Path(config.output_dir)
     _write(out_dir, "benchmark_table.tsv", result.table_tsv())
@@ -159,15 +158,6 @@ def _cmd_benchmark(args: argparse.Namespace) -> int:
             f"ga_error={row.incidence_error_rate:.3f}"
         )
     return EXIT_OK
-
-
-def _has_config_simulations(args: argparse.Namespace) -> bool:
-    if not getattr(args, "config", None):
-        return False
-    try:
-        return "simulations" in _load_config_file(args.config)["run"]
-    except ValueError:
-        return False
 
 
 def build_parser() -> argparse.ArgumentParser:

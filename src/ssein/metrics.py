@@ -62,6 +62,15 @@ def incidence_edges(matrix: np.ndarray) -> list[Edge]:
     return [(i + 1, j + 1) for i, j in zip(rows.tolist(), cols.tolist()) if i < j]
 
 
+def incidence_matrix(edges: Iterable[Edge], size: int) -> np.ndarray:
+    """Symmetric 0/1 int8 matrix of 1-based edges: the inverse of
+    `incidence_edges`."""
+    matrix = np.zeros((size, size), dtype=np.int8)
+    for i, j in edges:
+        matrix[i - 1, j - 1] = matrix[j - 1, i - 1] = 1
+    return matrix
+
+
 def _adjacency(
     vertices: Iterable[Vertex], edges: Iterable[tuple[Vertex, Vertex]]
 ) -> dict[Vertex, set[Vertex]]:

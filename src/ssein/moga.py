@@ -1,20 +1,22 @@
 """Multi-objective evolutionary prediction of the SSE interaction graph.
 
 Chromosomes use locus-based adjacency: gene i holds an allele j in 1..M,
-read as an undirected link between SSE nodes i and j, and connected
-components of those links are the clusters.  Selection is strength-Pareto:
-raw rank sums the strengths of an individual's dominators, density is the
-inverse k-th nearest neighbour distance in normalized objective space, and
-the archive is truncated by topological deviation from the family profile.
-The returned solution is the archive member whose decoded clustering has the
-highest modularity over its own incidence graph.
+read as an undirected link between SSE nodes i and j.  An individual's one
+derived view is its sorted link set: the objectives sum over it, and the
+topological deviation from the family profile profiles it as a graph,
+memoized per link set.  Selection is strength-Pareto: raw rank sums the
+strengths of an individual's dominators, density is the inverse k-th nearest
+neighbour distance in normalized objective space, and the archive is
+truncated by that deviation.  Only the final archive is decoded into
+clusters (connected components of the links); the returned solution is the
+member whose clustering has the highest modularity over its own links.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -22,8 +24,9 @@ import numpy as np
 
 from .ingest import ProteinStructure
 from .metrics import (
+    Edge,
     TopologicalProfile,
-    incidence_edges,
+    incidence_matrix,
     left_sum,
     modularity,
     profile_deviation,
@@ -55,17 +58,6 @@ class ObjectiveVector(tuple):
         return self[2]
 
 
-@dataclass(frozen=True)
-class Clustering:
-    """Decoded view of a chromosome: cluster labels plus incidence matrix."""
-
-    assignment: dict[int, int]
-    incidence: np.ndarray
-
-    def cluster_count(self) -> int:
-        return len(set(self.assignment.values()))
-
-
 @dataclass
 class Individual:
     genes: Genes
@@ -74,13 +66,10 @@ class Individual:
     sigma_k: Optional[float] = None
     density: Optional[float] = None
     fitness: Optional[float] = None
-    _decoded: Optional[Clustering] = field(default=None, repr=False)
 
-    @property
-    def decoded(self) -> Clustering:
-        if self._decoded is None:
-            self._decoded = decode(self.genes)
-        return self._decoded
+    @cached_property
+    def links(self) -> tuple[Edge, ...]:
+        return gene_links(self.genes)
 
 
 @dataclass(frozen=True)
@@ -179,15 +168,20 @@ class SseContext:
         )
 
 
-def decode(genes: Genes) -> Clustering:
-    """Connected components of the gene-implied links, via union-find.
-
-    Cluster labels are the smallest member index of each component; the
-    incidence matrix holds 1 exactly at symmetrized gene pairs (i, g_i)
-    with i != g_i.
-    """
+def gene_links(genes: Genes) -> tuple[Edge, ...]:
+    """The sorted distinct SSE links (min(i, g_i), max(i, g_i)) with i != g_i."""
     m = len(genes)
-    parent = list(range(m + 1))
+    for g in genes:
+        if not 1 <= g <= m:
+            raise ValueError(f"allele {g} out of range 1..{m}")
+    links = {(i, g) if i < g else (g, i) for i, g in enumerate(genes, start=1) if g != i}
+    return tuple(sorted(links))
+
+
+def decode(genes: Genes) -> dict[int, int]:
+    """Cluster label of every SSE: the connected components of the gene
+    links via union-find, each labelled by its smallest member index."""
+    parent = list(range(len(genes) + 1))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -195,18 +189,11 @@ def decode(genes: Genes) -> Clustering:
             x = parent[x]
         return x
 
-    incidence = np.zeros((m, m), dtype=np.int8)
-    for i, g in enumerate(genes, start=1):
-        if not 1 <= g <= m:
-            raise ValueError(f"allele {g} out of range 1..{m}")
-        if g != i:
-            incidence[i - 1, g - 1] = incidence[g - 1, i - 1] = 1
+    for i, g in gene_links(genes):
         ri, rg = find(i), find(g)
         if ri != rg:
             parent[max(ri, rg)] = min(ri, rg)
-
-    assignment = {i: find(i) for i in range(1, m + 1)}
-    return Clustering(assignment, incidence)
+    return {i: find(i) for i in range(1, len(genes) + 1)}
 
 
 def _wrap_degrees(delta: float) -> float:
@@ -215,32 +202,27 @@ def _wrap_degrees(delta: float) -> float:
     return 360.0 - d if d > 180.0 else d
 
 
-def evaluate_objectives(genes: Genes, ctx: SseContext) -> ObjectiveVector:
-    """Mean link quality over the gene-implied SSE pairs (all minimized).
+def evaluate_objectives(links: Sequence[Edge], ctx: SseContext) -> ObjectiveVector:
+    """Mean link quality over the sorted SSE links (all minimized).
 
     o_distance: mean centroid distance; o_torsion: mean of the wrapped
-    (|dphi| + |dpsi|)/2; o_hydro: negated mean hydrophobicity product.
-    A link-free chromosome gets the worst-possible sentinel on all three.
+    (|dphi| + |dpsi|)/2; o_hydro: negated mean hydrophobicity product, each
+    summed over the links in order.  A link-free chromosome gets the
+    worst-possible sentinel on all three.
     """
-    pairs = sorted({(min(i, g), max(i, g)) for i, g in enumerate(genes, start=1) if g != i})
-    if not pairs:
+    if not links:
         return ObjectiveVector(WORST_OBJECTIVE, WORST_OBJECTIVE, WORST_OBJECTIVE)
     terms = ctx.pair_terms
     dist_sum = 0.0
     torsion_sum = 0.0
     hydro_sum = 0.0
-    for pair in pairs:
+    for pair in links:
         distance, torsion, hydro = terms[pair]
         dist_sum += distance
         torsion_sum += torsion
         hydro_sum += hydro
-    n = len(pairs)
+    n = len(links)
     return ObjectiveVector(dist_sum / n, torsion_sum / n, -hydro_sum / n)
-
-
-def dominates(a: ObjectiveVector, b: ObjectiveVector) -> bool:
-    """Pareto dominance with all objectives minimized."""
-    return all(x <= y for x, y in zip(a, b)) and any(x < y for x, y in zip(a, b))
 
 
 def strength_ranks(pool: Sequence[Individual]) -> list[float]:
@@ -301,14 +283,15 @@ def assign_fitness(pool: Sequence[Individual], k: int) -> list[float]:
 
 
 def _deviation(
-    ind: Individual, family_profile: TopologicalProfile, memo: dict[bytes, float]
+    ind: Individual, family_profile: TopologicalProfile, memo: dict[int, float]
 ) -> float:
-    """Profile deviation of the decoded graph, memoized by its packed
-    incidence bits: many chromosomes decode to the same graph."""
-    key = np.packbits(ind.decoded.incidence).tobytes()
+    """Profile deviation of the link graph, memoized by an int with one bit
+    per link: many chromosomes share a link set, and the int is smaller than
+    the link tuple."""
+    m = len(ind.genes)
+    key = sum(1 << (i * m + j) for i, j in ind.links)
     if key not in memo:
-        edges = incidence_edges(ind.decoded.incidence)
-        profile = topological_profile(range(1, len(ind.genes) + 1), edges)
+        profile = topological_profile(range(1, m + 1), ind.links)
         memo[key] = profile_deviation(profile, family_profile)
     return memo[key]
 
@@ -317,15 +300,15 @@ def environmental_selection(
     pool: Sequence[Individual],
     archive_size: int,
     family_profile: TopologicalProfile,
-    deviations: dict[bytes, float],
+    deviations: dict[int, float],
 ) -> list[Individual]:
     """Build the next archive from an evaluated pool.
 
     All non-dominated individuals are copied.  Over capacity, the member
-    whose decoded graph deviates most from the family profile is removed
+    whose link graph deviates most from the family profile is removed
     first (ties: smaller sigma_k, then lowest gene vector); under capacity,
     the best dominated individuals fill up by (fitness, deviation, genes).
-    `deviations` memoizes the deviation per decoded graph across calls.
+    `deviations` memoizes the deviation per link set across calls.
     """
 
     def deviation(ind: Individual) -> float:
@@ -383,7 +366,6 @@ def mutate(genes: Genes, rate: float, rng: np.random.Generator) -> Genes:
 @dataclass(frozen=True)
 class MogaResult:
     best: Individual
-    best_clustering: Clustering
     incidence: np.ndarray
     archive: tuple[Individual, ...]
 
@@ -398,9 +380,9 @@ def run_moga(
 
     Each generation evaluates population plus archive, re-selects the
     archive, and breeds a new population from it by binary tournament,
-    uniform crossover and mutation.  The best final-archive member by
-    decoded-clustering modularity is returned together with the
-    non-dominated archive.
+    uniform crossover and mutation.  Only the non-dominated final archive is
+    decoded: its member of highest clustering modularity is returned
+    together with that archive.
     """
     m = ctx.sse_count
     if m < 2:
@@ -412,12 +394,12 @@ def run_moga(
         population.append(Individual(tuple(int(g) for g in rng.integers(1, m + 1, size=m))))
 
     archive: list[Individual] = []
-    deviations: dict[bytes, float] = {}
+    deviations: dict[int, float] = {}
     for generation in range(params.generations):
         pool = population + archive
         for ind in pool:
             if ind.objectives is None:
-                ind.objectives = evaluate_objectives(ind.genes, ctx)
+                ind.objectives = evaluate_objectives(ind.links, ctx)
         assign_fitness(pool, min(k, len(pool) - 1))
         archive = environmental_selection(pool, params.archive_size, family_profile, deviations)
         if generation == params.generations - 1:
@@ -436,12 +418,8 @@ def run_moga(
         population = offspring
 
     final = [ind for ind in archive if ind.rank == 0]
-    scored = []
-    for ind in final:
-        edges = incidence_edges(ind.decoded.incidence)
-        q = modularity(range(1, m + 1), edges, ind.decoded.assignment)
-        scored.append((q, ind))
+    scored = [(modularity(range(1, m + 1), ind.links, decode(ind.genes)), ind) for ind in final]
     scored.sort(key=lambda pair: (-pair[0], pair[1].genes))
     best = scored[0][1]
-    return MogaResult(best, best.decoded, best.decoded.incidence.copy(), tuple(final))
+    return MogaResult(best, incidence_matrix(best.links, m), tuple(final))
 

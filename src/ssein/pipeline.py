@@ -381,7 +381,7 @@ def run_predict(config: RunConfig) -> RunReport:
 
     sse_sizes = protein.sse_sizes()
     sse_ranges = [(a.first_residue, a.last_residue) for a in protein.sse_list]
-    pairs = incidence_edges(moga.incidence)
+    pairs = moga.best.links
     heuristics = pair_heuristics(pairs, sse_sizes, matching, e_p)
     gated = gated_attempts(
         truth_graph, sse_ranges, pairs, heuristics, e_p, profile_residue, config.aco, sim_seqs

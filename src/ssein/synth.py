@@ -16,6 +16,7 @@ import numpy as np
 
 from .aco import TemplateProtein, round_half_up
 from .contact import Edge, SseInGraph
+from .metrics import incidence_matrix
 from .moga import SseContext
 
 # Per-cluster (phi, psi) signatures: same-cluster pairs have zero torsion
@@ -108,9 +109,7 @@ def make_planted_instance(
     pairs = tuple(
         (group[i], group[i + 1]) for group in groups for i in range(len(group) - 1)
     )
-    incidence = np.zeros((m, m), dtype=np.int8)
-    for a, b in pairs:
-        incidence[a - 1, b - 1] = incidence[b - 1, a - 1] = 1
+    incidence = incidence_matrix(pairs, m)
 
     shortcuts: list[Edge] = []
     for a, b in pairs:
@@ -171,11 +170,4 @@ def make_planted_instance(
         tuple(templates),
         ctx,
         boost_fraction,
-    )
-
-
-def make_ga_instance(rng: np.random.Generator) -> PlantedInstance:
-    """The shipped 8-SSE instance used by the GA quality check."""
-    return make_planted_instance(
-        "ga8", (9, 8, 10, 9, 8, 10, 9, 8), rng, shortcuts_per_pair=2, boost_fraction=1.0
     )

@@ -5,6 +5,8 @@ bond angle, torsion), so fixtures have exact, known dihedrals.  The
 two-helix protein packs two ideal helices side by side with a short loop,
 giving a realistic little SSE-IN with both intra and shortcut contacts.
 `emit_pdb` writes a structure back as PDB text for the parse round trips.
+`dominates` is the brute-force Pareto oracle and `make_ga_instance` the
+planted 8-SSE instance of the GA tests.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from ssein.ingest import THREE_TO_ONE, ProteinStructure
+from ssein.synth import PlantedInstance, make_planted_instance
 
 # Standard backbone internal coordinates.
 BOND_N_CA = 1.458
@@ -196,3 +199,15 @@ def emit_pdb(structure: ProteinStructure) -> str:
         )
     lines.append("END")
     return "\n".join(lines) + "\n"
+
+
+def dominates(a, b) -> bool:
+    """Pareto dominance with all objectives minimized."""
+    return all(x <= y for x, y in zip(a, b)) and any(x < y for x, y in zip(a, b))
+
+
+def make_ga_instance(rng: np.random.Generator) -> PlantedInstance:
+    """The shipped 8-SSE instance used by the GA quality check."""
+    return make_planted_instance(
+        "ga8", (9, 8, 10, 9, 8, 10, 9, 8), rng, shortcuts_per_pair=2, boost_fraction=1.0
+    )

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from ssein.metrics import (
     TopologicalProfile,
     incidence_edges,
+    incidence_matrix,
     is_compatible,
     matrix_error_rate,
     modularity,
@@ -82,6 +83,7 @@ class TestIncidenceEdges:
         m = (upper | upper.T).astype(np.int8)
         expected = [(i + 1, j + 1) for i in range(n) for j in range(i + 1, n) if m[i, j]]
         assert incidence_edges(m) == expected
+        assert np.array_equal(incidence_matrix(expected, n), m)
 
 
 class TestTopologicalProfile:

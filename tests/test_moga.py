@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ssein.metrics import TopologicalProfile
+from conftest import dominates, make_ga_instance
+from ssein.metrics import TopologicalProfile, incidence_matrix
 from ssein.moga import (
     WORST_OBJECTIVE,
     GaParams,
@@ -15,18 +16,18 @@ from ssein.moga import (
     SseContext,
     assign_fitness,
     binary_tournament,
+    _deviation,
     decode,
     density,
-    dominates,
     environmental_selection,
     evaluate_objectives,
+    gene_links,
     mutate,
     run_moga,
     strength_ranks,
     uniform_crossover,
 )
 from ssein.pipeline import family_sse_profile
-from ssein.synth import make_ga_instance
 
 
 def components_oracle(genes):
@@ -57,6 +58,28 @@ def components_oracle(genes):
     return label
 
 
+def incidence_oracle(genes):
+    """Symmetric incidence of the gene links, as the GA once decoded it."""
+    m = len(genes)
+    incidence = np.zeros((m, m), dtype=np.int8)
+    for i, g in enumerate(genes, start=1):
+        if not 1 <= g <= m:
+            raise ValueError(f"allele {g} out of range 1..{m}")
+        if g != i:
+            incidence[i - 1, g - 1] = incidence[g - 1, i - 1] = 1
+    return incidence
+
+
+def upper_pairs(matrix):
+    n = matrix.shape[0]
+    return [(i + 1, j + 1) for i in range(n) for j in range(i + 1, n) if matrix[i, j]]
+
+
+chromosomes = st.integers(1, 12).flatmap(
+    lambda m: st.tuples(*[st.integers(1, m) for _ in range(m)])
+)
+
+
 def mk(objectives):
     ind = Individual(genes=(1,))
     ind.objectives = ObjectiveVector(*objectives)
@@ -70,39 +93,62 @@ def mk2(a, b):
 
 class TestDecode:
     def test_seven_node_example(self):
-        clustering = decode((2, 1, 2, 3, 6, 7, 5))
+        genes = (2, 1, 2, 3, 6, 7, 5)
         groups = {}
-        for node, label in clustering.assignment.items():
+        for node, label in decode(genes).items():
             groups.setdefault(label, set()).add(node)
         assert sorted(groups.values(), key=min) == [{1, 2, 3, 4}, {5, 6, 7}]
-        assert clustering.incidence[0, 1] == 1
-        assert clustering.incidence[4, 5] == 1
-        assert np.array_equal(clustering.incidence, clustering.incidence.T)
+        links = gene_links(genes)
+        assert (1, 2) in links and (5, 6) in links
+        assert all(i < j for i, j in links)
 
     def test_all_self_loops(self):
-        clustering = decode((1, 2, 3))
-        assert clustering.cluster_count() == 3
-        assert clustering.incidence.sum() == 0
+        assert len(set(decode((1, 2, 3)).values())) == 3
+        assert gene_links((1, 2, 3)) == ()
 
     @settings(max_examples=100)
-    @given(st.integers(1, 12).flatmap(
-        lambda m: st.tuples(*[st.integers(1, m) for _ in range(m)])
-    ))
+    @given(chromosomes)
     def test_matches_bfs_oracle(self, genes):
-        clustering = decode(genes)
-        assert clustering.assignment == components_oracle(genes)
-        assert clustering.cluster_count() <= len(genes)
-        again = decode(genes)
-        assert again.assignment == clustering.assignment
-        assert np.array_equal(again.incidence, clustering.incidence)
+        labels = decode(genes)
+        assert labels == components_oracle(genes)
+        assert len(set(labels.values())) <= len(genes)
+        assert decode(genes) == labels
 
     def test_incidence_has_exactly_gene_pairs(self):
-        genes = (3, 3, 1, 4)
-        inc = decode(genes).incidence
-        expected = {(0, 2), (1, 2)}  # 0-based symmetric pairs; gene 4 self-loop
-        found = {(i, j) for i in range(4) for j in range(i + 1, 4) if inc[i, j]}
-        assert found == expected
-        assert np.diagonal(inc).sum() == 0
+        # gene 2 repeats link (2, 3) from gene 3's side; gene 4 is a self-loop
+        assert gene_links((3, 3, 1, 4)) == ((1, 3), (2, 3))
+
+    @settings(max_examples=200)
+    @given(chromosomes)
+    def test_links_match_incidence_oracle(self, genes):
+        incidence = incidence_oracle(genes)
+        links = gene_links(genes)
+        assert list(links) == upper_pairs(incidence)
+        assert np.array_equal(incidence_matrix(links, len(genes)), incidence)
+
+    @pytest.mark.parametrize("genes, allele", [((1, 5, 2), 5), ((0, 1), 0), ((2, 1, -1), -1)])
+    def test_out_of_range_allele_is_named(self, genes, allele):
+        message = f"allele {allele} out of range 1..{len(genes)}"
+        with pytest.raises(ValueError, match=message):
+            gene_links(genes)
+        with pytest.raises(ValueError, match=message):
+            decode(genes)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 5).flatmap(
+        lambda m: st.tuples(*[st.tuples(*[st.integers(1, m)] * m)] * 2)
+    ))
+    def test_deviation_memo_key_is_the_link_set(self, pair):
+        # two chromosomes share one memo entry exactly when their links agree
+        memo = {}
+        a, b = (Individual(genes) for genes in pair)
+        first = _deviation(a, FAMILY, memo)
+        second = _deviation(b, FAMILY, memo)
+        assert (len(memo) == 1) == (a.links == b.links)
+        assert (len(memo) == 1) == (upper_pairs(incidence_oracle(a.genes))
+                                    == upper_pairs(incidence_oracle(b.genes)))
+        if len(memo) == 1:
+            assert first == second
 
 
 class TestObjectives:
@@ -116,11 +162,11 @@ class TestObjectives:
         )
 
     def test_self_loops_get_sentinel(self):
-        obj = evaluate_objectives((1, 2), self.ctx_two_sse())
+        obj = evaluate_objectives(gene_links((1, 2)), self.ctx_two_sse())
         assert obj == (WORST_OBJECTIVE,) * 3
 
     def test_single_pair_means(self):
-        obj = evaluate_objectives((2, 1), self.ctx_two_sse())
+        obj = evaluate_objectives(gene_links((2, 1)), self.ctx_two_sse())
         assert obj.o_distance == pytest.approx(10.0)
         assert obj.o_torsion == pytest.approx(0.0)
         assert obj.o_hydro == pytest.approx(-6.0)
@@ -133,7 +179,7 @@ class TestObjectives:
             mean_hydro=np.ones(2),
             sse_sizes=(3, 3),
         )
-        obj = evaluate_objectives((2, 1), ctx)
+        obj = evaluate_objectives(gene_links((2, 1)), ctx)
         assert obj.o_torsion == pytest.approx(10.0)
 
     def test_matches_independent_recomputation(self):
@@ -164,7 +210,7 @@ class TestObjectives:
             ]
         )
         hydro = -np.mean([ctx.mean_hydro[i - 1] * ctx.mean_hydro[j - 1] for i, j in pairs])
-        obj = evaluate_objectives(genes, ctx)
+        obj = evaluate_objectives(gene_links(genes), ctx)
         assert obj.o_distance == pytest.approx(dist, abs=1e-9)
         assert obj.o_torsion == pytest.approx(torsion, abs=1e-9)
         assert obj.o_hydro == pytest.approx(hydro, abs=1e-9)
@@ -319,8 +365,6 @@ class TestEnvironmentalSelection:
         pool = evaluated_pool(rows, genes_len=5)
         archive = environmental_selection(pool, 5, FAMILY, {})
         assert len(archive) == 5
-        from ssein.moga import _deviation
-
         kept = sorted(_deviation(i, FAMILY, {}) for i in archive)
         dropped = sorted(
             _deviation(i, FAMILY, {}) for i in pool if i not in archive

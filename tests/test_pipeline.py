@@ -343,6 +343,31 @@ class TestCli:
         assert report["config"]["ga"]["generations"] == 20
         assert report["config"]["aco"]["max_iterations"] == 50
 
+    @pytest.mark.parametrize(
+        "config_text, flags, expected",
+        [
+            (None, [], 20),  # the benchmark's own default
+            ("[run]\nsimulations = 3\n", [], 3),
+            ("[run]\nsimulations = 3\n", ["--simulations", "2"], 2),
+            (None, ["--simulations", "2"], 2),
+        ],
+        ids=["default", "file", "flag-over-file", "flag"],
+    )
+    def test_benchmark_simulations_default_file_and_flag(
+        self, tmp_path, config_text, flags, expected
+    ):
+        manifest = tmp_path / "m.tsv"
+        manifest.write_text("small\t3\t5,5,5,5\t1.0\n")
+        out = tmp_path / "bench"
+        argv = ["benchmark", "--manifest", str(manifest), "--out", str(out), *flags]
+        if config_text is not None:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(config_text)
+            argv += ["--config", str(cfg)]
+        assert main(argv) == 0
+        header, row = (out / "benchmark_table.tsv").read_text().splitlines()
+        assert dict(zip(header.split("\t"), row.split("\t")))["simulations"] == str(expected)
+
     def test_bad_config_key_exits_one(self, tmp_path, capsys):
         query, index = write_family(tmp_path)
         cfg = tmp_path / "run.cfg"

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from ssein.moga import decode
-from ssein.synth import make_ga_instance, make_planted_instance
+from conftest import make_ga_instance
+from ssein.metrics import incidence_edges, incidence_matrix
+from ssein.moga import gene_links
+from ssein.synth import make_planted_instance
 
 
 class TestPlantedInstance:
@@ -26,14 +28,15 @@ class TestPlantedInstance:
         assert inst.true_incidence.sum() == 2 * len(inst.incidence_pairs)
 
     def test_incidence_is_chromosome_representable(self):
-        # a gene vector linking consecutive cluster members decodes to the
-        # planted incidence exactly
+        # a gene vector linking consecutive cluster members has exactly the
+        # planted incidence pairs as its links
         inst = make_ga_instance(np.random.default_rng(3))
         genes = list(range(1, inst.sse_count + 1))
         for a, b in inst.incidence_pairs:
             genes[a - 1] = b
-        clustering = decode(tuple(genes))
-        assert np.array_equal(clustering.incidence, inst.true_incidence)
+        links = gene_links(tuple(genes))
+        assert list(links) == incidence_edges(inst.true_incidence)
+        assert np.array_equal(incidence_matrix(links, inst.sse_count), inst.true_incidence)
 
     def test_boost_fraction_counts(self):
         inst = make_planted_instance(
