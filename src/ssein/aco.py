@@ -7,6 +7,12 @@ normalized pheromone clears lambda_min survive as candidates.  Stage two
 runs the same dynamics over the whole candidate network and keeps the E_p
 top-pheromone edges, where E_p comes from family template edge rates.
 
+A template's residues are placed in its SSEs in one place,
+`TemplateProtein.shortcut_cells`: each shortcut edge becomes two (SSE index,
+relative position) cells.  The occurrence matrices count those cells, and
+the template's SSE graph is their sorted set of SSE links (`sse_links`);
+no SSE-level adjacency matrix is built.
+
 Pheromone updates follow tau = (1 - rho) tau + n_moves * delta_tau on
 inter-SSE edges, while intra-SSE edges stay pinned to the inter-SSE mean.
 Transition weights tau^alpha * s^beta are evaluated in log space so the
@@ -84,7 +90,8 @@ def allele_distance(a: Sequence[int], b: Sequence[int]) -> int:
 
 @dataclass(frozen=True)
 class TemplateProtein:
-    """A family member reduced to what the comparative model needs."""
+    """A protein, family member or query, reduced to what the comparative
+    model needs."""
 
     protein_id: str
     sse_sizes: tuple[int, ...]
@@ -114,18 +121,28 @@ class TemplateProtein:
     def shortcut_rate(self) -> float:
         return self.shortcut_count / self.residue_total
 
-    def sse_positions(self) -> dict[int, tuple[int, float]]:
-        """Residue -> (1-based SSE index, relative position in (0, 1]) for
-        every residue of an SSE range."""
-        return {
+    def shortcut_cells(self) -> list[tuple[tuple[int, float], tuple[int, float]]]:
+        """Per shortcut edge (u, w), ((k_u, r_u), (k_w, r_w)): each endpoint's
+        1-based SSE index and relative position in (0, 1] within that SSE."""
+        position = {
             v: (k, (v - first + 1) / (last - first + 1))
             for k, (first, last) in enumerate(self.sse_ranges, start=1)
             for v in range(first, last + 1)
         }
+        try:
+            return [(position[u], position[w]) for u, w in self.graph.shortcut_edges]
+        except KeyError as missing:
+            raise ValueError(
+                f"template {self.protein_id}: vertex {missing.args[0]} "
+                "is outside every SSE range"
+            ) from None
 
-    def sse_adjacency(self) -> np.ndarray:
-        order = [self.graph.sse_of[first] for first, _ in self.sse_ranges]
-        return self.graph.sse_adjacency(order)
+    def sse_links(self) -> list[tuple[int, int]]:
+        """The SSE graph: sorted distinct 1-based SSE pairs (a, b), a < b,
+        joined by at least one shortcut edge."""
+        return sorted(
+            {(ku, kw) if ku < kw else (kw, ku) for (ku, _), (kw, _) in self.shortcut_cells()}
+        )
 
     @classmethod
     def from_structure(cls, protein: ProteinStructure, threshold: float = 7.0) -> "TemplateProtein":
@@ -161,45 +178,31 @@ def estimate_edge_budget(
     return round_half_up(mean_rate * cumulated)
 
 
-def build_occurrence_matrix(
+def occurrence_matrices(
     templates: Sequence[TemplateProtein],
-    pair: tuple[int, int],
-    n: int,
-    m: int,
-    positions: Optional[Sequence[Mapping[int, tuple[int, float]]]] = None,
-) -> np.ndarray:
-    """Occurrence matrix Q for an SSE pair, with add-one smoothing.
+    pairs: Sequence[tuple[int, int]],
+    sizes: Sequence[int],
+) -> list[np.ndarray]:
+    """Occurrence matrix Q per SSE pair (a, b), with add-one smoothing.
 
-    Template shortcut edges between the pair's SSEs are mapped by nearest
-    relative position onto the n x m query cells and counted; the +1
-    smoothing keeps every transition weight positive.  `positions` holds
-    each template's `sse_positions()`, so callers that build several pairs
-    make the tables once.
+    Q is sizes[a - 1] x sizes[b - 1].  Template shortcut edges between SSEs
+    a and b, in either orientation, are mapped by nearest relative position
+    onto the query cells and counted; the +1 smoothing keeps every
+    transition weight positive.  Pairs must be distinct, with a != b.
     """
-    if positions is None:
-        positions = [t.sse_positions() for t in templates]
-    a, b = pair
-    counts = np.zeros((n, m), dtype=float)
-    for t, table in zip(templates, positions):
-        for u, w in t.graph.shortcut_edges:
-            try:
-                ku, ru = table[u]
-                kw, rw = table[w]
-            except KeyError as missing:
-                raise ValueError(
-                    f"template {t.protein_id}: vertex {missing.args[0]} "
-                    "is outside every SSE range"
-                ) from None
-            if (ku, kw) == (a, b):
-                ra, rb = ru, rw
-            elif (ku, kw) == (b, a):
-                ra, rb = rw, ru
-            else:
-                continue
-            i = min(max(round_half_up(ra * n), 1), n)
-            j = min(max(round_half_up(rb * m), 1), m)
-            counts[i - 1, j - 1] += 1
-    return counts + 1.0
+    index = {pair: k for k, pair in enumerate(pairs)}
+    counts = [np.zeros((sizes[a - 1], sizes[b - 1])) for a, b in pairs]
+    for t in templates:
+        for (ku, ru), (kw, rw) in t.shortcut_cells():
+            for pair, ra, rb in (((ku, kw), ru, rw), ((kw, ku), rw, ru)):
+                k = index.get(pair)
+                if k is None:
+                    continue
+                n, m = counts[k].shape
+                i = min(max(round_half_up(ra * n), 1), n)
+                j = min(max(round_half_up(rb * m), 1), m)
+                counts[k][i - 1, j - 1] += 1
+    return [q + 1.0 for q in counts]
 
 
 def edge_probabilities(q: np.ndarray, e: float) -> np.ndarray:

@@ -11,12 +11,12 @@ time: the squared distance is `(dx*dx + dy*dy) + dz*dz`, the association
 numpy's length-3 `sum` over an (N, N, 3) difference array uses, then `sqrt`
 and the strict comparison.  The bits are those of the full-array formula,
 while memory stays at the (N, N) uint8 map plus a few (64, N) float rows.
+`ContactMap` checks symmetry in the same row blocks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -38,8 +38,11 @@ class ContactMap:
             raise ValueError("contact map must be square")
         if np.any(np.diag(b)):
             raise ValueError("contact map diagonal must be zero")
-        if not np.array_equal(b, b.T):
-            raise ValueError("contact map must be symmetric")
+        # Block by block, so no N x N temporary is made.
+        for start in range(0, b.shape[0], BLOCK_ROWS):
+            rows = slice(start, start + BLOCK_ROWS)
+            if not np.array_equal(b[rows], b[:, rows].T):
+                raise ValueError("contact map must be symmetric")
 
     @property
     def n(self) -> int:
@@ -100,16 +103,6 @@ class SseInGraph:
     @property
     def edges(self) -> tuple[Edge, ...]:
         return self.intra_edges + self.shortcut_edges
-
-    def sse_adjacency(self, sse_order: Iterable[str]) -> np.ndarray:
-        """0-1 SSE-level adjacency implied by the shortcut edges."""
-        order = list(sse_order)
-        pos = {sse_id: k for k, sse_id in enumerate(order)}
-        m = np.zeros((len(order), len(order)), dtype=np.int8)
-        for i, j in self.shortcut_edges:
-            a, b = pos[self.sse_of[i]], pos[self.sse_of[j]]
-            m[a, b] = m[b, a] = 1
-        return m
 
 
 def induce_sse_in(cmap: ContactMap, protein: ProteinStructure) -> SseInGraph:

@@ -55,16 +55,9 @@ def left_sum(values: Iterable[float]) -> float:
     return total
 
 
-def incidence_edges(matrix: np.ndarray) -> list[Edge]:
-    """Nonzero upper-triangle cells of a square matrix as 1-based (i, j)
-    pairs with i < j, in row-major order."""
-    rows, cols = np.nonzero(matrix)
-    return [(i + 1, j + 1) for i, j in zip(rows.tolist(), cols.tolist()) if i < j]
-
-
 def incidence_matrix(edges: Iterable[Edge], size: int) -> np.ndarray:
-    """Symmetric 0/1 int8 matrix of 1-based edges: the inverse of
-    `incidence_edges`."""
+    """Symmetric 0/1 int8 matrix of 1-based edges, for the consumers that
+    need a matrix: the error rate and the incidence outputs."""
     matrix = np.zeros((size, size), dtype=np.int8)
     for i, j in edges:
         matrix[i - 1, j - 1] = matrix[j - 1, i - 1] = 1

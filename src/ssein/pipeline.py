@@ -4,14 +4,20 @@ Prediction and benchmark share one path.  `_family_profiles` profiles the
 template family (failing fast on a family the topology gate cannot use);
 `_ga_stage` splits the seed, runs the evolutionary SSE-graph stage and
 estimates the edge budget.  `gated_attempts` then yields one colony
-simulation at a time: the two-stage ant colony, the built SSE-IN, its
-topological profile (computed once) and the family gate's verdict.
+simulation at a time: the two-stage ant colony, the topological profile of
+the built SSE-IN (the query's intra-SSE edges plus the selected shortcuts,
+profiled once) and the family gate's verdict.
 `run_predict` stops at the first accepted attempt and reports it, or the
 last attempt if none passes;
 `run_benchmark` consumes every attempt of each planted instance and scores
 the GA against the planted incidence and the colonies (fed the planted
 incidence, mirroring how the stages are analysed separately) against the
 planted shortcut edges.
+
+An SSE graph is a sorted set of 1-based SSE links throughout: the GA's
+best individual, the query's and each template's `sse_links()`, and the
+planted pairs.  The M x M incidence matrix is built only where a matrix is
+consumed: the error rate, `report.json` and `sse_incidence.tsv`.
 
 Reports serialize deterministically: with an identical config and seed the
 emitted JSON and TSV bytes are identical run to run.  Stage timings are
@@ -36,13 +42,13 @@ from .aco import (
     HeuristicMatrix,
     TemplateProtein,
     allocate_pair_budgets,
-    build_occurrence_matrix,
     estimate_edge_budget,
     global_aco,
     local_aco,
+    occurrence_matrices,
     validate_built_network,
 )
-from .contact import Edge, SseInGraph, build_contact_map, induce_sse_in
+from .contact import Edge, SseInGraph
 from .ingest import (
     FamilyIndex,
     compute_backbone_dihedrals,
@@ -51,7 +57,7 @@ from .ingest import (
 )
 from .metrics import (
     TopologicalProfile,
-    incidence_edges,
+    incidence_matrix,
     left_sum,
     matrix_error_rate,
     prediction_accuracy,
@@ -116,12 +122,9 @@ def mean_profile(profiles: Sequence[TopologicalProfile]) -> TopologicalProfile:
 
 
 def family_sse_profile(templates: Sequence[TemplateProtein]) -> TopologicalProfile:
-    """Mean profile of the templates' SSE-level adjacency graphs."""
+    """Mean profile of the templates' SSE graphs, given by their links."""
     return mean_profile(
-        [
-            topological_profile(range(1, t.sse_count + 1), incidence_edges(t.sse_adjacency()))
-            for t in templates
-        ]
+        [topological_profile(range(1, t.sse_count + 1), t.sse_links()) for t in templates]
     )
 
 
@@ -171,13 +174,7 @@ def pair_heuristics(
     e_total: int,
 ) -> list[HeuristicMatrix]:
     """Per-pair occurrence matrices with the edge budget split by Q mass."""
-    positions = [t.sse_positions() for t in templates]
-    qs = [
-        build_occurrence_matrix(
-            templates, (a, b), sse_sizes[a - 1], sse_sizes[b - 1], positions
-        )
-        for a, b in pairs
-    ]
+    qs = occurrence_matrices(templates, pairs, sse_sizes)
     budgets = allocate_pair_budgets(e_total, [float(q.sum()) for q in qs])
     return [HeuristicMatrix.from_q(q, e) for q, e in zip(qs, budgets)]
 
@@ -339,8 +336,7 @@ def gated_attempts(
             params,
             seq,
         )
-        built = SseInGraph(graph.vertices, graph.intra_edges, outcome.selected, graph.sse_of)
-        profile = topological_profile(built.vertices, built.edges)
+        profile = topological_profile(graph.vertices, graph.intra_edges + outcome.selected)
         yield outcome, profile, validate_built_network(profile, family_profile, tol=0.2)
 
 
@@ -353,22 +349,23 @@ def run_predict(config: RunConfig) -> RunReport:
     pdb_path = Path(config.pdb_path)
     parsed = parse_pdb_detailed(pdb_path.read_text(), protein_id=pdb_path.stem)
     protein = compute_backbone_dihedrals(parsed.structure, parsed.backbone)
-    if parsed.dropped_residues:
-        logger.info("%s: dropped %d residues without usable Cα",
-                    protein.id, parsed.dropped_residues)
+    if parsed.dropped_residues or parsed.skipped_annotations:
+        logger.info(
+            "%s: dropped %d residues without usable Cα, skipped %d HELIX/SHEET records",
+            protein.id, parsed.dropped_residues, parsed.skipped_annotations,
+        )
     if len(protein.sse_list) < 2:
         raise ValueError(f"{protein.id}: need at least 2 SSEs, found {len(protein.sse_list)}")
 
-    cmap = build_contact_map(protein, config.threshold)
-    truth_graph = induce_sse_in(cmap, protein)
+    query = TemplateProtein.from_structure(protein, config.threshold)
 
     index_path = Path(config.family_index_path)
     index = load_family_index(index_path.read_text(), family_id=index_path.stem)
     templates = load_templates(index, index_path.parent, config.threshold)
-    matching = [t for t in templates if t.sse_count == len(protein.sse_list)]
+    matching = [t for t in templates if t.sse_count == query.sse_count]
     if not matching:
         raise FamilyMatchError(
-            f"family {index.family_id} has no template with {len(protein.sse_list)} SSEs"
+            f"family {index.family_id} has no template with {query.sse_count} SSEs"
         )
     t_ingest = time.perf_counter()
 
@@ -379,12 +376,11 @@ def run_predict(config: RunConfig) -> RunReport:
     )
     t_moga = time.perf_counter()
 
-    sse_sizes = protein.sse_sizes()
-    sse_ranges = [(a.first_residue, a.last_residue) for a in protein.sse_list]
     pairs = moga.best.links
-    heuristics = pair_heuristics(pairs, sse_sizes, matching, e_p)
+    heuristics = pair_heuristics(pairs, query.sse_sizes, matching, e_p)
     gated = gated_attempts(
-        truth_graph, sse_ranges, pairs, heuristics, e_p, profile_residue, config.aco, sim_seqs
+        query.graph, query.sse_ranges, pairs, heuristics, e_p, profile_residue,
+        config.aco, sim_seqs,
     )
     # simulations >= 1, so the loop always binds the reported attempt
     for attempt, (outcome, built_profile, accepted) in enumerate(gated, start=1):
@@ -393,25 +389,20 @@ def run_predict(config: RunConfig) -> RunReport:
     verdict = "accepted" if accepted else "rejected"
     t_aco = time.perf_counter()
 
-    e_real = len(truth_graph.shortcut_edges)
-    truth_incidence = truth_graph.sse_adjacency([a.sse_id for a in protein.sse_list])
+    e_real = query.shortcut_count
+    truth_incidence = incidence_matrix(query.sse_links(), query.sse_count)
     score = None
     if e_real:
-        score = len(set(outcome.selected) & set(truth_graph.shortcut_edges)) / e_real
+        score = len(set(outcome.selected) & set(query.graph.shortcut_edges)) / e_real
+    sse_of = query.graph.sse_of
     rows = [
-        (
-            u,
-            v,
-            truth_graph.sse_of[u],
-            truth_graph.sse_of[v],
-            outcome.normalized_tau.get((u, v), 0.0),
-        )
+        (u, v, sse_of[u], sse_of[v], outcome.normalized_tau.get((u, v), 0.0))
         for u, v in outcome.selected
     ]
     report = RunReport(
         protein_id=protein.id,
-        sse_count=len(protein.sse_list),
-        sse_sizes=sse_sizes,
+        sse_count=query.sse_count,
+        sse_sizes=query.sse_sizes,
         incidence=moga.incidence,
         e_p=e_p,
         e_candidates=len(outcome.candidates),
@@ -541,7 +532,8 @@ def benchmark_instance(
     moga, e_p, sim_seqs = _ga_stage(
         instance.ctx, instance.templates, profile_sse, config, seed_seq
     )
-    error_rate = matrix_error_rate(moga.incidence, instance.true_incidence)
+    truth_incidence = incidence_matrix(instance.incidence_pairs, instance.sse_count)
+    error_rate = matrix_error_rate(moga.incidence, truth_incidence)
 
     pairs = list(instance.incidence_pairs)
     heuristics = pair_heuristics(pairs, instance.sse_sizes, instance.templates, e_p)

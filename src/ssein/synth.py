@@ -16,7 +16,6 @@ import numpy as np
 
 from .aco import TemplateProtein, round_half_up
 from .contact import Edge, SseInGraph
-from .metrics import incidence_matrix
 from .moga import SseContext
 
 # Per-cluster (phi, psi) signatures: same-cluster pairs have zero torsion
@@ -31,7 +30,6 @@ class PlantedInstance:
     sse_ranges: tuple[tuple[int, int], ...]
     sse_ids: tuple[str, ...]
     incidence_pairs: tuple[tuple[int, int], ...]  # 1-based SSE pairs, a < b
-    true_incidence: np.ndarray
     true_shortcuts: tuple[Edge, ...]
     boosted_shortcuts: tuple[Edge, ...]
     graph: SseInGraph
@@ -109,7 +107,6 @@ def make_planted_instance(
     pairs = tuple(
         (group[i], group[i + 1]) for group in groups for i in range(len(group) - 1)
     )
-    incidence = incidence_matrix(pairs, m)
 
     shortcuts: list[Edge] = []
     for a, b in pairs:
@@ -163,7 +160,6 @@ def make_planted_instance(
         sse_ranges,
         sse_ids,
         pairs,
-        incidence,
         true_shortcuts,
         boosted,
         graph,

