@@ -30,6 +30,7 @@ regroup numpy's pairwise row sum and move its last bit.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -56,6 +57,10 @@ class AcoParams:
     initial_tau: Optional[float] = None  # default: delta_tau * |inter edges| / (1 - rho)
 
     def __post_init__(self):
+        for name in ("alpha", "beta", "delta_tau", "e_stop", "initial_tau"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.alpha < 0 or self.beta < 0:
             raise ValueError("alpha and beta must be nonnegative")
         if not 0.0 < self.rho < 1.0:
@@ -101,9 +106,14 @@ class TemplateProtein:
     def __post_init__(self):
         if len(self.sse_sizes) != len(self.sse_ranges):
             raise ValueError("sse_sizes and sse_ranges must align")
+        previous_last = 0
         for size, (first, last) in zip(self.sse_sizes, self.sse_ranges):
             if last - first + 1 != size:
                 raise ValueError(f"range ({first}, {last}) does not match size {size}")
+            # shortcut_cells bisects the first residues
+            if first <= previous_last:
+                raise ValueError(f"range ({first}, {last}) does not follow the previous SSE")
+            previous_last = last
 
     @property
     def sse_count(self) -> int:
@@ -124,18 +134,19 @@ class TemplateProtein:
     def shortcut_cells(self) -> list[tuple[tuple[int, float], tuple[int, float]]]:
         """Per shortcut edge (u, w), ((k_u, r_u), (k_w, r_w)): each endpoint's
         1-based SSE index and relative position in (0, 1] within that SSE."""
-        position = {
-            v: (k, (v - first + 1) / (last - first + 1))
-            for k, (first, last) in enumerate(self.sse_ranges, start=1)
-            for v in range(first, last + 1)
-        }
-        try:
-            return [(position[u], position[w]) for u, w in self.graph.shortcut_edges]
-        except KeyError as missing:
+        firsts = [first for first, _ in self.sse_ranges]
+
+        def cell(v: int) -> tuple[int, float]:
+            k = bisect_right(firsts, v)  # the last SSE starting at or before v
+            if k:
+                first, last = self.sse_ranges[k - 1]
+                if v <= last:
+                    return k, (v - first + 1) / (last - first + 1)
             raise ValueError(
-                f"template {self.protein_id}: vertex {missing.args[0]} "
-                "is outside every SSE range"
-            ) from None
+                f"template {self.protein_id}: vertex {v} is outside every SSE range"
+            )
+
+        return [(cell(u), cell(w)) for u, w in self.graph.shortcut_edges]
 
     def sse_links(self) -> list[tuple[int, int]]:
         """The SSE graph: sorted distinct 1-based SSE pairs (a, b), a < b,

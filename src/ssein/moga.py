@@ -34,37 +34,19 @@ from .metrics import (
 )
 
 Genes = tuple[int, ...]
+# (o_distance, o_torsion, o_hydro), all minimized.
+Objectives = tuple[float, float, float]
 
 # Objective sentinel for chromosomes that imply no links at all.
 WORST_OBJECTIVE = sys.float_info.max
 
 
-class ObjectiveVector(tuple):
-    """(o_distance, o_torsion, o_hydro) triple, all minimized."""
-
-    def __new__(cls, o_distance: float, o_torsion: float, o_hydro: float):
-        return super().__new__(cls, (float(o_distance), float(o_torsion), float(o_hydro)))
-
-    @property
-    def o_distance(self) -> float:
-        return self[0]
-
-    @property
-    def o_torsion(self) -> float:
-        return self[1]
-
-    @property
-    def o_hydro(self) -> float:
-        return self[2]
-
-
 @dataclass
 class Individual:
     genes: Genes
-    objectives: Optional[ObjectiveVector] = None
+    objectives: Optional[Objectives] = None
     rank: Optional[float] = None
     sigma_k: Optional[float] = None
-    density: Optional[float] = None
     fitness: Optional[float] = None
 
     @cached_property
@@ -202,7 +184,7 @@ def _wrap_degrees(delta: float) -> float:
     return 360.0 - d if d > 180.0 else d
 
 
-def evaluate_objectives(links: Sequence[Edge], ctx: SseContext) -> ObjectiveVector:
+def evaluate_objectives(links: Sequence[Edge], ctx: SseContext) -> Objectives:
     """Mean link quality over the sorted SSE links (all minimized).
 
     o_distance: mean centroid distance; o_torsion: mean of the wrapped
@@ -211,7 +193,7 @@ def evaluate_objectives(links: Sequence[Edge], ctx: SseContext) -> ObjectiveVect
     worst-possible sentinel on all three.
     """
     if not links:
-        return ObjectiveVector(WORST_OBJECTIVE, WORST_OBJECTIVE, WORST_OBJECTIVE)
+        return WORST_OBJECTIVE, WORST_OBJECTIVE, WORST_OBJECTIVE
     terms = ctx.pair_terms
     dist_sum = 0.0
     torsion_sum = 0.0
@@ -222,7 +204,7 @@ def evaluate_objectives(links: Sequence[Edge], ctx: SseContext) -> ObjectiveVect
         torsion_sum += torsion
         hydro_sum += hydro
     n = len(links)
-    return ObjectiveVector(dist_sum / n, torsion_sum / n, -hydro_sum / n)
+    return dist_sum / n, torsion_sum / n, -hydro_sum / n
 
 
 def strength_ranks(pool: Sequence[Individual]) -> list[float]:
@@ -268,18 +250,12 @@ def density(pool: Sequence[Individual], k: int) -> list[tuple[float, float]]:
     return [(sigma, 1.0 / (sigma + 1.0)) for sigma in sigmas]
 
 
-def assign_fitness(pool: Sequence[Individual], k: int) -> list[float]:
-    """Compute rank, sigma_k, density and fitness = rank + density in place."""
-    ranks = strength_ranks(pool)
-    dens = density(pool, k)
-    fitnesses = []
-    for ind, r, (sigma, m) in zip(pool, ranks, dens):
+def assign_fitness(pool: Sequence[Individual], k: int) -> None:
+    """Set rank, sigma_k and fitness = rank + density in place."""
+    for ind, r, (sigma, m) in zip(pool, strength_ranks(pool), density(pool, k)):
         ind.rank = r
         ind.sigma_k = sigma
-        ind.density = m
         ind.fitness = r + m
-        fitnesses.append(ind.fitness)
-    return fitnesses
 
 
 def _deviation(

@@ -10,14 +10,16 @@ profiled once) and the family gate's verdict.
 `run_predict` stops at the first accepted attempt and reports it, or the
 last attempt if none passes;
 `run_benchmark` consumes every attempt of each planted instance and scores
-the GA against the planted incidence and the colonies (fed the planted
-incidence, mirroring how the stages are analysed separately) against the
-planted shortcut edges.
+the GA against the planted SSE graph and the colonies (fed the planted SSE
+pairs, mirroring how the stages are analysed separately) against the
+planted shortcut edges.  Both read a query's truth the same way: a planted
+instance is a `TemplateProtein` query, and its `sse_links()` and
+`graph.shortcut_edges` are the true SSE graph and shortcuts.
 
 An SSE graph is a sorted set of 1-based SSE links throughout: the GA's
-best individual, the query's and each template's `sse_links()`, and the
-planted pairs.  The M x M incidence matrix is built only where a matrix is
-consumed: the error rate, `report.json` and `sse_incidence.tsv`.
+best individual, and the query's and each template's `sse_links()`.  The
+M x M incidence matrix is built only where a matrix is consumed: the error
+rate, `report.json` and `sse_incidence.tsv`.
 
 Reports serialize deterministically: with an identical config and seed the
 emitted JSON and TSV bytes are identical run to run.  Stage timings are
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import statistics
 import time
 from dataclasses import dataclass, field, asdict
@@ -48,7 +51,7 @@ from .aco import (
     occurrence_matrices,
     validate_built_network,
 )
-from .contact import Edge, SseInGraph
+from .contact import Edge
 from .ingest import (
     FamilyIndex,
     compute_backbone_dihedrals,
@@ -87,8 +90,8 @@ class RunConfig:
     output_dir: str = "."
 
     def __post_init__(self):
-        if self.threshold <= 0:
-            raise ValueError("threshold must be positive")
+        if not 0 < self.threshold < math.inf:
+            raise ValueError(f"threshold must be positive and finite, got {self.threshold}")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
         if self.simulations < 1:
@@ -164,7 +167,6 @@ class AttemptOutcome:
     candidates: tuple[Edge, ...]
     selected: tuple[Edge, ...]
     normalized_tau: dict[Edge, float]
-    shortfall: int
 
 
 def pair_heuristics(
@@ -180,34 +182,32 @@ def pair_heuristics(
 
 
 def aco_attempt(
+    query: TemplateProtein,
     pairs: Sequence[tuple[int, int]],
     heuristics: Sequence[HeuristicMatrix],
-    sse_ranges: Sequence[tuple[int, int]],
-    graph_vertices: Sequence[int],
-    intra_edges: Sequence[Edge],
     e_p: int,
     params: AcoParams,
     seed_seq: np.random.SeedSequence,
 ) -> AttemptOutcome:
-    """One full colony simulation: local stage per pair, then the global pick."""
+    """One full colony simulation on the query: local stage per SSE pair,
+    then the global pick over the query's SSE-IN."""
     streams = seed_seq.spawn(len(pairs) + 1)
     candidates: dict[Edge, float] = {}
     for k, ((a, b), h) in enumerate(zip(pairs, heuristics)):
         n, m = h.s.shape
         rng = np.random.default_rng(streams[k])
         result = local_aco((n, m), h, params, rng)
-        first_a, first_b = sse_ranges[a - 1][0], sse_ranges[b - 1][0]
+        first_a, first_b = query.sse_ranges[a - 1][0], query.sse_ranges[b - 1][0]
         for i, j in result.cells:
             u, v = first_a + i - 1, first_b + j - 1
             edge = (u, v) if u < v else (v, u)
             candidates[edge] = float(h.s[i - 1, j - 1])
     if e_p <= 0 or not candidates:
-        return AttemptOutcome(tuple(sorted(candidates)), (), {}, max(e_p, 0))
+        return AttemptOutcome(tuple(sorted(candidates)), (), {})
     rng_global = np.random.default_rng(streams[-1])
-    result = global_aco(graph_vertices, intra_edges, candidates, e_p, params, rng_global)
-    return AttemptOutcome(
-        tuple(sorted(candidates)), result.selected, result.normalized_tau, result.shortfall
-    )
+    graph = query.graph
+    result = global_aco(graph.vertices, graph.intra_edges, candidates, e_p, params, rng_global)
+    return AttemptOutcome(tuple(sorted(candidates)), result.selected, result.normalized_tau)
 
 
 @dataclass
@@ -310,8 +310,7 @@ def _ga_stage(
 
 
 def gated_attempts(
-    graph: SseInGraph,
-    sse_ranges: Sequence[tuple[int, int]],
+    query: TemplateProtein,
     pairs: Sequence[tuple[int, int]],
     heuristics: Sequence[HeuristicMatrix],
     e_p: int,
@@ -325,17 +324,9 @@ def gated_attempts(
     Yields (outcome, built profile, accepted) per attempt, lazily, so a
     caller may stop at the first accepted one.
     """
+    graph = query.graph
     for seq in sim_seqs:
-        outcome = aco_attempt(
-            pairs,
-            heuristics,
-            sse_ranges,
-            graph.vertices,
-            graph.intra_edges,
-            e_p,
-            params,
-            seq,
-        )
+        outcome = aco_attempt(query, pairs, heuristics, e_p, params, seq)
         profile = topological_profile(graph.vertices, graph.intra_edges + outcome.selected)
         yield outcome, profile, validate_built_network(profile, family_profile, tol=0.2)
 
@@ -379,8 +370,7 @@ def run_predict(config: RunConfig) -> RunReport:
     pairs = moga.best.links
     heuristics = pair_heuristics(pairs, query.sse_sizes, matching, e_p)
     gated = gated_attempts(
-        query.graph, query.sse_ranges, pairs, heuristics, e_p, profile_residue,
-        config.aco, sim_seqs,
+        query, pairs, heuristics, e_p, profile_residue, config.aco, sim_seqs
     )
     # simulations >= 1, so the loop always binds the reported attempt
     for attempt, (outcome, built_profile, accepted) in enumerate(gated, start=1):
@@ -521,37 +511,27 @@ def benchmark_instance(
 ) -> InstanceResult:
     """Score one planted instance: GA once, colony stage per simulation.
 
-    The colony stage is fed the planted incidence pairs so its scores
-    isolate the edge-prediction stages, the way they are analysed.
+    The colony stage is fed the planted SSE pairs so its scores isolate the
+    edge-prediction stages, the way they are analysed.
     """
-    profile_sse, profile_residue = _family_profiles(instance.templates, instance.instance_id)
-    if instance.e_real == 0:
-        raise ValueError(
-            f"instance {instance.instance_id}: no planted shortcut edge to score against"
-        )
+    query = instance.query
+    profile_sse, profile_residue = _family_profiles(instance.templates, query.protein_id)
+    e_real = query.shortcut_count
+    if e_real == 0:
+        raise ValueError(f"instance {query.protein_id}: no planted shortcut edge to score against")
     moga, e_p, sim_seqs = _ga_stage(
         instance.ctx, instance.templates, profile_sse, config, seed_seq
     )
-    truth_incidence = incidence_matrix(instance.incidence_pairs, instance.sse_count)
-    error_rate = matrix_error_rate(moga.incidence, truth_incidence)
-
-    pairs = list(instance.incidence_pairs)
-    heuristics = pair_heuristics(pairs, instance.sse_sizes, instance.templates, e_p)
-    truth = set(instance.true_shortcuts)
-    e_real = instance.e_real
+    pairs = query.sse_links()
+    error_rate = matrix_error_rate(moga.incidence, incidence_matrix(pairs, query.sse_count))
+    heuristics = pair_heuristics(pairs, query.sse_sizes, instance.templates, e_p)
+    truth = set(query.graph.shortcut_edges)
 
     scores = []
     recoveries = []
     accepted = 0
     for outcome, _, passed in gated_attempts(
-        instance.graph,
-        instance.sse_ranges,
-        pairs,
-        heuristics,
-        e_p,
-        profile_residue,
-        config.aco,
-        sim_seqs,
+        query, pairs, heuristics, e_p, profile_residue, config.aco, sim_seqs
     ):
         recoveries.append(len(set(outcome.candidates) & truth) / e_real)
         scores.append(len(set(outcome.selected) & truth) / e_real)
@@ -559,10 +539,10 @@ def benchmark_instance(
 
     stddev = statistics.stdev(scores) if len(scores) > 1 else 0.0
     return InstanceResult(
-        instance_id=instance.instance_id,
+        instance_id=query.protein_id,
         n_templates=len(instance.templates),
-        residues=sum(instance.sse_sizes),
-        sse_count=instance.sse_count,
+        residues=query.residue_total,
+        sse_count=query.sse_count,
         e_real=e_real,
         e_p=e_p,
         simulations=config.simulations,

@@ -3,9 +3,12 @@
 Each instance plants a ground-truth SSE graph (two clusters of SSEs chained
 by consecutive links) plus residue-level shortcut edges, and fabricates a
 family of template proteins whose occurrence evidence boosts a chosen
-fraction of the true shortcuts.  SSE features are built so that truth-linked
-pairs sit close in space with matching backbone angles, while cross-cluster
-links are far apart with clashing angles.
+fraction of the true shortcuts.  The truth is a `TemplateProtein` query, as
+in `predict`: its SSE-IN holds the true shortcuts, so the planted SSE graph
+is `query.sse_links()` and the true shortcuts are its
+`graph.shortcut_edges`.  SSE features are built so that truth-linked pairs
+sit close in space with matching backbone angles, while cross-cluster links
+are far apart with clashing angles.
 """
 
 from __future__ import annotations
@@ -25,25 +28,12 @@ _CLUSTER_ANGLES = [(-57.0, -47.0), (80.0, 120.0), (-130.0, 150.0), (20.0, -100.0
 
 @dataclass(frozen=True)
 class PlantedInstance:
-    instance_id: str
-    sse_sizes: tuple[int, ...]
-    sse_ranges: tuple[tuple[int, int], ...]
-    sse_ids: tuple[str, ...]
-    incidence_pairs: tuple[tuple[int, int], ...]  # 1-based SSE pairs, a < b
-    true_shortcuts: tuple[Edge, ...]
-    boosted_shortcuts: tuple[Edge, ...]
-    graph: SseInGraph
+    """The planted query, its fabricated template family and the SSE
+    features the GA reads."""
+
+    query: TemplateProtein
     templates: tuple[TemplateProtein, ...]
     ctx: SseContext
-    boost_fraction: float
-
-    @property
-    def sse_count(self) -> int:
-        return len(self.sse_sizes)
-
-    @property
-    def e_real(self) -> int:
-        return len(self.true_shortcuts)
 
 
 def _cluster_split(m: int, clusters: int) -> list[list[int]]:
@@ -77,7 +67,8 @@ def make_planted_instance(
     n_templates: int = 25,
     clusters: int = 2,
 ) -> PlantedInstance:
-    """Build a planted instance with its fabricated template family.
+    """Build a planted query, whose SSE-IN holds the true shortcuts, with
+    its fabricated template family.
 
     `boost_fraction` controls which share of the true shortcut edges shows
     up in the templates (and hence in the occurrence matrix Q); `q_boost`
@@ -86,27 +77,28 @@ def make_planted_instance(
     """
     m = len(sse_sizes)
     if m < 2:
-        raise ValueError("planted instances need at least 2 SSEs")
+        raise ValueError(f"instance {instance_id}: planted instances need at least 2 SSEs")
+    if shortcuts_per_pair < 1:
+        raise ValueError(
+            f"instance {instance_id}: shortcuts_per_pair must be >= 1, got {shortcuts_per_pair}"
+        )
     if not 0.0 <= boost_fraction <= 1.0:
-        raise ValueError("boost_fraction must be in [0, 1]")
+        raise ValueError(f"instance {instance_id}: boost_fraction must be in [0, 1]")
     if n_templates < 1:
-        raise ValueError("need at least one template")
+        raise ValueError(f"instance {instance_id}: need at least one template")
     carriers = n_templates if q_boost is None else min(q_boost, n_templates)
 
     ranges = []
     start = 1
     for size in sse_sizes:
         if size < 1:
-            raise ValueError("SSE sizes must be positive")
+            raise ValueError(f"instance {instance_id}: SSE sizes must be positive")
         ranges.append((start, start + size - 1))
         start += size
     sse_ranges = tuple(ranges)
-    sse_ids = tuple(f"E{i}" for i in range(1, m + 1))
 
     groups = _cluster_split(m, clusters)
-    pairs = tuple(
-        (group[i], group[i + 1]) for group in groups for i in range(len(group) - 1)
-    )
+    pairs = [(group[i], group[i + 1]) for group in groups for i in range(len(group) - 1)]
 
     shortcuts: list[Edge] = []
     for a, b in pairs:
@@ -116,30 +108,28 @@ def make_planted_instance(
         cols = sorted(int(c) + 1 for c in rng.choice(nb, size=count, replace=False))
         first_a, first_b = sse_ranges[a - 1][0], sse_ranges[b - 1][0]
         shortcuts.extend((first_a + r - 1, first_b + c - 1) for r, c in zip(rows, cols))
-    true_shortcuts = tuple(shortcuts)
 
-    boosted_count = round_half_up(boost_fraction * len(true_shortcuts))
-    order = [int(i) for i in rng.permutation(len(true_shortcuts))]
-    boosted = tuple(sorted(true_shortcuts[i] for i in order[:boosted_count]))
+    boosted_count = round_half_up(boost_fraction * len(shortcuts))
+    order = [int(i) for i in rng.permutation(len(shortcuts))]
+    boosted = tuple(sorted(shortcuts[i] for i in order[:boosted_count]))
 
-    intra: list[Edge] = []
-    for first, last in sse_ranges:
-        intra.extend(_intra_edges(first, last))
+    intra = tuple(edge for first, last in sse_ranges for edge in _intra_edges(first, last))
     sse_of = {
-        v: sse_ids[k]
-        for k, (first, last) in enumerate(sse_ranges)
+        v: f"E{k}"
+        for k, (first, last) in enumerate(sse_ranges, start=1)
         for v in range(first, last + 1)
     }
     vertices = tuple(sorted(sse_of))
-    graph = SseInGraph(vertices, tuple(intra), true_shortcuts, sse_of)
 
-    templates = []
-    for t in range(n_templates):
-        t_shortcuts = boosted if t < carriers else ()
-        t_graph = SseInGraph(vertices, tuple(intra), t_shortcuts, sse_of)
-        templates.append(
-            TemplateProtein(f"{instance_id}-T{t + 1}", sse_sizes, sse_ranges, t_graph)
-        )
+    def protein(protein_id: str, shortcut_edges: tuple[Edge, ...]) -> TemplateProtein:
+        graph = SseInGraph(vertices, intra, shortcut_edges, sse_of)
+        return TemplateProtein(protein_id, sse_sizes, sse_ranges, graph)
+
+    query = protein(instance_id, tuple(shortcuts))
+    templates = tuple(
+        protein(f"{instance_id}-T{t + 1}", boosted if t < carriers else ())
+        for t in range(n_templates)
+    )
 
     cluster_of = {sse: c for c, group in enumerate(groups) for sse in group}
     centroids = np.zeros((m, 3))
@@ -154,16 +144,4 @@ def make_planted_instance(
         mean_psi[sse - 1] = psi
     ctx = SseContext(centroids, mean_phi, mean_psi, np.full(m, 2.5), sse_sizes)
 
-    return PlantedInstance(
-        instance_id,
-        sse_sizes,
-        sse_ranges,
-        sse_ids,
-        pairs,
-        true_shortcuts,
-        boosted,
-        graph,
-        tuple(templates),
-        ctx,
-        boost_fraction,
-    )
+    return PlantedInstance(query, templates, ctx)

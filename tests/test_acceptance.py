@@ -30,7 +30,6 @@ from ssein.metrics import (
 from ssein.moga import (
     GaParams,
     Individual,
-    ObjectiveVector,
     decode,
     run_moga,
     strength_ranks,
@@ -52,7 +51,7 @@ def test_criterion_01_strength_rank_oracle():
         pool = []
         for _ in range(n):
             ind = Individual((1,))
-            ind.objectives = ObjectiveVector(*rng.integers(0, 6, size=3).tolist())
+            ind.objectives = tuple(map(float, rng.integers(0, 6, size=3).tolist()))
             pool.append(ind)
         got = strength_ranks(pool)
         strengths = [
@@ -241,7 +240,7 @@ def test_criterion_09_ga_quality():
     errors = []
     for seed in range(10):
         result = run_moga(instance.ctx, params, profile, np.random.default_rng(seed))
-        truth = incidence_matrix(instance.incidence_pairs, instance.sse_count)
+        truth = incidence_matrix(instance.query.sse_links(), instance.query.sse_count)
         errors.append(matrix_error_rate(result.incidence, truth))
     elapsed = time.perf_counter() - start
     median = statistics.median(errors)

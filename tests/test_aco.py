@@ -627,17 +627,18 @@ class TestLocalAco:
 
 class TestGlobalAco:
     def network(self):
+        """The planted query's SSE-IN: intra-SSE edges plus true shortcuts."""
         instance = make_planted_instance(
             "net", (6, 6, 6, 6), np.random.default_rng(5), boost_fraction=1.0
         )
-        return instance
+        return instance.query.graph
 
     def test_candidates_below_budget_returned_whole(self):
-        inst = self.network()
-        candidates = {e: 1.0 for e in inst.true_shortcuts[:2]}
+        graph = self.network()
+        candidates = {e: 1.0 for e in graph.shortcut_edges[:2]}
         result = global_aco(
-            inst.graph.vertices,
-            inst.graph.intra_edges,
+            graph.vertices,
+            graph.intra_edges,
             candidates,
             5,
             AcoParams(),
@@ -647,11 +648,11 @@ class TestGlobalAco:
         assert result.shortfall == 3
 
     def test_budget_one_takes_top_pheromone(self):
-        inst = self.network()
-        candidates = {e: 1.0 for e in inst.true_shortcuts}
+        graph = self.network()
+        candidates = {e: 1.0 for e in graph.shortcut_edges}
         result = global_aco(
-            inst.graph.vertices,
-            inst.graph.intra_edges,
+            graph.vertices,
+            graph.intra_edges,
             candidates,
             1,
             AcoParams(),
@@ -662,12 +663,12 @@ class TestGlobalAco:
         assert result.normalized_tau[result.selected[0]] == pytest.approx(top)
 
     def test_output_size_is_min(self):
-        inst = self.network()
-        candidates = {e: 1.0 for e in inst.true_shortcuts}
+        graph = self.network()
+        candidates = {e: 1.0 for e in graph.shortcut_edges}
         for e_p in (1, 2, len(candidates), len(candidates) + 3):
             result = global_aco(
-                inst.graph.vertices,
-                inst.graph.intra_edges,
+                graph.vertices,
+                graph.intra_edges,
                 candidates,
                 e_p,
                 AcoParams(),
@@ -682,17 +683,15 @@ class TestGlobalAco:
 
 class TestValidateBuiltNetwork:
     def test_template_accepts_itself(self):
-        inst = make_planted_instance("v", (7, 7, 7, 7), np.random.default_rng(2))
-        profile = topological_profile(inst.graph.vertices, inst.graph.edges)
+        graph = make_planted_instance("v", (7, 7, 7, 7), np.random.default_rng(2)).query.graph
+        profile = topological_profile(graph.vertices, graph.edges)
         assert validate_built_network(profile, profile, tol=0.2)
 
     def test_gross_distortion_rejected(self):
-        inst = make_planted_instance("v", (7, 7, 7, 7), np.random.default_rng(2))
-        profile = topological_profile(inst.graph.vertices, inst.graph.edges)
+        graph = make_planted_instance("v", (7, 7, 7, 7), np.random.default_rng(2)).query.graph
+        profile = topological_profile(graph.vertices, graph.edges)
         # strip every shortcut: the graph falls apart into SSE chains
-        stripped = SseInGraph(
-            inst.graph.vertices, inst.graph.intra_edges, (), inst.graph.sse_of
-        )
+        stripped = SseInGraph(graph.vertices, graph.intra_edges, (), graph.sse_of)
         built = topological_profile(stripped.vertices, stripped.edges)
         assert not validate_built_network(built, profile, tol=0.2)
 
@@ -700,10 +699,11 @@ class TestValidateBuiltNetwork:
         inst = make_planted_instance(
             "v", (7, 7, 7, 7), np.random.default_rng(2), shortcuts_per_pair=2
         )
-        profile = topological_profile(inst.graph.vertices, inst.graph.edges)
+        truth = inst.query.graph
+        profile = topological_profile(truth.vertices, truth.edges)
         rng = np.random.default_rng(9)
         acceptance = []
-        shortcuts = list(inst.graph.shortcut_edges)
+        shortcuts = list(truth.shortcut_edges)
         for removed in range(len(shortcuts) + 1):
             accepted = 0
             for _ in range(10):
@@ -711,9 +711,7 @@ class TestValidateBuiltNetwork:
                     len(shortcuts), size=len(shortcuts) - removed, replace=False
                 )
                 kept = tuple(shortcuts[i] for i in sorted(keep_idx))
-                graph = SseInGraph(
-                    inst.graph.vertices, inst.graph.intra_edges, kept, inst.graph.sse_of
-                )
+                graph = SseInGraph(truth.vertices, truth.intra_edges, kept, truth.sse_of)
                 built = topological_profile(graph.vertices, graph.edges)
                 accepted += validate_built_network(built, profile, tol=0.2)
             acceptance.append(accepted)
@@ -762,10 +760,22 @@ class TestTemplateProtein:
         with pytest.raises(ValueError, match="template stray: vertex 9 is outside every SSE"):
             stray_vertex_template().sse_links()
 
+    # before the first SSE, in the gap between the two, after the last
+    @pytest.mark.parametrize("stray", [1, 5, 9])
+    def test_vertex_outside_every_range_rejected(self, stray):
+        sse_of = {3: "A", 4: "A", 7: "B", 8: "B", stray: "C"}
+        graph = SseInGraph(tuple(sorted(sse_of)), (), ((min(stray, 4), max(stray, 4)),), sse_of)
+        template = TemplateProtein("gaps", (2, 2), ((3, 4), (7, 8)), graph)
+        with pytest.raises(ValueError, match=f"template gaps: vertex {stray} is outside every"):
+            template.shortcut_cells()
+
     def test_mismatched_ranges_rejected(self):
         graph = SseInGraph((1, 2), (), (), {1: "A", 2: "A"})
         with pytest.raises(ValueError):
             TemplateProtein("t", (2,), ((1, 3),), graph)
+        for ranges in (((3, 4), (1, 2)), ((1, 2), (2, 3))):  # out of order, overlapping
+            with pytest.raises(ValueError, match="does not follow the previous SSE"):
+                TemplateProtein("t", (2, 2), ranges, graph)
 
     def test_params_validation(self):
         with pytest.raises(ValueError):
@@ -774,6 +784,12 @@ class TestTemplateProtein:
             AcoParams(lambda_min=0.0)
         with pytest.raises(ValueError):
             AcoParams(delta_tau=-1.0)
+
+    @pytest.mark.parametrize("name", ["alpha", "beta", "delta_tau", "e_stop", "initial_tau"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_params_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            AcoParams(**{name: value})
 
 
 class TestEdgeBudget:

@@ -12,7 +12,6 @@ from ssein.moga import (
     WORST_OBJECTIVE,
     GaParams,
     Individual,
-    ObjectiveVector,
     SseContext,
     assign_fitness,
     binary_tournament,
@@ -82,7 +81,7 @@ chromosomes = st.integers(1, 12).flatmap(
 
 def mk(objectives):
     ind = Individual(genes=(1,))
-    ind.objectives = ObjectiveVector(*objectives)
+    ind.objectives = tuple(map(float, objectives))
     return ind
 
 
@@ -166,10 +165,10 @@ class TestObjectives:
         assert obj == (WORST_OBJECTIVE,) * 3
 
     def test_single_pair_means(self):
-        obj = evaluate_objectives(gene_links((2, 1)), self.ctx_two_sse())
-        assert obj.o_distance == pytest.approx(10.0)
-        assert obj.o_torsion == pytest.approx(0.0)
-        assert obj.o_hydro == pytest.approx(-6.0)
+        distance, torsion, hydro = evaluate_objectives(gene_links((2, 1)), self.ctx_two_sse())
+        assert distance == pytest.approx(10.0)
+        assert torsion == pytest.approx(0.0)
+        assert hydro == pytest.approx(-6.0)
 
     def test_angle_wrap(self):
         ctx = SseContext(
@@ -179,8 +178,8 @@ class TestObjectives:
             mean_hydro=np.ones(2),
             sse_sizes=(3, 3),
         )
-        obj = evaluate_objectives(gene_links((2, 1)), ctx)
-        assert obj.o_torsion == pytest.approx(10.0)
+        _, torsion, _ = evaluate_objectives(gene_links((2, 1)), ctx)
+        assert torsion == pytest.approx(10.0)
 
     def test_matches_independent_recomputation(self):
         rng = np.random.default_rng(8)
@@ -211,22 +210,20 @@ class TestObjectives:
         )
         hydro = -np.mean([ctx.mean_hydro[i - 1] * ctx.mean_hydro[j - 1] for i, j in pairs])
         obj = evaluate_objectives(gene_links(genes), ctx)
-        assert obj.o_distance == pytest.approx(dist, abs=1e-9)
-        assert obj.o_torsion == pytest.approx(torsion, abs=1e-9)
-        assert obj.o_hydro == pytest.approx(hydro, abs=1e-9)
+        assert obj == pytest.approx((dist, torsion, hydro), abs=1e-9)
 
 
 class TestDominance:
     def test_strict_dominance(self):
-        assert dominates(ObjectiveVector(1, 1, 1), ObjectiveVector(2, 2, 2))
+        assert dominates((1.0, 1.0, 1.0), (2.0, 2.0, 2.0))
 
     def test_incomparable(self):
-        a, b = ObjectiveVector(1, 3, 1), ObjectiveVector(3, 1, 1)
+        a, b = (1.0, 3.0, 1.0), (3.0, 1.0, 1.0)
         assert not dominates(a, b)
         assert not dominates(b, a)
 
     def test_irreflexive(self):
-        a = ObjectiveVector(1, 2, 3)
+        a = (1.0, 2.0, 3.0)
         assert not dominates(a, a)
 
 
@@ -312,11 +309,12 @@ class TestDensity:
 class TestFitness:
     def test_sum_of_rank_and_density(self):
         pool = [mk2(1, 1), mk2(2, 2)]
-        fitness = assign_fitness(pool, 1)
+        assign_fitness(pool, 1)
+        (_, m0), (_, m1) = density(pool, 1)
         assert pool[0].rank == 0
         assert pool[1].rank == 1
-        assert fitness[0] == pytest.approx(pool[0].density)
-        assert fitness[1] == pytest.approx(1 + pool[1].density)
+        assert pool[0].fitness == pytest.approx(m0)
+        assert pool[1].fitness == pytest.approx(1 + m1)
 
     def test_fitness_below_one_iff_non_dominated(self):
         rng = np.random.default_rng(9)
@@ -341,7 +339,7 @@ def evaluated_pool(objective_rows, genes_len=4):
     for row in objective_rows:
         genes = tuple(int(g) for g in rng.integers(1, genes_len + 1, size=genes_len))
         ind = Individual(genes)
-        ind.objectives = ObjectiveVector(*row)
+        ind.objectives = tuple(map(float, row))
         pool.append(ind)
     assign_fitness(pool, 1)
     return pool

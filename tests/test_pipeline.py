@@ -310,6 +310,40 @@ class TestCli:
         assert "error:" in err and "solo" in err
         assert "Traceback" not in err
 
+    def test_negative_shortcuts_per_pair_exits_one(self, tmp_path, capsys):
+        manifest = tmp_path / "m.tsv"
+        manifest.write_text("neg\t1\t6,6,6,6\t1.0\t-1\n")
+        code = main(
+            ["benchmark", "--manifest", str(manifest), "--simulations", "2",
+             "--out", str(tmp_path / "bench")]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "instance neg: shortcuts_per_pair must be >= 1, got -1" in err
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf"])
+    def test_non_finite_threshold_exits_one(self, tmp_path, capsys, threshold):
+        query, index = write_family(tmp_path)
+        code = main(["predict", "--pdb", str(query), "--family", str(index),
+                     "--threshold", threshold, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"threshold must be positive and finite, got {threshold}" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_non_finite_colony_parameter_exits_one(self, tmp_path, capsys):
+        manifest = tmp_path / "m.tsv"
+        manifest.write_text("one\t11\t9,8,10,9\t1.0\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[aco]\ne_stop = nan\n")
+        out = tmp_path / "bench"
+        code = main(["benchmark", "--manifest", str(manifest), "--config", str(cfg),
+                     "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "e_stop must be finite, got nan" in err
+        assert not out.exists()
+
     def test_zero_edge_budget_predict(self, tmp_path, monkeypatch):
         # E_p = 0: no colony edge survives, the gate rejects every attempt
         monkeypatch.setattr("ssein.pipeline.estimate_edge_budget", lambda *args: 0)

@@ -1,9 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_ga_instance
+from ssein.aco import round_half_up
 from ssein.moga import gene_links
 from ssein.synth import make_planted_instance
+
+
+def cluster_chain_pairs(m):
+    """Two clusters, the first one SSE larger on odd M, each chained by
+    consecutive links."""
+    split = (m + 1) // 2
+    return [(k, k + 1) for k in range(1, m) if k != split]
 
 
 class TestPlantedInstance:
@@ -11,42 +21,62 @@ class TestPlantedInstance:
         inst = make_planted_instance(
             "i", (8, 9, 7, 8), np.random.default_rng(0), shortcuts_per_pair=2
         )
-        assert inst.sse_count == 4
-        assert sum(inst.sse_sizes) == len(inst.graph.vertices)
-        assert set(inst.boosted_shortcuts) <= set(inst.true_shortcuts)
+        query = inst.query
+        assert query.protein_id == "i"
+        assert query.sse_count == 4
+        assert query.residue_total == len(query.graph.vertices)
         # every true shortcut joins two different SSEs from an incidence pair
-        for u, v in inst.true_shortcuts:
-            a = inst.graph.sse_of[u]
-            b = inst.graph.sse_of[v]
-            assert a != b
+        for u, v in query.graph.shortcut_edges:
+            assert query.graph.sse_of[u] != query.graph.sse_of[v]
 
     def test_incidence_matches_pairs(self):
         # two clusters of three SSEs, each chained by consecutive links; every
         # true shortcut joins the two SSEs of one pair, in pair order
-        inst = make_planted_instance("i", (6, 6, 6, 6, 6, 6), np.random.default_rng(1))
-        assert inst.incidence_pairs == ((1, 2), (2, 3), (4, 5), (5, 6))
-        sse_index = {sse_id: k for k, sse_id in enumerate(inst.sse_ids, start=1)}
-        joined = [
-            (sse_index[inst.graph.sse_of[u]], sse_index[inst.graph.sse_of[v]])
-            for u, v in inst.true_shortcuts
-        ]
-        assert joined == list(inst.incidence_pairs)
+        query = make_planted_instance("i", (6, 6, 6, 6, 6, 6), np.random.default_rng(1)).query
+        assert query.sse_links() == [(1, 2), (2, 3), (4, 5), (5, 6)]
+        joined = [(ku, kw) for (ku, _), (kw, _) in query.shortcut_cells()]
+        assert joined == query.sse_links()
 
     def test_incidence_is_chromosome_representable(self):
         # a gene vector linking consecutive cluster members has exactly the
-        # planted incidence pairs as its links
-        inst = make_ga_instance(np.random.default_rng(3))
-        genes = list(range(1, inst.sse_count + 1))
-        for a, b in inst.incidence_pairs:
+        # planted SSE links as its links
+        query = make_ga_instance(np.random.default_rng(3)).query
+        genes = list(range(1, query.sse_count + 1))
+        for a, b in query.sse_links():
             genes[a - 1] = b
-        assert gene_links(tuple(genes)) == inst.incidence_pairs
+        assert list(gene_links(tuple(genes))) == query.sse_links()
 
     def test_boost_fraction_counts(self):
         inst = make_planted_instance(
             "i", (8, 8, 8, 8), np.random.default_rng(2), boost_fraction=0.5,
             shortcuts_per_pair=2,
         )
-        assert len(inst.boosted_shortcuts) == round(0.5 * len(inst.true_shortcuts))
+        boosted = inst.templates[0].graph.shortcut_edges
+        assert len(boosted) == round(0.5 * inst.query.shortcut_count)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.integers(1, 12), min_size=2, max_size=9),
+        st.integers(1, 4),
+        st.floats(0.0, 1.0),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_planted_query(self, sizes, per_pair, boost_fraction, seed):
+        inst = make_planted_instance(
+            "h", tuple(sizes), np.random.default_rng(seed), shortcuts_per_pair=per_pair,
+            boost_fraction=boost_fraction, n_templates=3,
+        )
+        query = inst.query
+        pairs = cluster_chain_pairs(len(sizes))
+        assert query.sse_links() == pairs
+        assert query.shortcut_count == sum(
+            min(per_pair, sizes[a - 1], sizes[b - 1]) for a, b in pairs
+        )
+        boosted_count = round_half_up(boost_fraction * query.shortcut_count)
+        for template in inst.templates:
+            boosted = template.graph.shortcut_edges
+            assert set(boosted) <= set(query.graph.shortcut_edges)
+            assert len(boosted) == boosted_count
 
     def test_carrier_templates(self):
         inst = make_planted_instance(
@@ -61,3 +91,8 @@ class TestPlantedInstance:
             make_planted_instance("i", (8,), np.random.default_rng(0))
         with pytest.raises(ValueError):
             make_planted_instance("i", (8, 8), np.random.default_rng(0), boost_fraction=1.5)
+        for per_pair in (0, -1):
+            with pytest.raises(ValueError, match="instance i: shortcuts_per_pair must be >= 1"):
+                make_planted_instance(
+                    "i", (8, 8), np.random.default_rng(0), shortcuts_per_pair=per_pair
+                )

@@ -1,26 +1,30 @@
-"""The benchmark's traced layers must name functions the program has.
+"""The benchmark's traced layers must name functions the program has, and
+its counters must keep counting.
 
-`perfbench/tracing.py` binds its wrappers by module and attribute name, so
-a renamed or deleted function would otherwise show up only as a crashed
-traced benchmark run.
+`perfbench/tracing.py` binds its wrappers by module and attribute name and
+computes its counters from the traced calls' arguments and results, so a
+renamed function, a moved argument or a changed call count would otherwise
+show up only as a crashed or silently wrong traced benchmark run.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
 
+from ssein import cli
+
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
-def traced_layers():
+def tracing_module():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.LAYERS
+    return module
 
 
 def test_every_traced_layer_resolves_to_a_callable():
-    layers = traced_layers()
+    layers = tracing_module().LAYERS
     assert layers
     for module_name, attr, _, _ in layers:
         assert module_name.startswith("ssein."), module_name
@@ -29,3 +33,26 @@ def test_every_traced_layer_resolves_to_a_callable():
             assert hasattr(target, part), f"{module_name}.{attr}: no {part!r}"
             target = getattr(target, part)
         assert callable(target), f"{module_name}.{attr} is not callable"
+
+
+def test_traced_benchmark_counts_work_and_keeps_the_bytes(tmp_path):
+    tracing = tracing_module()
+    manifest = tmp_path / "m.tsv"
+    manifest.write_text("one\t11\t9,8,10,9\t1.0\n")
+
+    def benchmark(out):
+        argv = ["benchmark", "--manifest", str(manifest), "--seed", "3",
+                "--simulations", "2", "--out", str(out)]
+        assert cli.main(argv) == 0
+        return [(out / name).read_bytes() for name in ("benchmark_table.tsv", "figure3_curve.csv")]
+
+    plain = benchmark(tmp_path / "plain")
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        traced = benchmark(tmp_path / "traced")
+    metrics = tracer.layer_metrics()
+    assert set(tracing.COUNTS) <= set(metrics)
+    assert metrics["pipeline.attempts"] == 2
+    assert metrics["moga.evaluations"] > 0
+    assert metrics["aco.local_ant_steps"] > 0
+    assert traced == plain
