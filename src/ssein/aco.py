@@ -18,10 +18,14 @@ inter-SSE edges, while intra-SSE edges stay pinned to the inter-SSE mean.
 Transition weights tau^alpha * s^beta are evaluated in log space so the
 published exponents (alpha = 25, beta = 12) cannot overflow.
 
-Both stages run one array-backed `Colony`.  Its random draws, in order:
-V ant starts from one integers(0, V); then per step one random(k) for the
-k ants not on an isolated vertex, in ant order, each inverted through its
-vertex's cumulative transition row exactly as Generator.choice(p=row) would.
+Both stages run one array-backed `Colony` on a `ColonyGraph`.  The graph
+(neighbour and slot tables, degrees and beta ln s) depends only on the
+edges and their weights, so each pair's graph is built once per run and
+shared by every simulation, which only sets tau and places its ants.  A
+colony's random draws, in order: V ant starts from one integers(0, V);
+then per step one random(k) for the k ants not on an isolated vertex, in
+ant order, each inverted through its vertex's cumulative transition row
+exactly as Generator.choice(p=row) would.
 A step computes the rows of all occupied vertices together, in one 2-D pass
 per vertex degree.  Rows are grouped by degree, never padded: padding would
 regroup numpy's pairwise row sum and move its last bit.
@@ -61,6 +65,9 @@ class AcoParams:
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
+        if self.e_stop <= 1:
+            # max tau >= e_stop * mean tau would hold after the first update
+            raise ValueError(f"e_stop must be > 1, got {self.e_stop}")
         if self.alpha < 0 or self.beta < 0:
             raise ValueError("alpha and beta must be nonnegative")
         if not 0.0 < self.rho < 1.0:
@@ -229,25 +236,6 @@ def edge_probabilities(q: np.ndarray, e: float) -> np.ndarray:
     return e * q / total
 
 
-@dataclass(frozen=True)
-class HeuristicMatrix:
-    """Occurrence counts Q and the derived edge weights S for one SSE pair."""
-
-    q: np.ndarray
-    s: np.ndarray
-    e: float
-
-    def __post_init__(self):
-        if self.q.shape != self.s.shape:
-            raise ValueError("Q and S must have the same shape")
-        if abs(float(self.s.sum()) - self.e) > 1e-9:
-            raise ValueError("edge weights must sum to the pair budget")
-
-    @classmethod
-    def from_q(cls, q: np.ndarray, e: float) -> "HeuristicMatrix":
-        return cls(np.asarray(q, dtype=float), edge_probabilities(q, e), float(e))
-
-
 def allocate_pair_budgets(e_total: int, masses: Sequence[float]) -> list[int]:
     """Split E_p across SSE pairs proportionally to Q mass (largest remainder)."""
     if e_total < 0:
@@ -271,55 +259,46 @@ def allocate_pair_budgets(e_total: int, masses: Sequence[float]) -> list[int]:
 _ROW_SUM_TOL = math.sqrt(np.finfo(float).eps)
 
 
-class Colony:
-    """Ant-colony state over vertices 0..V-1 and numbered edge slots.
+@dataclass(frozen=True, eq=False)
+class ColonyGraph:
+    """A colony's fixed graph over vertices 0..V-1 and numbered edge slots.
 
     Slots 0..E-1 are the inter-SSE edges, each with its own tau and s;
     slot E is shared by every intra-SSE edge, whose tau is pinned to the
     inter-SSE mean after each update and whose s is s_intra.  Row v of the
     (V, max degree) tables `neighbors` and `slots` holds vertex v's
     degree[v] neighbours in ascending order and the slot of each edge; the
-    rest of the row is padding.  V ants start on uniformly random vertices.
+    rest of the row is padding.  `s_term` is beta ln s per slot.
     """
 
-    def __init__(
-        self,
-        neighbors: np.ndarray,
-        slots: np.ndarray,
-        degree: np.ndarray,
-        s: Sequence[float],
-        s_intra: float,
-        params: AcoParams,
-        rng: np.random.Generator,
-    ):
-        e = len(s)
-        if e == 0:
-            raise ValueError("a colony needs at least one inter-SSE edge")
-        self.neighbors = neighbors
-        self.slots = slots
-        self.degree = degree
-        self.n_inter = e
-        self.params = params
-        self.rng = rng
-        self.tau = np.full(e + 1, params.resolve_initial_tau(e))
-        self._s_term = params.beta * _logs([*s, s_intra]) if params.beta > 0 else np.zeros(e + 1)
-        self.ants = rng.integers(0, len(degree), size=len(degree))
+    neighbors: np.ndarray
+    slots: np.ndarray
+    degree: np.ndarray
+    s: np.ndarray
+    s_term: np.ndarray
+
+    @property
+    def n_inter(self) -> int:
+        return len(self.s)
 
     @classmethod
     def from_edges(
         cls,
         vertex_count: int,
-        inter_edges: Sequence[Edge],
-        s: Sequence[float],
-        intra_edges: Iterable[Edge],
+        inter_edges: Sequence[Edge] | np.ndarray,
+        s: Sequence[float] | np.ndarray,
+        intra_edges: Sequence[Edge] | np.ndarray,
         s_intra: float,
-        params: AcoParams,
-        rng: np.random.Generator,
-    ) -> "Colony":
-        """The colony of a graph given as edge lists over 0..vertex_count-1;
-        an intra-SSE edge that is also an inter-SSE edge is inter."""
+        beta: float,
+    ) -> "ColonyGraph":
+        """The graph given as (k, 2) edge lists over 0..vertex_count-1; an
+        intra-SSE edge that is also an inter-SSE edge is inter."""
         e = len(inter_edges)
-        ends = np.array([*inter_edges, *intra_edges], dtype=np.intp).reshape(-1, 2)
+        if e == 0:
+            raise ValueError("a colony needs at least one inter-SSE edge")
+        ends = np.concatenate(
+            [np.asarray(edges, dtype=np.intp).reshape(-1, 2) for edges in (inter_edges, intra_edges)]
+        )
         slot = np.minimum(np.arange(len(ends)), e)
         src = np.concatenate([ends[:, 0], ends[:, 1]])
         dst = np.concatenate([ends[:, 1], ends[:, 0]])
@@ -339,13 +318,41 @@ class Colony:
         slots = np.zeros((vertex_count, width), dtype=np.intp)
         neighbors[src, column] = dst
         slots[src, column] = slot
-        return cls(neighbors, slots, degree, s, s_intra, params, rng)
+        s = np.asarray(s, dtype=float)
+        s_term = beta * _logs([*s.tolist(), s_intra]) if beta > 0 else np.zeros(e + 1)
+        return cls(neighbors, slots, degree, s, s_term)
+
+    @classmethod
+    def pair(cls, s: np.ndarray, beta: float) -> "ColonyGraph":
+        """The graph of one SSE pair with (n, m) edge weights s, complete on
+        its n + m residues.
+
+        X = 0..n-1 and Y = n..n+m-1, so ants can also wander within one SSE;
+        the X-Y edges are the inter-SSE slots, cell (i, j) at slot i * m + j.
+        """
+        n, m = s.shape
+        ends = np.column_stack(np.triu_indices(n + m, 1))  # row-major
+        inter = (ends[:, 0] < n) & (ends[:, 1] >= n)
+        return cls.from_edges(n + m, ends[inter], s.ravel(), ends[~inter], float(s.mean()), beta)
+
+
+class Colony:
+    """One simulation on a `ColonyGraph`: a tau per slot, and V ants that
+    start on uniformly random vertices."""
+
+    def __init__(self, graph: ColonyGraph, params: AcoParams, rng: np.random.Generator):
+        e = graph.n_inter
+        self.graph = graph
+        self.params = params
+        self.rng = rng
+        self.tau = np.full(e + 1, params.resolve_initial_tau(e))
+        self.ants = rng.integers(0, len(graph.degree), size=len(graph.degree))
 
     def log_weights(self) -> np.ndarray:
         """alpha ln tau + beta ln s per slot; a zero tau or s gives -inf."""
         if self.params.alpha <= 0:
-            return self._s_term
-        return self.params.alpha * _logs(self.tau.tolist()) + self._s_term
+            return self.graph.s_term
+        return self.params.alpha * _logs(self.tau.tolist()) + self.graph.s_term
 
     def rows(self, vertices: np.ndarray, log_weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Move probabilities from vertices of one degree d, as (k, d) arrays
@@ -356,11 +363,12 @@ class Colony:
         every candidate is zero-weight moves uniformly.  Each row is summed
         on its own, never padded, so it is bit for bit the 1-D computation.
         """
-        degrees = self.degree[vertices]
+        graph = self.graph
+        degrees = graph.degree[vertices]
         d = int(degrees[0])
         if not (degrees == d).all():
             raise ValueError("rows takes vertices of one degree")
-        w = log_weights[self.slots[vertices, :d]]
+        w = log_weights[graph.slots[vertices, :d]]
         peak = w.max(axis=1, keepdims=True)
         if peak.min() == -math.inf:
             # All zero-weight: shift by 0 from 0, never -inf - -inf; the row
@@ -369,11 +377,11 @@ class Colony:
             w[dead] = peak[dead] = 0.0
         probs = np.exp(w - peak)
         probs /= probs.sum(axis=1, keepdims=True)
-        return self.neighbors[vertices, :d], probs
+        return graph.neighbors[vertices, :d], probs
 
     def update(self, move_counts: np.ndarray) -> None:
         """Evaporate and deposit on inter-SSE slots, then re-pin intra-SSE tau."""
-        e = self.n_inter
+        e = self.graph.n_inter
         self.tau[:e] = (1.0 - self.params.rho) * self.tau[:e] + move_counts * self.params.delta_tau
         self.tau[e] = left_sum(self.tau[:e].tolist()) / e
 
@@ -386,18 +394,19 @@ class Colony:
         would.  The rows of the occupied vertices are built in one pass
         per degree.
         """
-        e = self.n_inter
-        live = self.degree[self.ants].nonzero()[0]
+        graph = self.graph
+        e = graph.n_inter
+        live = graph.degree[self.ants].nonzero()[0]
         u = self.rng.random(live.size)
         if not live.size:
             return np.zeros(e, dtype=np.intp)
         at = self.ants[live]
-        occupied = np.zeros(self.degree.size, dtype=bool)
+        occupied = np.zeros(graph.degree.size, dtype=bool)
         occupied[at] = True
         verts = occupied.nonzero()[0]
-        verts = verts[self.degree[verts].argsort(kind="stable")]
-        degrees = self.degree[verts]
-        row_at = np.empty(self.degree.size, dtype=np.intp)
+        verts = verts[graph.degree[verts].argsort(kind="stable")]
+        degrees = graph.degree[verts]
+        row_at = np.empty(graph.degree.size, dtype=np.intp)
         row_at[verts] = np.arange(verts.size)
         bounds = [0, verts.size]
         if degrees[0] != degrees[-1]:
@@ -418,14 +427,14 @@ class Colony:
             cdf[start:stop, : rows.shape[1]] = rows
         # searchsorted(side="right") on each ant's non-decreasing row
         pick = (cdf[row_at[at]] <= u[:, None]).sum(axis=1)
-        self.ants[live] = self.neighbors[at, pick]
-        crossed = self.slots[at, pick]
+        self.ants[live] = graph.neighbors[at, pick]
+        crossed = graph.slots[at, pick]
         return np.bincount(crossed, minlength=e + 1)[:e]
 
     def run(self) -> int:
         """Iterate moves and updates until max tau >= e_stop * mean tau, or the
         iteration cap; returns the iterations executed."""
-        e = self.n_inter
+        e = self.graph.n_inter
         for iteration in range(1, self.params.max_iterations + 1):
             self.update(self.step())
             if self.tau[:e].max() >= self.params.e_stop * self.tau[e]:
@@ -444,34 +453,15 @@ def _logs(values: list[float]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LocalResult:
-    """Per-pair candidates: cells are (position in X, position in Y), 1-based;
-    normalized_tau[i - 1, j - 1] is cell (i, j)'s tau / max tau."""
+    """Per-pair candidates: cells are (position in X, position in Y), 1-based."""
 
     cells: tuple[tuple[int, int], ...]
-    normalized_tau: np.ndarray
     iterations: int
-
-
-def pair_colony(h: HeuristicMatrix, params: AcoParams, rng: np.random.Generator) -> Colony:
-    """The colony of one SSE pair, complete on its n + m residues.
-
-    X = 0..n-1 and Y = n..n+m-1, so ants can also wander within one SSE;
-    the X-Y edges are the inter-SSE slots, cell (i, j) at slot i * m + j.
-    """
-    n, m = h.s.shape
-    v = n + m
-    vertex = np.arange(v)[:, None]
-    neighbors = np.arange(v - 1)[None, :]
-    neighbors = neighbors + (neighbors >= vertex)  # every other vertex, ascending
-    x, y = np.minimum(vertex, neighbors), np.maximum(vertex, neighbors)
-    slots = np.where((x < n) & (y >= n), x * m + y - n, n * m)
-    degree = np.full(v, v - 1)
-    return Colony(neighbors, slots, degree, h.s.ravel().tolist(), float(h.s.mean()), params, rng)
 
 
 def local_aco(
     pair_sizes: tuple[int, int],
-    h: HeuristicMatrix,
+    graph: ColonyGraph,
     params: AcoParams,
     rng: np.random.Generator,
 ) -> LocalResult:
@@ -479,14 +469,14 @@ def local_aco(
     n, m = pair_sizes
     if n < 1 or m < 1:
         raise ValueError("both SSEs must be non-empty")
-    if h.s.shape != (n, m):
-        raise ValueError(f"heuristic matrix shape {h.s.shape} != ({n}, {m})")
-    colony = pair_colony(h, params, rng)
+    if graph.n_inter != n * m:
+        raise ValueError(f"pair graph has {graph.n_inter} inter-SSE edges, not {n} x {m}")
+    colony = Colony(graph, params, rng)
     iterations = colony.run()
     tau = colony.tau[: n * m]
     normalized = tau.reshape(n, m) / tau.max()
     cells = tuple((int(i) + 1, int(j) + 1) for i, j in np.argwhere(normalized >= params.lambda_min))
-    return LocalResult(cells, normalized, iterations)
+    return LocalResult(cells, iterations)
 
 
 @dataclass(frozen=True)
@@ -518,15 +508,15 @@ def global_aco(
     inter = sorted(cand)
     s = [cand[e] for e in inter]
     index = {v: i for i, v in enumerate(sorted(vertices))}
-    colony = Colony.from_edges(
+    graph = ColonyGraph.from_edges(
         len(index),
         [(index[u], index[v]) for u, v in inter],
         s,
-        ((index[u], index[v]) for u, v in intra_edges),
+        [(index[u], index[v]) for u, v in intra_edges],
         left_sum(s) / len(s),
-        params,
-        rng,
+        params.beta,
     )
+    colony = Colony(graph, params, rng)
     iterations = colony.run()
     taus = colony.tau[: len(inter)]
     tau_max = float(taus.max())

@@ -73,15 +73,19 @@ def _setup_logging() -> None:
 
 def _load_config_file(path: str) -> dict[str, dict[str, object]]:
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+        raw_sections = {section: dict(parser[section]) for section in parser.sections()}
+    except configparser.Error as exc:
+        raise ValueError(f"malformed config file {path!r}: {exc}") from None
     if not read:
         raise ValueError(f"cannot read config file {path!r}")
     sections: dict[str, dict[str, object]] = {"run": {}, "ga": {}, "aco": {}}
     schema = {"run": _RUN_KEYS, "ga": _GA_KEYS, "aco": _ACO_KEYS}
-    for section in parser.sections():
+    for section, items in raw_sections.items():
         if section not in schema:
             raise ValueError(f"unknown config section [{section}]")
-        for key, raw in parser[section].items():
+        for key, raw in items.items():
             if key not in schema[section]:
                 raise ValueError(f"unknown config key {key!r} in [{section}]")
             sections[section][key] = schema[section][key](raw)

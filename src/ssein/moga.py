@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -48,10 +48,13 @@ class Individual:
     rank: Optional[float] = None
     sigma_k: Optional[float] = None
     fitness: Optional[float] = None
+    links: tuple[Edge, ...] = field(init=False)
+    key: int = field(init=False)  # one bit per link, smaller than the tuple
 
-    @cached_property
-    def links(self) -> tuple[Edge, ...]:
-        return gene_links(self.genes)
+    def __post_init__(self):
+        m = len(self.genes)
+        self.links = gene_links(self.genes)
+        self.key = sum(1 << (i * m + j) for i, j in self.links)
 
 
 @dataclass(frozen=True)
@@ -261,15 +264,12 @@ def assign_fitness(pool: Sequence[Individual], k: int) -> None:
 def _deviation(
     ind: Individual, family_profile: TopologicalProfile, memo: dict[int, float]
 ) -> float:
-    """Profile deviation of the link graph, memoized by an int with one bit
-    per link: many chromosomes share a link set, and the int is smaller than
-    the link tuple."""
-    m = len(ind.genes)
-    key = sum(1 << (i * m + j) for i, j in ind.links)
-    if key not in memo:
-        profile = topological_profile(range(1, m + 1), ind.links)
-        memo[key] = profile_deviation(profile, family_profile)
-    return memo[key]
+    """Profile deviation of the link graph, memoized by the link-set key:
+    many chromosomes share a link set."""
+    if ind.key not in memo:
+        profile = topological_profile(range(1, len(ind.genes) + 1), ind.links)
+        memo[ind.key] = profile_deviation(profile, family_profile)
+    return memo[ind.key]
 
 
 def environmental_selection(

@@ -3,7 +3,8 @@
 Prediction and benchmark share one path.  `_family_profiles` profiles the
 template family (failing fast on a family the topology gate cannot use);
 `_ga_stage` splits the seed, runs the evolutionary SSE-graph stage and
-estimates the edge budget.  `gated_attempts` then yields one colony
+estimates the edge budget.  `pair_heuristics` builds each SSE pair's
+colony graph once, and `gated_attempts` then yields one colony
 simulation at a time: the two-stage ant colony, the topological profile of
 the built SSE-IN (the query's intra-SSE edges plus the selected shortcuts,
 profiled once) and the family gate's verdict.
@@ -41,10 +42,11 @@ import numpy as np
 
 from .aco import (
     AcoParams,
+    ColonyGraph,
     FamilyMatchError,
-    HeuristicMatrix,
     TemplateProtein,
     allocate_pair_budgets,
+    edge_probabilities,
     estimate_edge_budget,
     global_aco,
     local_aco,
@@ -174,17 +176,19 @@ def pair_heuristics(
     sse_sizes: Sequence[int],
     templates: Sequence[TemplateProtein],
     e_total: int,
-) -> list[HeuristicMatrix]:
-    """Per-pair occurrence matrices with the edge budget split by Q mass."""
+    params: AcoParams,
+) -> list[ColonyGraph]:
+    """Per-pair colony graphs, built once per run: each pair's occurrence
+    matrix Q normalized to its share of the edge budget, split by Q mass."""
     qs = occurrence_matrices(templates, pairs, sse_sizes)
     budgets = allocate_pair_budgets(e_total, [float(q.sum()) for q in qs])
-    return [HeuristicMatrix.from_q(q, e) for q, e in zip(qs, budgets)]
+    return [ColonyGraph.pair(edge_probabilities(q, e), params.beta) for q, e in zip(qs, budgets)]
 
 
 def aco_attempt(
     query: TemplateProtein,
     pairs: Sequence[tuple[int, int]],
-    heuristics: Sequence[HeuristicMatrix],
+    graphs: Sequence[ColonyGraph],
     e_p: int,
     params: AcoParams,
     seed_seq: np.random.SeedSequence,
@@ -193,15 +197,15 @@ def aco_attempt(
     then the global pick over the query's SSE-IN."""
     streams = seed_seq.spawn(len(pairs) + 1)
     candidates: dict[Edge, float] = {}
-    for k, ((a, b), h) in enumerate(zip(pairs, heuristics)):
-        n, m = h.s.shape
+    for k, ((a, b), pair_graph) in enumerate(zip(pairs, graphs)):
+        n, m = query.sse_sizes[a - 1], query.sse_sizes[b - 1]
         rng = np.random.default_rng(streams[k])
-        result = local_aco((n, m), h, params, rng)
+        result = local_aco((n, m), pair_graph, params, rng)
         first_a, first_b = query.sse_ranges[a - 1][0], query.sse_ranges[b - 1][0]
         for i, j in result.cells:
             u, v = first_a + i - 1, first_b + j - 1
             edge = (u, v) if u < v else (v, u)
-            candidates[edge] = float(h.s[i - 1, j - 1])
+            candidates[edge] = float(pair_graph.s[(i - 1) * m + j - 1])
     if e_p <= 0 or not candidates:
         return AttemptOutcome(tuple(sorted(candidates)), (), {})
     rng_global = np.random.default_rng(streams[-1])
@@ -312,7 +316,7 @@ def _ga_stage(
 def gated_attempts(
     query: TemplateProtein,
     pairs: Sequence[tuple[int, int]],
-    heuristics: Sequence[HeuristicMatrix],
+    graphs: Sequence[ColonyGraph],
     e_p: int,
     family_profile: TopologicalProfile,
     params: AcoParams,
@@ -326,7 +330,7 @@ def gated_attempts(
     """
     graph = query.graph
     for seq in sim_seqs:
-        outcome = aco_attempt(query, pairs, heuristics, e_p, params, seq)
+        outcome = aco_attempt(query, pairs, graphs, e_p, params, seq)
         profile = topological_profile(graph.vertices, graph.intra_edges + outcome.selected)
         yield outcome, profile, validate_built_network(profile, family_profile, tol=0.2)
 
@@ -368,10 +372,8 @@ def run_predict(config: RunConfig) -> RunReport:
     t_moga = time.perf_counter()
 
     pairs = moga.best.links
-    heuristics = pair_heuristics(pairs, query.sse_sizes, matching, e_p)
-    gated = gated_attempts(
-        query, pairs, heuristics, e_p, profile_residue, config.aco, sim_seqs
-    )
+    graphs = pair_heuristics(pairs, query.sse_sizes, matching, e_p, config.aco)
+    gated = gated_attempts(query, pairs, graphs, e_p, profile_residue, config.aco, sim_seqs)
     # simulations >= 1, so the loop always binds the reported attempt
     for attempt, (outcome, built_profile, accepted) in enumerate(gated, start=1):
         if accepted:
@@ -524,14 +526,14 @@ def benchmark_instance(
     )
     pairs = query.sse_links()
     error_rate = matrix_error_rate(moga.incidence, incidence_matrix(pairs, query.sse_count))
-    heuristics = pair_heuristics(pairs, query.sse_sizes, instance.templates, e_p)
+    graphs = pair_heuristics(pairs, query.sse_sizes, instance.templates, e_p, config.aco)
     truth = set(query.graph.shortcut_edges)
 
     scores = []
     recoveries = []
     accepted = 0
     for outcome, _, passed in gated_attempts(
-        query, pairs, heuristics, e_p, profile_residue, config.aco, sim_seqs
+        query, pairs, graphs, e_p, profile_residue, config.aco, sim_seqs
     ):
         recoveries.append(len(set(outcome.candidates) & truth) / e_real)
         scores.append(len(set(outcome.selected) & truth) / e_real)

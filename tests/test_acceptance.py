@@ -16,9 +16,9 @@ import pytest
 from conftest import dominates, make_ga_instance, write_family
 from ssein.aco import (
     AcoParams,
-    HeuristicMatrix,
+    Colony,
+    ColonyGraph,
     edge_probabilities,
-    pair_colony,
 )
 from ssein.cli import main
 from ssein.metrics import (
@@ -136,9 +136,9 @@ def test_criterion_05_transition_stability():
     worst = 0.0
     for _ in range(10_000):
         n, m = int(rng.integers(1, 5)), int(rng.integers(1, 5))
-        h = HeuristicMatrix.from_q(rng.uniform(0.1, 40, size=(n, m)), float(rng.integers(1, 9)))
-        colony = pair_colony(h, params, rng)
-        e = colony.n_inter
+        s = edge_probabilities(rng.uniform(0.1, 40, size=(n, m)), float(rng.integers(1, 9)))
+        colony = Colony(ColonyGraph.pair(s, params.beta), params, rng)
+        e = colony.graph.n_inter
         for slot in range(e):
             colony.tau[slot] = float(rng.uniform(0.1, 10.0 ** rng.integers(0, 8)))
         colony.tau[e] = sum(colony.tau[:e].tolist()) / e
@@ -153,18 +153,15 @@ def test_criterion_05_transition_stability():
 def test_criterion_06_pheromone_dynamics():
     """Eq substitution 8000.3 plus intra pinning over a 1000-step colony."""
     params = AcoParams(rho=0.7, delta_tau=4000.0)
-    colony = pair_colony(
-        HeuristicMatrix.from_q(np.ones((1, 1)), 1.0), params, np.random.default_rng(0)
-    )
+    colony = Colony(ColonyGraph.pair(np.ones((1, 1)), params.beta), params, np.random.default_rng(0))
     colony.tau[0] = 1.0
     colony.update(np.array([2]))
     assert colony.tau[0] == pytest.approx(8000.3, abs=1e-12)
 
     rng = np.random.default_rng(20240006)
-    colony = pair_colony(
-        HeuristicMatrix.from_q(rng.uniform(0.5, 5, size=(4, 5)), 6.0), params, rng
-    )
-    e = colony.n_inter
+    s = edge_probabilities(rng.uniform(0.5, 5, size=(4, 5)), 6.0)
+    colony = Colony(ColonyGraph.pair(s, params.beta), params, rng)
+    e = colony.graph.n_inter
     worst = 0.0
     for _ in range(1000):
         colony.update(np.array([int(rng.integers(0, 4)) for _ in range(e)]))

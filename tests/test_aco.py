@@ -11,7 +11,7 @@ from ssein.aco import (
     AcoParams,
     FamilyMatchError,
     Colony,
-    HeuristicMatrix,
+    ColonyGraph,
     TemplateProtein,
     allele_distance,
     allocate_pair_budgets,
@@ -20,7 +20,6 @@ from ssein.aco import (
     global_aco,
     local_aco,
     occurrence_matrices,
-    pair_colony,
     round_half_up,
     validate_built_network,
 )
@@ -277,9 +276,14 @@ class TestAllocatePairBudgets:
 
 
 def pair_state(n, m, q, e, params, seed=0):
-    h = HeuristicMatrix.from_q(q, e)
-    assert h.s.shape == (n, m)
-    return pair_colony(h, params, np.random.default_rng(seed)), h
+    s = edge_probabilities(q, e)
+    assert s.shape == (n, m)
+    return Colony(ColonyGraph.pair(s, params.beta), params, np.random.default_rng(seed)), s
+
+
+def colony_from_edges(vertex_count, inter, s, intra, s_intra, params, rng):
+    graph = ColonyGraph.from_edges(vertex_count, inter, s, intra, s_intra, params.beta)
+    return Colony(graph, params, rng)
 
 
 def row(colony, vertex):
@@ -308,12 +312,12 @@ class TestTransitionDistribution:
         # small integer tau/s evaluated exactly with Fractions at the
         # published exponents alpha=25, beta=12
         params = AcoParams()
-        colony, h = pair_state(1, 3, np.array([[1.0, 2.0, 3.0]]), 6.0, params)
+        colony, s = pair_state(1, 3, np.array([[1.0, 2.0, 3.0]]), 6.0, params)
         taus = [2.0, 1.0, 3.0]  # x1-y1, x1-y2, x1-y3
         colony.tau[:3] = taus
         nbrs, probs = row(colony, 0)
         weights = [
-            Fraction(int(taus[j - 1])) ** 25 * Fraction(h.s[0, j - 1]).limit_denominator(10**12) ** 12
+            Fraction(int(taus[j - 1])) ** 25 * Fraction(s[0, j - 1]).limit_denominator(10**12) ** 12
             for j in nbrs
         ]
         total = sum(weights)
@@ -324,7 +328,7 @@ class TestTransitionDistribution:
         params = AcoParams()
         rng = np.random.default_rng(4)
         colony, _ = pair_state(4, 5, rng.uniform(0.5, 50, size=(4, 5)), 5.0, params)
-        for slot in range(colony.n_inter):
+        for slot in range(colony.graph.n_inter):
             colony.tau[slot] = float(rng.uniform(1, 1e7))
         for v in range(9):
             _, probs = row(colony, v)
@@ -352,7 +356,7 @@ class TestUpdatePheromone:
         colony, _ = pair_state(3, 3, np.ones((3, 3)), 3.0, params)
         rng = np.random.default_rng(0)
         for step in range(50):
-            counts = np.array([int(rng.integers(0, 3)) for _ in range(colony.n_inter)])
+            counts = np.array([int(rng.integers(0, 3)) for _ in range(colony.graph.n_inter)])
             colony.update(counts)
             mean = np.mean(colony.tau[:9])
             assert colony.tau[9] == pytest.approx(mean, rel=1e-12)
@@ -440,14 +444,14 @@ class TestBatchedRows:
     """`Colony.rows` against the 1-D per-vertex formula, bit for bit."""
 
     def check(self, vertex_count, inter, s, intra, s_intra, params, rng):
-        colony = Colony.from_edges(vertex_count, inter, s, intra, s_intra, params, rng)
+        colony = colony_from_edges(vertex_count, inter, s, intra, s_intra, params, rng)
         colony.tau[:] = rng.uniform(1.0, 1e4, size=colony.tau.size)
         tau = dict(zip(inter, colony.tau.tolist()))
         s_of = dict(zip(inter, s))
         adjacency = reference_adjacency(vertex_count, [*inter, *intra])
         log_weights = colony.log_weights()
-        for d in sorted(set(colony.degree.tolist()) - {0}):
-            group = np.flatnonzero(colony.degree == d)
+        for d in sorted(set(colony.graph.degree.tolist()) - {0}):
+            group = np.flatnonzero(colony.graph.degree == d)
             nbrs, probs = colony.rows(group, log_weights)
             assert nbrs.shape == probs.shape == (group.size, d)
             for k, v in enumerate(group.tolist()):
@@ -476,7 +480,7 @@ class TestBatchedRows:
             self.check(vertex_count, inter, s, intra, sum(s) / len(s), AcoParams(), rng)
 
     def test_mixed_degrees_rejected(self):
-        colony = Colony.from_edges(
+        colony = colony_from_edges(
             4, [(0, 1), (1, 2)], [1.0, 1.0], [(2, 3)], 1.0, AcoParams(),
             np.random.default_rng(0),
         )
@@ -488,10 +492,12 @@ class TestColonyOracle:
     """Colony steps against the per-ant reference: same ant positions, move
     counts, pheromone and generator state after every step."""
 
-    def check(self, vertex_count, inter, s, intra, s_intra, params, seed, ants, steps=40):
-        colony = Colony.from_edges(
-            vertex_count, inter, s, intra, s_intra, params, np.random.default_rng(seed)
-        )
+    def check(
+        self, vertex_count, inter, s, intra, s_intra, params, seed, ants, steps=40, graph=None
+    ):
+        if graph is None:
+            graph = ColonyGraph.from_edges(vertex_count, inter, s, intra, s_intra, params.beta)
+        colony = Colony(graph, params, np.random.default_rng(seed))
         rng = np.random.default_rng(seed)
         ants = ants(rng)
         assert colony.ants.tolist() == ants
@@ -512,16 +518,18 @@ class TestColonyOracle:
         assert colony.rng.bit_generator.state == rng.bit_generator.state
 
     def check_pair(self, q, e, params, seed):
-        h = HeuristicMatrix.from_q(q, e)
-        n, m = h.s.shape
-        colony = pair_colony(h, params, np.random.default_rng(seed))
+        s = edge_probabilities(q, e)
+        n, m = s.shape
+        graph = ColonyGraph.pair(s, params.beta)
         inter = [(x, y) for x in range(n) for y in range(n, n + m)]
-        assert colony.n_inter == len(inter)
+        assert graph.n_inter == len(inter)
+        assert graph.s.tolist() == s.ravel().tolist()
         intra = [(u, v) for u in range(n + m) for v in range(u + 1, n + m) if (u < n) == (v < n)]
         self.check(
-            n + m, inter, h.s.ravel().tolist(), intra, float(h.s.mean()), params, seed,
+            n + m, inter, s.ravel().tolist(), intra, float(s.mean()), params, seed,
             # pair ants were drawn as 1-based residue ids
             lambda rng: [int(v) - 1 for v in rng.integers(1, n + m + 1, size=n + m)],
+            graph=graph,
         )
 
     def test_random_pairs(self):
@@ -557,7 +565,7 @@ class TestColonyOracle:
             )
 
     def test_every_ant_on_an_isolated_vertex(self):
-        colony = Colony.from_edges(
+        colony = colony_from_edges(
             5, [(0, 1)], [1.0], [], 1.0, AcoParams(), np.random.default_rng(0)
         )
         colony.ants[:] = [2, 3, 4, 4, 2]
@@ -582,24 +590,43 @@ class TestColonyOracle:
         self.check_pair(rng.uniform(0.1, 30, size=(70, 65)), 9.0, AcoParams(), 6)
 
 
+def pair_graph(q, e, params):
+    return ColonyGraph.pair(edge_probabilities(q, e), params.beta)
+
+
 class TestLocalAco:
     def test_concentrated_q_always_selected(self):
         params = AcoParams()
+        q = np.ones((6, 7))
+        q[2, 3] = 50.0
+        graph = pair_graph(q, 3.0, params)
         hits = 0
         for seed in range(20):
-            q = np.ones((6, 7))
-            q[2, 3] = 50.0
-            h = HeuristicMatrix.from_q(q, 3.0)
-            result = local_aco((6, 7), h, params, np.random.default_rng(seed))
+            result = local_aco((6, 7), graph, params, np.random.default_rng(seed))
             hits += (3, 4) in result.cells
         assert hits >= 19  # >= 0.95 frequency
 
     def test_lambda_one_keeps_only_argmax(self):
         params = AcoParams(lambda_min=1.0)
-        h = HeuristicMatrix.from_q(np.ones((4, 4)), 4.0)
-        result = local_aco((4, 4), h, params, np.random.default_rng(1))
-        max_cells = [(int(i) + 1, int(j) + 1) for i, j in np.argwhere(result.normalized_tau == 1.0)]
-        assert sorted(result.cells) == sorted(max_cells)
+        graph = pair_graph(np.ones((4, 4)), 4.0, params)
+        result = local_aco((4, 4), graph, params, np.random.default_rng(1))
+        colony = Colony(graph, params, np.random.default_rng(1))
+        colony.run()
+        tau = colony.tau[:16]
+        max_cells = [(k // 4 + 1, k % 4 + 1) for k in np.flatnonzero(tau == tau.max())]
+        assert sorted(result.cells) == max_cells
+
+    def test_cells_are_the_tau_ratios_clearing_lambda_min(self):
+        q = np.random.default_rng(7).uniform(1.0, 3.0, size=(4, 5))
+        for lambda_min in (0.8, 0.3):
+            params = AcoParams(lambda_min=lambda_min)
+            graph = pair_graph(q, 4.0, params)
+            result = local_aco((4, 5), graph, params, np.random.default_rng(1))
+            colony = Colony(graph, params, np.random.default_rng(1))
+            assert colony.run() == result.iterations
+            ratio = colony.tau[:20] / colony.tau[:20].max()
+            expected = [(k // 5 + 1, k % 5 + 1) for k in np.flatnonzero(ratio >= lambda_min)]
+            assert list(result.cells) == expected
 
     def test_planted_signal_recovery(self):
         # one boosted cell per pair across several pairs: >= 80% recovered
@@ -610,19 +637,54 @@ class TestLocalAco:
             q = np.ones((9, 9))
             r, c = int(rng.integers(9)), int(rng.integers(9))
             q[r, c] = 26.0
-            h = HeuristicMatrix.from_q(q, 1.0)
-            result = local_aco((9, 9), h, params, rng)
+            result = local_aco((9, 9), pair_graph(q, 1.0, params), params, rng)
             total += 1
             recovered += (r + 1, c + 1) in result.cells
         assert recovered / total >= 0.8
 
-    def test_normalized_tau_in_unit_interval(self):
+    def test_graph_of_another_pair_shape_rejected(self):
         params = AcoParams()
-        h = HeuristicMatrix.from_q(np.ones((5, 5)), 5.0)
-        result = local_aco((5, 5), h, params, np.random.default_rng(3))
-        values = result.normalized_tau.ravel()
-        assert max(values) == pytest.approx(1.0)
-        assert all(0 <= v <= 1 + 1e-12 for v in values)
+        graph = pair_graph(np.ones((3, 5)), 2.0, params)
+        with pytest.raises(ValueError, match="15 inter-SSE edges, not 3 x 4"):
+            local_aco((3, 4), graph, params, np.random.default_rng(0))
+
+    def test_one_graph_serves_every_simulation(self):
+        # colonies only read their graph: sharing it equals one graph each
+        params = AcoParams()
+        q = np.random.default_rng(2).uniform(1, 9, size=(5, 6))
+        graph = pair_graph(q, 3.0, params)
+        for seed in range(4):
+            shared = local_aco((5, 6), graph, params, np.random.default_rng(seed))
+            own = local_aco((5, 6), pair_graph(q, 3.0, params), params, np.random.default_rng(seed))
+            assert shared == own
+
+
+class TestColonyGraph:
+    def test_pair_slot_layout(self):
+        n, m = 3, 4
+        s = np.arange(1.0, 13.0).reshape(n, m)
+        graph = ColonyGraph.pair(s, 2.0)
+        assert graph.degree.tolist() == [n + m - 1] * (n + m)
+        assert graph.s.tolist() == s.ravel().tolist()
+        for v in range(n + m):
+            nbrs = graph.neighbors[v].tolist()
+            assert nbrs == [w for w in range(n + m) if w != v]
+            for w, slot in zip(nbrs, graph.slots[v].tolist()):
+                x, y = min(v, w), max(v, w)
+                if x < n <= y:  # X-Y: cell (x, y - n)
+                    assert slot == x * m + (y - n)
+                else:  # X-X or Y-Y: the shared intra slot
+                    assert slot == n * m
+        expected = [2.0 * math.log(x) for x in [*s.ravel().tolist(), float(s.mean())]]
+        assert graph.s_term.tolist() == expected
+
+    def test_no_inter_edge_rejected(self):
+        with pytest.raises(ValueError, match="at least one inter-SSE edge"):
+            ColonyGraph.from_edges(3, [], [], [(0, 1)], 1.0, 12.0)
+
+    def test_edge_outside_the_vertices_rejected(self):
+        with pytest.raises(ValueError, match="leaves the vertices 0..2"):
+            ColonyGraph.from_edges(3, [(0, 3)], [1.0], [], 1.0, 12.0)
 
 
 class TestGlobalAco:
@@ -791,8 +853,8 @@ class TestTemplateProtein:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             AcoParams(**{name: value})
 
-
-class TestEdgeBudget:
-    def test_heuristic_matrix_conservation_enforced(self):
-        with pytest.raises(ValueError):
-            HeuristicMatrix(np.ones((2, 2)), np.ones((2, 2)), 1.0)
+    @pytest.mark.parametrize("e_stop", [1.0, 0.5, 0.0, -3.0])
+    def test_e_stop_at_most_one_rejected(self, e_stop):
+        # the stop rule would hold after the first update, keeping every cell
+        with pytest.raises(ValueError, match=f"e_stop must be > 1, got {e_stop}"):
+            AcoParams(e_stop=e_stop)

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -20,6 +22,18 @@ from conftest import multi_helix_protein, two_helix_protein
 from ssein.cli import main
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+SRC = Path(__file__).resolve().parent.parent / "src"
+# numpy's dispatch targets above its X86_V2 baseline (AVX2, AVX-512)
+SIMD_ABOVE_BASELINE = "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"
+# Checks in the child that the targets are really off before running the
+# CLI; on a machine without these targets the check holds trivially.
+NARROWED_PREDICT = (
+    "import sys\n"
+    "from numpy._core._multiarray_umath import __cpu_features__\n"
+    "assert not any(__cpu_features__.get(f) for f in sys.argv[1].split()), 'SIMD still on'\n"
+    "from ssein.cli import main\n"
+    "sys.exit(main(sys.argv[2:]))\n"
+)
 
 DESK_SWEEP = {
     "manifest.tsv": "1e2e02cf2ee632b39ffbdac8911295ccc98bb0eb307ce371d20d895ffaa9f83a",
@@ -57,19 +71,23 @@ def test_desk_sweep_script_digests(tmp_path, monkeypatch, capsys):
     assert _digests(Path("bench_out"), DESK_SWEEP) == DESK_SWEEP
 
 
-def test_four_helix_accepted_on_second_attempt(tmp_path, monkeypatch):
-    """Early stop: the report describes the first accepted attempt."""
-    monkeypatch.chdir(tmp_path)
+def _write_four_helix_family() -> list[str]:
+    """The four-helix query and family in the working directory; returns
+    the predict arguments."""
     text, _ = multi_helix_protein(4)
     Path("q.pdb").write_text(text)
     rng = np.random.default_rng(3)
     for t in range(1, 4):
         Path(f"t{t}.pdb").write_text(multi_helix_protein(4, jitter=rng)[0])
     Path("fam.tsv").write_text(_write_index(3, 4))
-    code = main(
-        ["predict", "--pdb", "q.pdb", "--family", "fam.tsv",
-         "--seed", "13", "--simulations", "10", "--out", "out"]
-    )
+    return ["predict", "--pdb", "q.pdb", "--family", "fam.tsv",
+            "--seed", "13", "--simulations", "10", "--out", "out"]
+
+
+def test_four_helix_accepted_on_second_attempt(tmp_path, monkeypatch):
+    """Early stop: the report describes the first accepted attempt."""
+    monkeypatch.chdir(tmp_path)
+    code = main(_write_four_helix_family())
     assert code == 0
     report = json.loads(Path("out/report.json").read_text())
     assert (report["verdict"], report["attempts"]) == ("accepted", 2)
@@ -93,3 +111,22 @@ def test_far_helix_rejected_reports_last_attempt(tmp_path, monkeypatch):
     report = json.loads(Path("out/report.json").read_text())
     assert (report["verdict"], report["attempts"]) == ("rejected", 5)
     assert _digests(Path("out"), FAR_HELIX_REJECTED) == FAR_HELIX_REJECTED
+
+
+def test_four_helix_digests_without_wide_simd(tmp_path, monkeypatch):
+    """The same bytes when numpy may not dispatch to AVX2 or AVX-512: the
+    colony's float paths do not depend on the x86 SIMD level."""
+    monkeypatch.chdir(tmp_path)
+    argv = _write_four_helix_family()
+    path = os.environ.get("PYTHONPATH")
+    env = {
+        **os.environ,
+        "NPY_DISABLE_CPU_FEATURES": SIMD_ABOVE_BASELINE,
+        "PYTHONPATH": str(SRC) + (os.pathsep + path if path else ""),
+    }
+    child = subprocess.run(
+        [sys.executable, "-c", NARROWED_PREDICT, SIMD_ABOVE_BASELINE, *argv],
+        env=env, capture_output=True, text=True,
+    )
+    assert child.returncode == 0, child.stderr
+    assert _digests(Path("out"), FOUR_HELIX_ACCEPTED) == FOUR_HELIX_ACCEPTED

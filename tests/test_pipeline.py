@@ -6,7 +6,7 @@ import pytest
 
 from conftest import write_family
 from ssein import aco, pipeline
-from ssein.aco import AcoParams, FamilyMatchError, HeuristicMatrix, pair_colony
+from ssein.aco import AcoParams, Colony, ColonyGraph, FamilyMatchError, edge_probabilities
 from ssein.cli import main
 from ssein.pipeline import (
     DegenerateFamilyError,
@@ -21,6 +21,7 @@ from ssein.pipeline import (
     shortcut_edges_to_tsv,
 )
 from ssein.metrics import TopologicalProfile
+from ssein.moga import GaParams
 from ssein.synth import make_planted_instance
 
 
@@ -165,6 +166,26 @@ class TestBenchmark:
         with pytest.raises(DegenerateFamilyError, match="pairs: residue-level clustering_coeff"):
             benchmark_instance(instance, config, np.random.SeedSequence(0))
 
+    def test_pair_graphs_built_once_per_run(self, monkeypatch):
+        # every simulation reuses the run's pair graphs and only draws anew
+        instance = make_planted_instance(
+            "once", (9, 8, 10, 9), np.random.default_rng(11), boost_fraction=1.0
+        )
+        built, local = [], []
+        pair, local_aco = ColonyGraph.pair, pipeline.local_aco
+        monkeypatch.setattr(
+            ColonyGraph, "pair", staticmethod(lambda s, beta: built.append(s.shape) or pair(s, beta))
+        )
+        monkeypatch.setattr(
+            pipeline, "local_aco", lambda *args: local.append(args[0]) or local_aco(*args)
+        )
+        config = RunConfig(simulations=3, ga=GaParams(generations=5))
+        benchmark_instance(instance, config, np.random.SeedSequence(0))
+        pairs = instance.query.sse_links()
+        sizes = instance.query.sse_sizes
+        assert built == [(sizes[a - 1], sizes[b - 1]) for a, b in pairs]
+        assert local == 3 * built
+
     def test_single_instance_row(self, tmp_path):
         manifest = tmp_path / "m.tsv"
         manifest.write_text("one\t11\t9,8,10,9,8,10,9,8\t1.0\n")
@@ -226,8 +247,8 @@ class TestFloatSumsAcrossPythonVersions:
 
     def test_colony_update(self, monkeypatch):
         def updated_tau():
-            h = HeuristicMatrix.from_q(np.ones((4, 5)), 2.0)
-            colony = pair_colony(h, AcoParams(), np.random.default_rng(0))
+            s = edge_probabilities(np.ones((4, 5)), 2.0)
+            colony = Colony(ColonyGraph.pair(s, 12.0), AcoParams(), np.random.default_rng(0))
             colony.tau[:20] = np.random.default_rng(3).uniform(1.0, 1e4, size=20)
             colony.update(np.arange(20) % 3)
             return colony.tau.tolist()
@@ -417,6 +438,39 @@ class TestCli:
         assert main(argv) == 0
         header, row = (out / "benchmark_table.tsv").read_text().splitlines()
         assert dict(zip(header.split("\t"), row.split("\t")))["simulations"] == str(expected)
+
+    @pytest.mark.parametrize(
+        "config_text, message",
+        [
+            ("seed = 3\n", "no section headers"),
+            ("[run]\nseed = 3\nseed = 4\n", "option 'seed' in section 'run' already exists"),
+            ("[run]\noutput_dir = 50%\n", "'%' must be followed by"),
+        ],
+        ids=["no-section", "duplicate-key", "bad-interpolation"],
+    )
+    def test_malformed_config_exits_one(self, tmp_path, capsys, config_text, message):
+        manifest = tmp_path / "m.tsv"
+        manifest.write_text("one\t11\t9,8,10,9\t1.0\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config_text)
+        code = main(["benchmark", "--manifest", str(manifest), "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: malformed config file {str(cfg)!r}: ")
+        assert message in err
+
+    def test_e_stop_at_most_one_exits_one(self, tmp_path, capsys):
+        manifest = tmp_path / "m.tsv"
+        manifest.write_text("one\t11\t9,8,10,9\t1.0\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[aco]\ne_stop = 1\n")
+        out = tmp_path / "bench"
+        code = main(["benchmark", "--manifest", str(manifest), "--config", str(cfg),
+                     "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "e_stop must be > 1, got 1.0" in err
+        assert not out.exists()
 
     def test_bad_config_key_exits_one(self, tmp_path, capsys):
         query, index = write_family(tmp_path)
