@@ -7,11 +7,12 @@ normalized pheromone clears lambda_min survive as candidates.  Stage two
 runs the same dynamics over the whole candidate network and keeps the E_p
 top-pheromone edges, where E_p comes from family template edge rates.
 
-A template's residues are placed in its SSEs in one place,
-`TemplateProtein.shortcut_cells`: each shortcut edge becomes two (SSE index,
-relative position) cells.  The occurrence matrices count those cells, and
-the template's SSE graph is their sorted set of SSE links (`sse_links`);
-no SSE-level adjacency matrix is built.
+A template's shortcut edges are placed in its SSEs in one place,
+`TemplateProtein.shortcut_cells`, through its SSE-IN's ranges
+(`SseInGraph.sse_index`): each edge becomes two (SSE index, relative
+position) cells.  The occurrence matrices count those cells, and the
+template's SSE graph is their sorted set of SSE links (`sse_links`); no
+SSE-level adjacency matrix is built.
 
 Pheromone updates follow tau = (1 - rho) tau + n_moves * delta_tau on
 inter-SSE edges, while intra-SSE edges stay pinned to the inter-SSE mean.
@@ -34,8 +35,8 @@ regroup numpy's pairwise row sum and move its last bit.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -103,24 +104,15 @@ def allele_distance(a: Sequence[int], b: Sequence[int]) -> int:
 @dataclass(frozen=True)
 class TemplateProtein:
     """A protein, family member or query, reduced to what the comparative
-    model needs."""
+    model needs: its SSE-IN, whose ranges give the SSE sizes."""
 
     protein_id: str
-    sse_sizes: tuple[int, ...]
-    sse_ranges: tuple[tuple[int, int], ...]  # residue-index span per SSE, in order
     graph: SseInGraph
+    sse_sizes: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
-        if len(self.sse_sizes) != len(self.sse_ranges):
-            raise ValueError("sse_sizes and sse_ranges must align")
-        previous_last = 0
-        for size, (first, last) in zip(self.sse_sizes, self.sse_ranges):
-            if last - first + 1 != size:
-                raise ValueError(f"range ({first}, {last}) does not match size {size}")
-            # shortcut_cells bisects the first residues
-            if first <= previous_last:
-                raise ValueError(f"range ({first}, {last}) does not follow the previous SSE")
-            previous_last = last
+        sizes = tuple(last - first + 1 for first, last in self.graph.sse_ranges)
+        object.__setattr__(self, "sse_sizes", sizes)
 
     @property
     def sse_count(self) -> int:
@@ -141,19 +133,13 @@ class TemplateProtein:
     def shortcut_cells(self) -> list[tuple[tuple[int, float], tuple[int, float]]]:
         """Per shortcut edge (u, w), ((k_u, r_u), (k_w, r_w)): each endpoint's
         1-based SSE index and relative position in (0, 1] within that SSE."""
-        firsts = [first for first, _ in self.sse_ranges]
-
-        def cell(v: int) -> tuple[int, float]:
-            k = bisect_right(firsts, v)  # the last SSE starting at or before v
-            if k:
-                first, last = self.sse_ranges[k - 1]
-                if v <= last:
-                    return k, (v - first + 1) / (last - first + 1)
-            raise ValueError(
-                f"template {self.protein_id}: vertex {v} is outside every SSE range"
-            )
-
-        return [(cell(u), cell(w)) for u, w in self.graph.shortcut_edges]
+        graph = self.graph
+        ends = list(chain.from_iterable(graph.shortcut_edges))
+        cells = [
+            (k, (v - graph.sse_ranges[k - 1][0] + 1) / self.sse_sizes[k - 1])
+            for v, k in zip(ends, graph.sse_index(ends).tolist())
+        ]
+        return list(zip(cells[0::2], cells[1::2]))
 
     def sse_links(self) -> list[tuple[int, int]]:
         """The SSE graph: sorted distinct 1-based SSE pairs (a, b), a < b,
@@ -164,10 +150,7 @@ class TemplateProtein:
 
     @classmethod
     def from_structure(cls, protein: ProteinStructure, threshold: float = 7.0) -> "TemplateProtein":
-        cmap = build_contact_map(protein, threshold)
-        graph = induce_sse_in(cmap, protein)
-        ranges = tuple((a.first_residue, a.last_residue) for a in protein.sse_list)
-        return cls(protein.id, protein.sse_sizes(), ranges, graph)
+        return cls(protein.id, induce_sse_in(build_contact_map(protein, threshold), protein))
 
 
 def estimate_edge_budget(
@@ -175,10 +158,10 @@ def estimate_edge_budget(
 ) -> int:
     """Predicted shortcut-edge total E_p from family template edge rates.
 
-    The nearest template (by allele distance) closer than 20% of the
-    sequence's cumulated size lends its shortcut-edge rate; otherwise the
-    family-mean rate applies.  Either way E_p scales the rate by the
-    sequence's cumulated size.
+    The nearest template (by allele distance, ties by protein id) lends its
+    shortcut-edge rate if it is closer than 20% of the sequence's cumulated
+    size; otherwise the family-mean rate applies.  Either way E_p scales the
+    rate by the sequence's cumulated size.
     """
     matching = [t for t in templates if t.sse_count == len(sequence_sizes)]
     if not matching:
@@ -186,12 +169,12 @@ def estimate_edge_budget(
             f"no template with SSE count {len(sequence_sizes)} in the family"
         )
     cumulated = sum(sequence_sizes)
-    ranked = sorted(
-        matching, key=lambda t: (allele_distance(sequence_sizes, t.sse_sizes), t.protein_id)
+    distance, _, nearest = min(
+        ((allele_distance(sequence_sizes, t.sse_sizes), t.protein_id, t) for t in matching),
+        key=lambda ranked: ranked[:2],
     )
-    for t in ranked:
-        if allele_distance(sequence_sizes, t.sse_sizes) < 0.2 * cumulated:
-            return round_half_up(t.shortcut_rate * cumulated)
+    if distance < 0.2 * cumulated:
+        return round_half_up(nearest.shortcut_rate * cumulated)
     mean_rate = left_sum(t.shortcut_rate for t in matching) / len(matching)
     return round_half_up(mean_rate * cumulated)
 

@@ -6,6 +6,12 @@ subgraph of the contact map induced by residues belonging to a secondary
 structure element; its inter-SSE edges are the shortcut edges the ant colony
 stage predicts.
 
+Which residue belongs to which SSE is recorded once, as the SSE-IN's ordered
+inclusive residue ranges.  `SseInGraph.sse_index` places residues in SSEs
+with one `np.searchsorted` over the range starts; the graph's own check of
+its intra/shortcut split, the template occurrence cells and the report's SSE
+columns all go through it.
+
 The map is built in blocks of `BLOCK_ROWS` rows, one coordinate axis at a
 time: the squared distance is `(dx*dx + dy*dy) + dz*dz`, the association
 numpy's length-3 `sum` over an (N, N, 3) difference array uses, then `sqrt`
@@ -16,7 +22,8 @@ while memory stays at the (N, N) uint8 map plus a few (64, N) float rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -77,54 +84,86 @@ def _axis_square(block: np.ndarray, axis: np.ndarray) -> np.ndarray:
 class SseInGraph:
     """Contact subgraph induced by SSE residues, edges split by SSE identity.
 
-    Shortcut edges join residues of different SSEs; intra edges stay inside
-    one SSE.  Vertices keep their 1-based residue indices.
+    `sse_ranges` holds each SSE's inclusive residue-index span, in chain
+    order, and is the only record of which residue belongs to which SSE:
+    the vertices are the residues of the ranges, and `sse_index` places a
+    residue in its SSE.  Shortcut edges join residues of different SSEs;
+    intra edges stay inside one SSE.  Vertices keep their 1-based residue
+    indices.
     """
 
-    vertices: tuple[int, ...]
+    sse_ids: tuple[str, ...]
+    sse_ranges: tuple[tuple[int, int], ...]
     intra_edges: tuple[Edge, ...]
     shortcut_edges: tuple[Edge, ...]
-    sse_of: dict[int, str]
+    vertices: tuple[int, ...] = field(init=False)
+    _bounds: np.ndarray = field(init=False, repr=False, compare=False)  # (2, M) firsts, lasts
 
     def __post_init__(self):
-        vset = set(self.vertices)
-        for i, j in self.edges:
-            if i == j:
-                raise ValueError(f"self-loop at vertex {i}")
-            if i not in vset or j not in vset:
-                raise ValueError(f"edge ({i}, {j}) endpoint outside vertex set")
-        for i, j in self.intra_edges:
-            if self.sse_of[i] != self.sse_of[j]:
-                raise ValueError(f"intra edge ({i}, {j}) spans two SSEs")
-        for i, j in self.shortcut_edges:
-            if self.sse_of[i] == self.sse_of[j]:
-                raise ValueError(f"shortcut edge ({i}, {j}) stays inside one SSE")
+        if len(self.sse_ids) != len(self.sse_ranges):
+            raise ValueError("sse_ids and sse_ranges must align")
+        previous_last = 0
+        for sse_id, (first, last) in zip(self.sse_ids, self.sse_ranges):
+            # sse_index bisects the first residues
+            if not previous_last < first <= last:
+                raise ValueError(
+                    f"SSE {sse_id} range ({first}, {last}) does not follow the previous SSE"
+                )
+            previous_last = last
+        spans = (range(first, last + 1) for first, last in self.sse_ranges)
+        object.__setattr__(self, "vertices", tuple(chain.from_iterable(spans)))
+        bounds = np.array(self.sse_ranges, dtype=np.intp).reshape(-1, 2).T.copy()
+        object.__setattr__(self, "_bounds", bounds)
+        ends = np.fromiter(chain.from_iterable(self.edges), np.intp, 2 * len(self.edges))
+        u, w = ends.reshape(-1, 2).T
+        ku, kw = self.sse_index(ends).reshape(-1, 2).T
+        intra = np.arange(len(u)) < len(self.intra_edges)
+        for bad, message in (
+            (u == w, "self-loop at vertex {u}"),
+            (ku == 0, "edge ({u}, {w}): vertex {u} is outside every SSE range"),
+            (kw == 0, "edge ({u}, {w}): vertex {w} is outside every SSE range"),
+            ((ku != kw) & intra, "intra edge ({u}, {w}) spans two SSEs"),
+            ((ku == kw) & ~intra, "shortcut edge ({u}, {w}) stays inside one SSE"),
+        ):
+            if bad.any():
+                u, w = self.edges[int(bad.argmax())]
+                raise ValueError(message.format(u=u, w=w))
 
     @property
     def edges(self) -> tuple[Edge, ...]:
         return self.intra_edges + self.shortcut_edges
 
+    def sse_index(self, residues) -> np.ndarray:
+        """The 1-based index of the SSE holding each residue of an array of
+        residue indices, 0 for a residue outside every range."""
+        residues = np.asarray(residues, dtype=np.intp)
+        firsts, lasts = self._bounds
+        k = np.searchsorted(firsts, residues, side="right")  # the last SSE starting at or before
+        if len(firsts):
+            k[residues > lasts[k - 1]] = 0
+        return k
+
 
 def induce_sse_in(cmap: ContactMap, protein: ProteinStructure) -> SseInGraph:
-    """Induce the SSE-IN from a contact map and the protein's annotations."""
+    """Induce the SSE-IN from a contact map and the protein's annotations,
+    whose ranges must follow one another along the chain."""
     if cmap.n != len(protein.residues):
         raise ValueError(
             f"contact map size {cmap.n} != residue count {len(protein.residues)}"
         )
-    sse_of = {r.index: r.sse_id for r in protein.residues if r.sse_id is not None}
-    vertices = tuple(sorted(sse_of))
-    # Residue indices run 1..N, so the sorted vertices are increasing rows of
-    # the map; the induced submatrix keeps the row-major edge order.
-    rows = np.array(vertices, dtype=np.intp) - 1
-    label_of = {sse_id: k for k, sse_id in enumerate(dict.fromkeys(sse_of.values()))}
-    labels = np.array([label_of[sse_of[v]] for v in vertices], dtype=np.intp)
+    ranges = tuple((a.first_residue, a.last_residue) for a in protein.sse_list)
+    # Ordered ranges make the vertices increasing rows of the map, so the
+    # induced submatrix keeps the row-major edge order.
+    spans = [range(first - 1, last) for first, last in ranges]
+    rows = np.fromiter(chain.from_iterable(spans), np.intp)
+    labels = np.repeat(np.arange(len(spans)), [len(span) for span in spans])
     i, j = np.nonzero(np.triu(cmap.bits[np.ix_(rows, rows)], 1))
     same = labels[i] == labels[j]
     return SseInGraph(
-        vertices,
+        tuple(a.sse_id for a in protein.sse_list),
+        ranges,
         _edge_tuple(rows[i[same]], rows[j[same]]),
         _edge_tuple(rows[i[~same]], rows[j[~same]]),
-        sse_of,
     )
 
 

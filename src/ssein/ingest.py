@@ -1,8 +1,10 @@
 """Structure-file and family-index ingestion.
 
 Parses fixed-column PDB text (ATOM / HELIX / SHEET records) into validated
-records carrying everything downstream stages need: Cα coordinates, backbone
-dihedrals, Kyte-Doolittle hydrophobicity and secondary-structure membership.
+records carrying everything downstream stages need: per residue the Cα
+coordinates, backbone dihedrals and Kyte-Doolittle hydrophobicity, and per
+secondary structure element an `SseAnnotation` whose inclusive residue range
+is the one record of SSE membership (no residue carries an SSE label).
 Only the first chain and the first model of a file are read.
 """
 
@@ -64,7 +66,6 @@ class Residue:
     phi: Optional[float] = None
     psi: Optional[float] = None
     hydrophobicity: float = 0.0
-    sse_id: Optional[str] = None
 
     def __post_init__(self):
         if self.index < 1:
@@ -95,10 +96,6 @@ class SseAnnotation:
                 f"SSE {self.sse_id}: first {self.first_residue} > last {self.last_residue}"
             )
 
-    @property
-    def size(self) -> int:
-        return self.last_residue - self.first_residue + 1
-
 
 @dataclass(frozen=True)
 class ProteinStructure:
@@ -110,10 +107,6 @@ class ProteinStructure:
         indices = [r.index for r in self.residues]
         if indices != list(range(1, len(indices) + 1)):
             raise ValueError("residue indices must be contiguous starting at 1")
-        known = {a.sse_id for a in self.sse_list}
-        for r in self.residues:
-            if r.sse_id is not None and r.sse_id not in known:
-                raise ValueError(f"residue {r.index} references unknown SSE {r.sse_id}")
         covered: set[int] = set()
         for a in self.sse_list:
             span = set(range(a.first_residue, a.last_residue + 1))
@@ -125,9 +118,6 @@ class ProteinStructure:
 
     def __len__(self) -> int:
         return len(self.residues)
-
-    def sse_sizes(self) -> tuple[int, ...]:
-        return tuple(a.size for a in self.sse_list)
 
 
 class BackboneAtoms(NamedTuple):
@@ -279,11 +269,6 @@ def parse_pdb_detailed(text: str, protein_id: str = "unknown") -> PdbParseResult
     # Gene positions follow chain order, so annotations sort by position.
     annotations.sort(key=lambda a: a.first_residue)
 
-    sse_of: dict[int, str] = {}
-    for a in annotations:
-        for i in range(a.first_residue, a.last_residue + 1):
-            sse_of[i] = a.sse_id
-
     residues = []
     backbone: dict[int, BackboneAtoms] = {}
     for res_seq in kept:
@@ -296,7 +281,6 @@ def parse_pdb_detailed(text: str, protein_id: str = "unknown") -> PdbParseResult
                 code=code,
                 ca=entry["CA"],
                 hydrophobicity=assign_hydrophobicity(code),
-                sse_id=sse_of.get(idx),
             )
         )
         backbone[idx] = BackboneAtoms(entry.get("N"), entry["CA"], entry.get("C"))

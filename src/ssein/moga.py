@@ -95,7 +95,6 @@ class SseContext:
     mean_phi: np.ndarray  # (M,) degrees
     mean_psi: np.ndarray  # (M,) degrees
     mean_hydro: np.ndarray  # (M,)
-    sse_sizes: tuple[int, ...]
 
     def __post_init__(self):
         m = self.centroids.shape[0]
@@ -104,8 +103,6 @@ class SseContext:
         for name in ("mean_phi", "mean_psi", "mean_hydro"):
             if getattr(self, name).shape != (m,):
                 raise ValueError(f"{name} must have shape (M,)")
-        if len(self.sse_sizes) != m:
-            raise ValueError("sse_sizes length must match centroid count")
 
     @property
     def sse_count(self) -> int:
@@ -133,7 +130,6 @@ class SseContext:
         mean_phi = []
         mean_psi = []
         mean_hydro = []
-        sizes = []
         for a in protein.sse_list:
             members = protein.residues[a.first_residue - 1 : a.last_residue]
             coords = np.array([r.ca for r in members], dtype=float)
@@ -143,13 +139,11 @@ class SseContext:
             mean_phi.append(left_sum(phis) / len(phis) if phis else 0.0)
             mean_psi.append(left_sum(psis) / len(psis) if psis else 0.0)
             mean_hydro.append(left_sum(r.hydrophobicity for r in members) / len(members))
-            sizes.append(a.size)
         return cls(
             np.array(centroids, dtype=float),
             np.array(mean_phi, dtype=float),
             np.array(mean_psi, dtype=float),
             np.array(mean_hydro, dtype=float),
-            tuple(sizes),
         )
 
 

@@ -201,7 +201,7 @@ def aco_attempt(
         n, m = query.sse_sizes[a - 1], query.sse_sizes[b - 1]
         rng = np.random.default_rng(streams[k])
         result = local_aco((n, m), pair_graph, params, rng)
-        first_a, first_b = query.sse_ranges[a - 1][0], query.sse_ranges[b - 1][0]
+        first_a, first_b = query.graph.sse_ranges[a - 1][0], query.graph.sse_ranges[b - 1][0]
         for i, j in result.cells:
             u, v = first_a + i - 1, first_b + j - 1
             edge = (u, v) if u < v else (v, u)
@@ -296,6 +296,7 @@ def _family_profiles(
 
 def _ga_stage(
     ctx: SseContext,
+    sse_sizes: Sequence[int],
     templates: Sequence[TemplateProtein],
     profile_sse: TopologicalProfile,
     config: RunConfig,
@@ -303,13 +304,13 @@ def _ga_stage(
 ) -> tuple[MogaResult, int, list[np.random.SeedSequence]]:
     """Everything between the family profiles and the colony stage: split
     the seed into the GA stream and one stream per simulation, run the GA
-    and estimate the edge budget E_p.
+    and estimate the edge budget E_p of a query with these SSE sizes.
 
     Returns (GA result, E_p, simulation streams).
     """
     moga_seq, *sim_seqs = seed_seq.spawn(1 + config.simulations)
     moga = run_moga(ctx, config.ga, profile_sse, np.random.default_rng(moga_seq))
-    e_p = estimate_edge_budget(ctx.sse_sizes, templates)
+    e_p = estimate_edge_budget(sse_sizes, templates)
     return moga, e_p, sim_seqs
 
 
@@ -367,7 +368,7 @@ def run_predict(config: RunConfig) -> RunReport:
     ctx = SseContext.from_structure(protein)
     profile_sse, profile_residue = _family_profiles(matching, index.family_id)
     moga, e_p, sim_seqs = _ga_stage(
-        ctx, matching, profile_sse, config, np.random.SeedSequence(config.seed)
+        ctx, query.sse_sizes, matching, profile_sse, config, np.random.SeedSequence(config.seed)
     )
     t_moga = time.perf_counter()
 
@@ -386,10 +387,11 @@ def run_predict(config: RunConfig) -> RunReport:
     score = None
     if e_real:
         score = len(set(outcome.selected) & set(query.graph.shortcut_edges)) / e_real
-    sse_of = query.graph.sse_of
+    sse_ids = query.graph.sse_ids
+    sse_k = query.graph.sse_index(np.array(outcome.selected, dtype=np.intp).reshape(-1, 2))
     rows = [
-        (u, v, sse_of[u], sse_of[v], outcome.normalized_tau.get((u, v), 0.0))
-        for u, v in outcome.selected
+        (u, v, sse_ids[ku - 1], sse_ids[kv - 1], outcome.normalized_tau.get((u, v), 0.0))
+        for (u, v), (ku, kv) in zip(outcome.selected, sse_k.tolist())
     ]
     report = RunReport(
         protein_id=protein.id,
@@ -430,11 +432,17 @@ class ManifestRow:
     boost_fraction: float
     shortcuts_per_pair: int = 1
 
+    def __post_init__(self):
+        if self.gen_seed < 0:
+            raise ValueError(f"generator seed must be non-negative, got {self.gen_seed}")
+
 
 def parse_manifest(text: str) -> list[ManifestRow]:
     """Benchmark manifest: id, generator seed, SSE sizes csv, boost fraction,
-    optional shortcuts per pair; tab-separated, # comments allowed."""
+    optional shortcuts per pair; tab-separated, # comments allowed.  Ids
+    must be distinct."""
     rows = []
+    seen: set[str] = set()
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -453,6 +461,9 @@ def parse_manifest(text: str) -> list[ManifestRow]:
             )
         except ValueError as exc:
             raise ValueError(f"manifest line {line_no}: {exc}") from None
+        if row.instance_id in seen:
+            raise ValueError(f"manifest line {line_no}: duplicate instance id {row.instance_id!r}")
+        seen.add(row.instance_id)
         rows.append(row)
     if not rows:
         raise ValueError("manifest has no instances")
@@ -522,7 +533,7 @@ def benchmark_instance(
     if e_real == 0:
         raise ValueError(f"instance {query.protein_id}: no planted shortcut edge to score against")
     moga, e_p, sim_seqs = _ga_stage(
-        instance.ctx, instance.templates, profile_sse, config, seed_seq
+        instance.ctx, query.sse_sizes, instance.templates, profile_sse, config, seed_seq
     )
     pairs = query.sse_links()
     error_rate = matrix_error_rate(moga.incidence, incidence_matrix(pairs, query.sse_count))

@@ -36,15 +36,10 @@ class PlantedInstance:
     ctx: SseContext
 
 
-def _cluster_split(m: int, clusters: int) -> list[list[int]]:
-    clusters = max(1, min(clusters, m))
-    sizes = [m // clusters + (1 if i < m % clusters else 0) for i in range(clusters)]
-    groups = []
-    start = 1
-    for s in sizes:
-        groups.append(list(range(start, start + s)))
-        start += s
-    return groups
+def _cluster_split(m: int) -> list[list[int]]:
+    """SSEs 1..m in two runs of consecutive SSEs, the first one longer on odd m."""
+    split = m - m // 2
+    return [list(range(1, split + 1)), list(range(split + 1, m + 1))]
 
 
 def _intra_edges(first: int, last: int) -> list[Edge]:
@@ -63,17 +58,14 @@ def make_planted_instance(
     *,
     shortcuts_per_pair: int = 1,
     boost_fraction: float = 1.0,
-    q_boost: int | None = None,
     n_templates: int = 25,
-    clusters: int = 2,
 ) -> PlantedInstance:
     """Build a planted query, whose SSE-IN holds the true shortcuts, with
     its fabricated template family.
 
     `boost_fraction` controls which share of the true shortcut edges shows
-    up in the templates (and hence in the occurrence matrix Q); `q_boost`
-    caps how many of the `n_templates` templates carry that evidence
-    (default: all of them).
+    up in the templates, every one of the `n_templates` (and hence in the
+    occurrence matrix Q).
     """
     m = len(sse_sizes)
     if m < 2:
@@ -86,7 +78,6 @@ def make_planted_instance(
         raise ValueError(f"instance {instance_id}: boost_fraction must be in [0, 1]")
     if n_templates < 1:
         raise ValueError(f"instance {instance_id}: need at least one template")
-    carriers = n_templates if q_boost is None else min(q_boost, n_templates)
 
     ranges = []
     start = 1
@@ -97,7 +88,7 @@ def make_planted_instance(
         start += size
     sse_ranges = tuple(ranges)
 
-    groups = _cluster_split(m, clusters)
+    groups = _cluster_split(m)
     pairs = [(group[i], group[i + 1]) for group in groups for i in range(len(group) - 1)]
 
     shortcuts: list[Edge] = []
@@ -114,21 +105,12 @@ def make_planted_instance(
     boosted = tuple(sorted(shortcuts[i] for i in order[:boosted_count]))
 
     intra = tuple(edge for first, last in sse_ranges for edge in _intra_edges(first, last))
-    sse_of = {
-        v: f"E{k}"
-        for k, (first, last) in enumerate(sse_ranges, start=1)
-        for v in range(first, last + 1)
-    }
-    vertices = tuple(sorted(sse_of))
-
-    def protein(protein_id: str, shortcut_edges: tuple[Edge, ...]) -> TemplateProtein:
-        graph = SseInGraph(vertices, intra, shortcut_edges, sse_of)
-        return TemplateProtein(protein_id, sse_sizes, sse_ranges, graph)
-
-    query = protein(instance_id, tuple(shortcuts))
+    sse_ids = tuple(f"E{k}" for k in range(1, m + 1))
+    query = TemplateProtein(instance_id, SseInGraph(sse_ids, sse_ranges, intra, tuple(shortcuts)))
+    # Every template has the same SSE-IN, the boosted truth.
+    family_graph = SseInGraph(sse_ids, sse_ranges, intra, boosted)
     templates = tuple(
-        protein(f"{instance_id}-T{t + 1}", boosted if t < carriers else ())
-        for t in range(n_templates)
+        TemplateProtein(f"{instance_id}-T{t + 1}", family_graph) for t in range(n_templates)
     )
 
     cluster_of = {sse: c for c, group in enumerate(groups) for sse in group}
@@ -142,6 +124,6 @@ def make_planted_instance(
         phi, psi = _CLUSTER_ANGLES[c % len(_CLUSTER_ANGLES)]
         mean_phi[sse - 1] = phi
         mean_psi[sse - 1] = psi
-    ctx = SseContext(centroids, mean_phi, mean_psi, np.full(m, 2.5), sse_sizes)
+    ctx = SseContext(centroids, mean_phi, mean_psi, np.full(m, 2.5))
 
     return PlantedInstance(query, templates, ctx)

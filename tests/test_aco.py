@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -39,11 +40,6 @@ def template_from_sizes(protein_id, sizes, shortcut_cells=(), intra_span=2):
     for s in sizes:
         ranges.append((start, start + s - 1))
         start += s
-    sse_of = {}
-    ids = [f"E{i + 1}" for i in range(len(sizes))]
-    for k, (first, last) in enumerate(ranges):
-        for v in range(first, last + 1):
-            sse_of[v] = ids[k]
     intra = []
     for first, last in ranges:
         for u in range(first, last + 1):
@@ -54,13 +50,14 @@ def template_from_sizes(protein_id, sizes, shortcut_cells=(), intra_span=2):
         u = ranges[a - 1][0] + pa - 1
         v = ranges[b - 1][0] + pb - 1
         shortcuts.append((min(u, v), max(u, v)))
-    graph = SseInGraph(tuple(sorted(sse_of)), tuple(intra), tuple(shortcuts), sse_of)
-    return TemplateProtein(protein_id, tuple(sizes), tuple(ranges), graph)
+    ids = tuple(f"E{k}" for k in range(1, len(sizes) + 1))
+    graph = SseInGraph(ids, tuple(ranges), tuple(intra), tuple(shortcuts))
+    return TemplateProtein(protein_id, graph)
 
 
 def reference_sse_position(template, vertex):
     """The linear scan over SSE ranges: which SSE holds a residue, and where."""
-    for k, (first, last) in enumerate(template.sse_ranges, start=1):
+    for k, (first, last) in enumerate(template.graph.sse_ranges, start=1):
         if first <= vertex <= last:
             return k, (vertex - first + 1) / (last - first + 1)
     raise ValueError(f"vertex {vertex} is outside every SSE range")
@@ -88,12 +85,19 @@ def reference_occurrence_matrix(templates, pair, n, m):
 
 def reference_sse_links(template):
     """The SSE-id adjacency matrix the templates' SSE graphs were read from,
-    as 1-based upper-triangle pairs in row-major order."""
-    order = [template.graph.sse_of[first] for first, _ in template.sse_ranges]
+    through a per-residue SSE-id table, as 1-based upper-triangle pairs in
+    row-major order."""
+    graph = template.graph
+    sse_of = {
+        v: sse_id
+        for sse_id, (first, last) in zip(graph.sse_ids, graph.sse_ranges)
+        for v in range(first, last + 1)
+    }
+    order = [sse_of[first] for first, _ in graph.sse_ranges]
     pos = {sse_id: k for k, sse_id in enumerate(order)}
     m = np.zeros((len(order), len(order)), dtype=np.int8)
-    for i, j in template.graph.shortcut_edges:
-        a, b = pos[template.graph.sse_of[i]], pos[template.graph.sse_of[j]]
+    for i, j in graph.shortcut_edges:
+        a, b = pos[sse_of[i]], pos[sse_of[j]]
         m[a, b] = m[b, a] = 1
     return [
         (a + 1, b + 1) for a in range(len(order)) for b in range(a + 1, len(order)) if m[a, b]
@@ -102,9 +106,7 @@ def reference_sse_links(template):
 
 def stray_vertex_template():
     """Two SSEs at residues 1-2 and 3-4, and a shortcut to residue 9."""
-    sse_of = {1: "A", 2: "A", 3: "B", 4: "B", 9: "C"}
-    graph = SseInGraph((1, 2, 3, 4, 9), (), ((2, 9),), sse_of)
-    return TemplateProtein("stray", (2, 2), ((1, 2), (3, 4)), graph)
+    return TemplateProtein("stray", SseInGraph(("A", "B"), ((1, 2), (3, 4)), (), ((2, 9),)))
 
 
 def random_template(protein_id, rng, sse_count, edges):
@@ -173,6 +175,15 @@ class TestEstimateEdgeBudget:
         e_p = estimate_edge_budget(sequence, templates)
         assert e_p / sum(sequence) == pytest.approx(rate, abs=0.07)
 
+    def test_nearest_template_by_distance_then_id(self):
+        # both at distance 1 from (10, 10), inside the bound of 4: "a" lends
+        # its rate 5/21; from (20, 20) both lie past the bound of 8 and the
+        # mean rate 1/6 applies
+        b = template_from_sizes("b", (10, 11), [((1, i), (2, i)) for i in (1, 2)])
+        a = template_from_sizes("a", (11, 10), [((1, i), (2, i)) for i in range(1, 6)])
+        assert estimate_edge_budget((10, 10), [b, a]) == 5
+        assert estimate_edge_budget((20, 20), [b, a]) == 7
+
     def test_no_matching_sse_count(self):
         template = template_from_sizes("t", (5, 5), [((1, 1), (2, 1))])
         with pytest.raises(FamilyMatchError):
@@ -228,9 +239,8 @@ class TestOccurrenceMatrix:
                 assert np.array_equal(q, expected), (a, b, n, m)
 
     def test_endpoint_outside_every_sse_names_the_vertex(self):
-        template = stray_vertex_template()
-        with pytest.raises(ValueError, match="template stray: vertex 9 is outside every SSE"):
-            occurrence_matrices([template], [(1, 2)], (2, 2))
+        with pytest.raises(ValueError, match=r"edge \(2, 9\): vertex 9 is outside every SSE"):
+            occurrence_matrices([stray_vertex_template()], [(1, 2)], (2, 2))
 
 
 class TestEdgeProbabilities:
@@ -753,7 +763,7 @@ class TestValidateBuiltNetwork:
         graph = make_planted_instance("v", (7, 7, 7, 7), np.random.default_rng(2)).query.graph
         profile = topological_profile(graph.vertices, graph.edges)
         # strip every shortcut: the graph falls apart into SSE chains
-        stripped = SseInGraph(graph.vertices, graph.intra_edges, (), graph.sse_of)
+        stripped = replace(graph, shortcut_edges=())
         built = topological_profile(stripped.vertices, stripped.edges)
         assert not validate_built_network(built, profile, tol=0.2)
 
@@ -773,7 +783,7 @@ class TestValidateBuiltNetwork:
                     len(shortcuts), size=len(shortcuts) - removed, replace=False
                 )
                 kept = tuple(shortcuts[i] for i in sorted(keep_idx))
-                graph = SseInGraph(truth.vertices, truth.intra_edges, kept, truth.sse_of)
+                graph = replace(truth, shortcut_edges=kept)
                 built = topological_profile(graph.vertices, graph.edges)
                 accepted += validate_built_network(built, profile, tol=0.2)
             acceptance.append(accepted)
@@ -819,25 +829,24 @@ class TestTemplateProtein:
         assert template.sse_links() == reference_sse_links(template)
 
     def test_stray_vertex_rejected_by_sse_links(self):
-        with pytest.raises(ValueError, match="template stray: vertex 9 is outside every SSE"):
+        # the SSE-IN rejects the stray vertex, so no template reaches sse_links
+        with pytest.raises(ValueError, match=r"edge \(2, 9\): vertex 9 is outside every SSE"):
             stray_vertex_template().sse_links()
 
     # before the first SSE, in the gap between the two, after the last
     @pytest.mark.parametrize("stray", [1, 5, 9])
     def test_vertex_outside_every_range_rejected(self, stray):
-        sse_of = {3: "A", 4: "A", 7: "B", 8: "B", stray: "C"}
-        graph = SseInGraph(tuple(sorted(sse_of)), (), ((min(stray, 4), max(stray, 4)),), sse_of)
-        template = TemplateProtein("gaps", (2, 2), ((3, 4), (7, 8)), graph)
-        with pytest.raises(ValueError, match=f"template gaps: vertex {stray} is outside every"):
-            template.shortcut_cells()
+        edge = (min(stray, 4), max(stray, 4))
+        with pytest.raises(ValueError, match=f"vertex {stray} is outside every SSE range"):
+            SseInGraph(("A", "B"), ((3, 4), (7, 8)), (), (edge,))
 
     def test_mismatched_ranges_rejected(self):
-        graph = SseInGraph((1, 2), (), (), {1: "A", 2: "A"})
-        with pytest.raises(ValueError):
-            TemplateProtein("t", (2,), ((1, 3),), graph)
-        for ranges in (((3, 4), (1, 2)), ((1, 2), (2, 3))):  # out of order, overlapping
+        with pytest.raises(ValueError, match="sse_ids and sse_ranges must align"):
+            SseInGraph(("A",), ((1, 2), (3, 4)), (), ())
+        # out of order, overlapping, reversed, before residue 1
+        for ranges in (((3, 4), (1, 2)), ((1, 2), (2, 3)), ((1, 2), (4, 3)), ((0, 2), (3, 4))):
             with pytest.raises(ValueError, match="does not follow the previous SSE"):
-                TemplateProtein("t", (2, 2), ranges, graph)
+                SseInGraph(("A", "B"), ranges, (), ())
 
     def test_params_validation(self):
         with pytest.raises(ValueError):

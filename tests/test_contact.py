@@ -16,14 +16,6 @@ def protein_from_coords(coords, annotations=()):
         Residue(index=i + 1, code="A", ca=tuple(float(c) for c in xyz))
         for i, xyz in enumerate(coords)
     )
-    if annotations:
-        sse_of = {}
-        for a in annotations:
-            for idx in range(a.first_residue, a.last_residue + 1):
-                sse_of[idx] = a.sse_id
-        residues = tuple(
-            Residue(r.index, r.code, r.ca, sse_id=sse_of.get(r.index)) for r in residues
-        )
     return ProteinStructure("p", residues, tuple(annotations))
 
 
@@ -38,15 +30,21 @@ def reference_contact_bits(protein, threshold=7.0):
 
 
 def reference_induce_sse_in(cmap, protein):
-    """The per-contact loop over every contact pair."""
-    sse_of = {r.index: r.sse_id for r in protein.residues if r.sse_id is not None}
-    vertices = tuple(sorted(sse_of))
+    """The per-contact loop over every contact pair, with each residue's SSE
+    read off a per-residue table."""
+    sse_of = {
+        v: a.sse_id for a in protein.sse_list for v in range(a.first_residue, a.last_residue + 1)
+    }
     intra = []
     shortcut = []
     for i, j in upper_triangle_edges(cmap.bits):
         if i in sse_of and j in sse_of:
             (intra if sse_of[i] == sse_of[j] else shortcut).append((i, j))
-    return SseInGraph(vertices, tuple(intra), tuple(shortcut), sse_of)
+    ids = tuple(a.sse_id for a in protein.sse_list)
+    ranges = tuple((a.first_residue, a.last_residue) for a in protein.sse_list)
+    graph = SseInGraph(ids, ranges, tuple(intra), tuple(shortcut))
+    assert graph.vertices == tuple(sorted(sse_of))
+    return graph
 
 
 def random_walk(n, rng, step=3.8):
@@ -229,7 +227,8 @@ class TestInduceSseIn:
         text, _ = two_helix_protein()
         protein = parse_pdb(text)
         graph = induce_sse_in(build_contact_map(protein), protein)
-        assert len(graph.vertices) == sum(a.size for a in protein.sse_list)
+        sizes = [a.last_residue - a.first_residue + 1 for a in protein.sse_list]
+        assert len(graph.vertices) == sum(sizes)
 
     def test_dimension_mismatch(self):
         protein = protein_from_coords([(0, 0, 0), (0, 0, 3)])
@@ -279,3 +278,59 @@ class TestInduceSseIn:
         for i in range(n):
             for j in range(n):
                 assert permuted.bits[i, j] == cmap.bits[perm[i], perm[j]]
+
+
+class TestSseInGraph:
+    """The ranges are the one record of SSE membership: an edge list that
+    disagrees with them cannot be built."""
+
+    RANGES = ((1, 5), (6, 8))
+
+    def graph(self, intra=(), shortcuts=()):
+        return SseInGraph(("H1", "H2"), self.RANGES, tuple(intra), tuple(shortcuts))
+
+    def test_vertices_are_the_ranges(self):
+        graph = self.graph(intra=[(1, 2), (6, 8)], shortcuts=[(5, 6)])
+        assert graph.vertices == (1, 2, 3, 4, 5, 6, 7, 8)
+        assert graph.edges == ((1, 2), (6, 8), (5, 6))
+
+    def test_intra_edge_spanning_two_ranges_rejected(self):
+        with pytest.raises(ValueError, match=r"intra edge \(5, 6\) spans two SSEs"):
+            self.graph(intra=[(1, 2), (5, 6)])
+
+    def test_shortcut_inside_one_range_rejected(self):
+        # residue 5 taken for SSE 2 while SSE 1 spans 1-5 would make an SSE
+        # self-link of this edge
+        with pytest.raises(ValueError, match=r"shortcut edge \(4, 5\) stays inside one SSE"):
+            self.graph(shortcuts=[(2, 7), (4, 5)])
+
+    @pytest.mark.parametrize("kind", ["intra", "shortcuts"])
+    @pytest.mark.parametrize("stray", [0, 9])
+    def test_endpoint_outside_every_range_rejected(self, kind, stray):
+        edge = (min(stray, 3), max(stray, 3))
+        with pytest.raises(
+            ValueError, match=rf"edge \({edge[0]}, {edge[1]}\): vertex {stray} is outside every SSE"
+        ):
+            self.graph(**{kind: [edge]})
+
+    def test_self_loop_rejected(self):
+        with pytest.raises(ValueError, match="self-loop at vertex 7"):
+            self.graph(shortcuts=[(7, 7)])
+
+    def test_sse_index_matches_range_scan(self):
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            sizes = rng.integers(1, 6, size=int(rng.integers(1, 6)))
+            gaps = rng.integers(0, 3, size=len(sizes))
+            ranges = []
+            last = 0
+            for size, gap in zip(sizes.tolist(), gaps.tolist()):
+                ranges.append((last + gap + 1, last + gap + size))
+                last = ranges[-1][1]
+            graph = SseInGraph(tuple(f"H{k}" for k in range(len(ranges))), tuple(ranges), (), ())
+            residues = np.arange(last + 3)
+            expected = [
+                next((k for k, (f, l) in enumerate(ranges, start=1) if f <= v <= l), 0)
+                for v in residues.tolist()
+            ]
+            assert graph.sse_index(residues).tolist() == expected

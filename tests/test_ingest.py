@@ -51,7 +51,6 @@ class TestParsePdb:
         helix = structure.sse_list[0]
         assert helix.kind == "helix"
         assert (helix.first_residue, helix.last_residue) == (2, 5)
-        assert helix.size == 4
 
     def test_realistic_two_helix_file(self):
         text, n = two_helix_protein()

@@ -157,7 +157,6 @@ class TestObjectives:
             mean_phi=np.array([-57.0, -57.0]),
             mean_psi=np.array([-47.0, -47.0]),
             mean_hydro=np.array([2.0, 3.0]),
-            sse_sizes=(5, 5),
         )
 
     def test_self_loops_get_sentinel(self):
@@ -176,7 +175,6 @@ class TestObjectives:
             mean_phi=np.array([170.0, -170.0]),  # 20 apart across the seam
             mean_psi=np.array([0.0, 0.0]),
             mean_hydro=np.ones(2),
-            sse_sizes=(3, 3),
         )
         _, torsion, _ = evaluate_objectives(gene_links((2, 1)), ctx)
         assert torsion == pytest.approx(10.0)
@@ -189,7 +187,6 @@ class TestObjectives:
             mean_phi=rng.uniform(-180, 180, size=m),
             mean_psi=rng.uniform(-180, 180, size=m),
             mean_hydro=rng.uniform(-4.5, 4.5, size=m),
-            sse_sizes=tuple([4] * m),
         )
         genes = (3, 3, 5, 1, 2, 6)
         pairs = {(min(i, g), max(i, g)) for i, g in enumerate(genes, 1) if g != i}
@@ -487,7 +484,6 @@ class TestRunMoga:
             mean_phi=np.array([-57.0, -57.0]),
             mean_psi=np.array([-47.0, -47.0]),
             mean_hydro=np.array([2.0, 2.0]),
-            sse_sizes=(6, 6),
         )
 
     def test_two_sse_forced_link(self):
@@ -502,7 +498,6 @@ class TestRunMoga:
             mean_phi=np.zeros(1),
             mean_psi=np.zeros(1),
             mean_hydro=np.zeros(1),
-            sse_sizes=(4,),
         )
         with pytest.raises(ValueError):
             run_moga(ctx, GaParams(), TopologicalProfile(1, 1, 1, 0.1), np.random.default_rng(0))

@@ -342,6 +342,29 @@ class TestCli:
         assert code == 1
         assert "instance neg: shortcuts_per_pair must be >= 1, got -1" in err
 
+    def test_negative_generator_seed_exits_one(self, tmp_path, capsys):
+        manifest = tmp_path / "m.tsv"
+        manifest.write_text("ok\t1\t6,6,6,6\t1.0\nneg\t-4\t6,6,6,6\t1.0\n")
+        code = main(
+            ["benchmark", "--manifest", str(manifest), "--simulations", "2",
+             "--out", str(tmp_path / "bench")]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "manifest line 2: generator seed must be non-negative, got -4" in err
+
+    def test_duplicate_instance_id_exits_one(self, tmp_path, capsys):
+        manifest = tmp_path / "m.tsv"
+        manifest.write_text("# id\tseed\tsizes\tboost\ntwin\t1\t6,6,6,6\t1.0\ntwin\t2\t6,6,6,6\t0.5\n")
+        code = main(
+            ["benchmark", "--manifest", str(manifest), "--simulations", "2",
+             "--out", str(tmp_path / "bench")]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "manifest line 3: duplicate instance id 'twin'" in err
+        assert not (tmp_path / "bench").exists()
+
     @pytest.mark.parametrize("threshold", ["nan", "inf"])
     def test_non_finite_threshold_exits_one(self, tmp_path, capsys, threshold):
         query, index = write_family(tmp_path)

@@ -26,8 +26,8 @@ class TestPlantedInstance:
         assert query.sse_count == 4
         assert query.residue_total == len(query.graph.vertices)
         # every true shortcut joins two different SSEs from an incidence pair
-        for u, v in query.graph.shortcut_edges:
-            assert query.graph.sse_of[u] != query.graph.sse_of[v]
+        for (ku, _), (kv, _) in query.shortcut_cells():
+            assert ku != kv
 
     def test_incidence_matches_pairs(self):
         # two clusters of three SSEs, each chained by consecutive links; every
@@ -77,14 +77,6 @@ class TestPlantedInstance:
             boosted = template.graph.shortcut_edges
             assert set(boosted) <= set(query.graph.shortcut_edges)
             assert len(boosted) == boosted_count
-
-    def test_carrier_templates(self):
-        inst = make_planted_instance(
-            "i", (8, 8, 8, 8), np.random.default_rng(4), n_templates=6, q_boost=2
-        )
-        carrying = [t for t in inst.templates if t.graph.shortcut_edges]
-        assert len(carrying) == 2
-        assert len(inst.templates) == 6
 
     def test_validation(self):
         with pytest.raises(ValueError):
