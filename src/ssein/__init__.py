@@ -6,7 +6,7 @@ algorithm, then predict residue-level shortcut edges with a two-stage ant
 colony optimizer validated against family topology profiles.
 """
 
-from .aco import AcoParams, TemplateProtein
+from .aco import AcoParams
 from .contact import ContactMap, SseInGraph, build_contact_map, induce_sse_in
 from .ingest import ProteinStructure, Residue, SseAnnotation, parse_pdb
 from .metrics import TopologicalProfile, topological_profile
@@ -26,7 +26,6 @@ __all__ = [
     "SseAnnotation",
     "SseContext",
     "SseInGraph",
-    "TemplateProtein",
     "TopologicalProfile",
     "build_contact_map",
     "induce_sse_in",

@@ -7,12 +7,14 @@ normalized pheromone clears lambda_min survive as candidates.  Stage two
 runs the same dynamics over the whole candidate network and keeps the E_p
 top-pheromone edges, where E_p comes from family template edge rates.
 
-A template's shortcut edges are placed in its SSEs in one place,
-`TemplateProtein.shortcut_cells`, through its SSE-IN's ranges
-(`SseInGraph.sse_index`): each edge becomes two (SSE index, relative
-position) cells.  The occurrence matrices count those cells, and the
-template's SSE graph is their sorted set of SSE links (`sse_links`); no
-SSE-level adjacency matrix is built.
+A family is a mapping from protein id to each template's SSE-IN
+(`SseInGraph`).  A template's shortcut edges are placed in its SSEs in one
+place, `SseInGraph.shortcut_cells`, through the graph's ranges: each edge
+becomes two (SSE index, relative position) cells.  The occurrence matrices
+count those cells, and the template's SSE graph is their sorted set of SSE
+links (`sse_links`); no SSE-level adjacency matrix is built.  The edge
+budget reads each template's shortcut rate and breaks distance ties by
+protein id, the mapping's key.
 
 Pheromone updates follow tau = (1 - rho) tau + n_moves * delta_tau on
 inter-SSE edges, while intra-SSE edges stay pinned to the inter-SSE mean.
@@ -35,14 +37,12 @@ regroup numpy's pairwise row sum and move its last bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from itertools import chain
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .contact import Edge, SseInGraph, build_contact_map, induce_sse_in
-from .ingest import ProteinStructure
+from .contact import Edge, SseInGraph
 from .metrics import TopologicalProfile, is_compatible, left_sum
 
 
@@ -101,86 +101,35 @@ def allele_distance(a: Sequence[int], b: Sequence[int]) -> int:
     return sum(abs(x - y) for x, y in zip(a, b))
 
 
-@dataclass(frozen=True)
-class TemplateProtein:
-    """A protein, family member or query, reduced to what the comparative
-    model needs: its SSE-IN, whose ranges give the SSE sizes."""
-
-    protein_id: str
-    graph: SseInGraph
-    sse_sizes: tuple[int, ...] = field(init=False)
-
-    def __post_init__(self):
-        sizes = tuple(last - first + 1 for first, last in self.graph.sse_ranges)
-        object.__setattr__(self, "sse_sizes", sizes)
-
-    @property
-    def sse_count(self) -> int:
-        return len(self.sse_sizes)
-
-    @property
-    def residue_total(self) -> int:
-        return sum(self.sse_sizes)
-
-    @property
-    def shortcut_count(self) -> int:
-        return len(self.graph.shortcut_edges)
-
-    @property
-    def shortcut_rate(self) -> float:
-        return self.shortcut_count / self.residue_total
-
-    def shortcut_cells(self) -> list[tuple[tuple[int, float], tuple[int, float]]]:
-        """Per shortcut edge (u, w), ((k_u, r_u), (k_w, r_w)): each endpoint's
-        1-based SSE index and relative position in (0, 1] within that SSE."""
-        graph = self.graph
-        ends = list(chain.from_iterable(graph.shortcut_edges))
-        cells = [
-            (k, (v - graph.sse_ranges[k - 1][0] + 1) / self.sse_sizes[k - 1])
-            for v, k in zip(ends, graph.sse_index(ends).tolist())
-        ]
-        return list(zip(cells[0::2], cells[1::2]))
-
-    def sse_links(self) -> list[tuple[int, int]]:
-        """The SSE graph: sorted distinct 1-based SSE pairs (a, b), a < b,
-        joined by at least one shortcut edge."""
-        return sorted(
-            {(ku, kw) if ku < kw else (kw, ku) for (ku, _), (kw, _) in self.shortcut_cells()}
-        )
-
-    @classmethod
-    def from_structure(cls, protein: ProteinStructure, threshold: float = 7.0) -> "TemplateProtein":
-        return cls(protein.id, induce_sse_in(build_contact_map(protein, threshold), protein))
-
-
 def estimate_edge_budget(
-    sequence_sizes: Sequence[int], templates: Sequence[TemplateProtein]
+    sequence_sizes: Sequence[int], templates: Mapping[str, SseInGraph]
 ) -> int:
     """Predicted shortcut-edge total E_p from family template edge rates.
 
-    The nearest template (by allele distance, ties by protein id) lends its
-    shortcut-edge rate if it is closer than 20% of the sequence's cumulated
-    size; otherwise the family-mean rate applies.  Either way E_p scales the
-    rate by the sequence's cumulated size.
+    `templates` maps protein id to SSE-IN.  The nearest template (by allele
+    distance, ties by protein id) lends its shortcut-edge rate if it is
+    closer than 20% of the sequence's cumulated size; otherwise the
+    family-mean rate applies.  Either way E_p scales the rate by the
+    sequence's cumulated size.
     """
-    matching = [t for t in templates if t.sse_count == len(sequence_sizes)]
+    matching = [(pid, t) for pid, t in templates.items() if t.sse_count == len(sequence_sizes)]
     if not matching:
         raise FamilyMatchError(
             f"no template with SSE count {len(sequence_sizes)} in the family"
         )
     cumulated = sum(sequence_sizes)
     distance, _, nearest = min(
-        ((allele_distance(sequence_sizes, t.sse_sizes), t.protein_id, t) for t in matching),
+        ((allele_distance(sequence_sizes, t.sse_sizes), pid, t) for pid, t in matching),
         key=lambda ranked: ranked[:2],
     )
     if distance < 0.2 * cumulated:
         return round_half_up(nearest.shortcut_rate * cumulated)
-    mean_rate = left_sum(t.shortcut_rate for t in matching) / len(matching)
+    mean_rate = left_sum(t.shortcut_rate for _, t in matching) / len(matching)
     return round_half_up(mean_rate * cumulated)
 
 
 def occurrence_matrices(
-    templates: Sequence[TemplateProtein],
+    templates: Iterable[SseInGraph],
     pairs: Sequence[tuple[int, int]],
     sizes: Sequence[int],
 ) -> list[np.ndarray]:

@@ -6,11 +6,14 @@ subgraph of the contact map induced by residues belonging to a secondary
 structure element; its inter-SSE edges are the shortcut edges the ant colony
 stage predicts.
 
-Which residue belongs to which SSE is recorded once, as the SSE-IN's ordered
+An `SseInGraph` is all the prediction reads of a protein, query or family
+template; a family is a mapping from protein id to its SSE-IN.  Which
+residue belongs to which SSE is recorded once, as the SSE-IN's ordered
 inclusive residue ranges.  `SseInGraph.sse_index` places residues in SSEs
 with one `np.searchsorted` over the range starts; the graph's own check of
-its intra/shortcut split, the template occurrence cells and the report's SSE
-columns all go through it.
+its intra/shortcut split, its shortcut cells (SSE index and relative
+position per endpoint, which the occurrence matrices count), its SSE graph
+(`sse_links`) and the report's SSE columns all go through it.
 
 The map is built in blocks of `BLOCK_ROWS` rows, one coordinate axis at a
 time: the squared distance is `(dx*dx + dy*dy) + dz*dz`, the association
@@ -86,10 +89,10 @@ class SseInGraph:
 
     `sse_ranges` holds each SSE's inclusive residue-index span, in chain
     order, and is the only record of which residue belongs to which SSE:
-    the vertices are the residues of the ranges, and `sse_index` places a
-    residue in its SSE.  Shortcut edges join residues of different SSEs;
-    intra edges stay inside one SSE.  Vertices keep their 1-based residue
-    indices.
+    the vertices and the SSE sizes are derived from the ranges, and
+    `sse_index` places a residue in its SSE.  Shortcut edges join residues
+    of different SSEs; intra edges stay inside one SSE.  Vertices keep
+    their 1-based residue indices.
     """
 
     sse_ids: tuple[str, ...]
@@ -97,6 +100,7 @@ class SseInGraph:
     intra_edges: tuple[Edge, ...]
     shortcut_edges: tuple[Edge, ...]
     vertices: tuple[int, ...] = field(init=False)
+    sse_sizes: tuple[int, ...] = field(init=False)
     _bounds: np.ndarray = field(init=False, repr=False, compare=False)  # (2, M) firsts, lasts
 
     def __post_init__(self):
@@ -112,6 +116,8 @@ class SseInGraph:
             previous_last = last
         spans = (range(first, last + 1) for first, last in self.sse_ranges)
         object.__setattr__(self, "vertices", tuple(chain.from_iterable(spans)))
+        sizes = tuple(last - first + 1 for first, last in self.sse_ranges)
+        object.__setattr__(self, "sse_sizes", sizes)
         bounds = np.array(self.sse_ranges, dtype=np.intp).reshape(-1, 2).T.copy()
         object.__setattr__(self, "_bounds", bounds)
         ends = np.fromiter(chain.from_iterable(self.edges), np.intp, 2 * len(self.edges))
@@ -133,6 +139,15 @@ class SseInGraph:
     def edges(self) -> tuple[Edge, ...]:
         return self.intra_edges + self.shortcut_edges
 
+    @property
+    def sse_count(self) -> int:
+        return len(self.sse_sizes)
+
+    @property
+    def shortcut_rate(self) -> float:
+        """Shortcut edges per SSE residue."""
+        return len(self.shortcut_edges) / len(self.vertices)
+
     def sse_index(self, residues) -> np.ndarray:
         """The 1-based index of the SSE holding each residue of an array of
         residue indices, 0 for a residue outside every range."""
@@ -142,6 +157,23 @@ class SseInGraph:
         if len(firsts):
             k[residues > lasts[k - 1]] = 0
         return k
+
+    def shortcut_cells(self) -> list[tuple[tuple[int, float], tuple[int, float]]]:
+        """Per shortcut edge (u, w), ((k_u, r_u), (k_w, r_w)): each endpoint's
+        1-based SSE index and relative position in (0, 1] within that SSE."""
+        ends = list(chain.from_iterable(self.shortcut_edges))
+        cells = [
+            (k, (v - self.sse_ranges[k - 1][0] + 1) / self.sse_sizes[k - 1])
+            for v, k in zip(ends, self.sse_index(ends).tolist())
+        ]
+        return list(zip(cells[0::2], cells[1::2]))
+
+    def sse_links(self) -> list[tuple[int, int]]:
+        """The SSE graph: sorted distinct 1-based SSE pairs (a, b), a < b,
+        joined by at least one shortcut edge."""
+        return sorted(
+            {(ku, kw) if ku < kw else (kw, ku) for (ku, _), (kw, _) in self.shortcut_cells()}
+        )
 
 
 def induce_sse_in(cmap: ContactMap, protein: ProteinStructure) -> SseInGraph:

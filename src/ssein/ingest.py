@@ -107,14 +107,17 @@ class ProteinStructure:
         indices = [r.index for r in self.residues]
         if indices != list(range(1, len(indices) + 1)):
             raise ValueError("residue indices must be contiguous starting at 1")
-        covered: set[int] = set()
+        previous_last = 0
         for a in self.sse_list:
-            span = set(range(a.first_residue, a.last_residue + 1))
-            if covered & span:
-                raise ValueError(f"SSE {a.sse_id} overlaps another annotation")
+            # Chain order from residue 1 on, as the SSE-IN and the GA read it.
+            if not previous_last < a.first_residue:
+                raise ValueError(
+                    f"SSE {a.sse_id} range ({a.first_residue}, {a.last_residue}) "
+                    "does not follow the previous SSE"
+                )
             if a.last_residue > len(self.residues):
                 raise ValueError(f"SSE {a.sse_id} range exceeds residue count")
-            covered |= span
+            previous_last = a.last_residue
 
     def __len__(self) -> int:
         return len(self.residues)
@@ -137,17 +140,10 @@ class FamilyEntry:
 
 @dataclass(frozen=True)
 class FamilyIndex:
+    """A parsed family index; `load_family_index` validates the entries."""
+
     family_id: str
     entries: tuple[FamilyEntry, ...]
-
-    def __post_init__(self):
-        seen: set[str] = set()
-        for e in self.entries:
-            if e.sse_count < 1:
-                raise ValueError(f"{e.protein_id}: sse_count must be >= 1")
-            if e.protein_id in seen:
-                raise ValueError(f"duplicate protein_id {e.protein_id!r}")
-            seen.add(e.protein_id)
 
 
 @dataclass(frozen=True)

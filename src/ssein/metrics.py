@@ -156,14 +156,10 @@ def is_compatible(
     """
     if not 0 < tol < 1:
         raise ValueError(f"tol must be in (0, 1), got {tol}")
-    cand = candidate.as_dict()
-    temp = template.as_dict()
-    for name, t in temp.items():
+    for name, t in template.as_dict().items():
         if t <= 0:
             raise ValueError(f"template {name} must be positive, got {t}")
-        if abs(cand[name] - t) / t > tol:
-            return False
-    return True
+    return profile_deviation(candidate, template) <= tol
 
 
 def profile_deviation(candidate: TopologicalProfile, template: TopologicalProfile) -> float:

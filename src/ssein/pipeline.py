@@ -13,9 +13,11 @@ last attempt if none passes;
 `run_benchmark` consumes every attempt of each planted instance and scores
 the GA against the planted SSE graph and the colonies (fed the planted SSE
 pairs, mirroring how the stages are analysed separately) against the
-planted shortcut edges.  Both read a query's truth the same way: a planted
-instance is a `TemplateProtein` query, and its `sse_links()` and
-`graph.shortcut_edges` are the true SSE graph and shortcuts.
+planted shortcut edges.  Both read a query's truth the same way: the
+query is an `SseInGraph`, planted or induced from the structure, and its
+`sse_links()` and `shortcut_edges` are the true SSE graph and shortcuts.
+A template family is a mapping from protein id to SSE-IN, filtered to the
+query's SSE count.
 
 An SSE graph is a sorted set of 1-based SSE links throughout: the GA's
 best individual, and the query's and each template's `sse_links()`.  The
@@ -36,7 +38,7 @@ import statistics
 import time
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
-from typing import Iterator, Optional, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -44,7 +46,6 @@ from .aco import (
     AcoParams,
     ColonyGraph,
     FamilyMatchError,
-    TemplateProtein,
     allocate_pair_budgets,
     edge_probabilities,
     estimate_edge_budget,
@@ -53,7 +54,7 @@ from .aco import (
     occurrence_matrices,
     validate_built_network,
 )
-from .contact import Edge
+from .contact import Edge, SseInGraph, build_contact_map, induce_sse_in
 from .ingest import (
     FamilyIndex,
     compute_backbone_dihedrals,
@@ -126,31 +127,30 @@ def mean_profile(profiles: Sequence[TopologicalProfile]) -> TopologicalProfile:
     )
 
 
-def family_sse_profile(templates: Sequence[TemplateProtein]) -> TopologicalProfile:
+def family_sse_profile(templates: Iterable[SseInGraph]) -> TopologicalProfile:
     """Mean profile of the templates' SSE graphs, given by their links."""
     return mean_profile(
         [topological_profile(range(1, t.sse_count + 1), t.sse_links()) for t in templates]
     )
 
 
-def family_residue_profile(templates: Sequence[TemplateProtein]) -> TopologicalProfile:
+def family_residue_profile(templates: Iterable[SseInGraph]) -> TopologicalProfile:
     """Mean profile of the templates' residue-level SSE-IN graphs."""
-    return mean_profile(
-        [topological_profile(t.graph.vertices, t.graph.edges) for t in templates]
-    )
+    return mean_profile([topological_profile(t.vertices, t.edges) for t in templates])
 
 
 def load_templates(
     index: FamilyIndex, base_dir: Path, threshold: float
-) -> list[TemplateProtein]:
-    """Parse every family entry; paths resolve relative to the index file."""
-    templates = []
+) -> dict[str, SseInGraph]:
+    """Parse every family entry into its SSE-IN, keyed by protein id; paths
+    resolve relative to the index file."""
+    templates = {}
     for entry in index.entries:
         path = Path(entry.path)
         if not path.is_absolute():
             path = base_dir / path
-        parsed = parse_pdb_detailed(path.read_text(), protein_id=entry.protein_id)
-        template = TemplateProtein.from_structure(parsed.structure, threshold)
+        structure = parse_pdb_detailed(path.read_text(), protein_id=entry.protein_id).structure
+        template = induce_sse_in(build_contact_map(structure, threshold), structure)
         if template.sse_count != entry.sse_count:
             logger.info(
                 "template %s: index says %d SSEs, file has %d",
@@ -158,7 +158,7 @@ def load_templates(
                 entry.sse_count,
                 template.sse_count,
             )
-        templates.append(template)
+        templates[entry.protein_id] = template
     return templates
 
 
@@ -174,7 +174,7 @@ class AttemptOutcome:
 def pair_heuristics(
     pairs: Sequence[tuple[int, int]],
     sse_sizes: Sequence[int],
-    templates: Sequence[TemplateProtein],
+    templates: Iterable[SseInGraph],
     e_total: int,
     params: AcoParams,
 ) -> list[ColonyGraph]:
@@ -186,7 +186,7 @@ def pair_heuristics(
 
 
 def aco_attempt(
-    query: TemplateProtein,
+    query: SseInGraph,
     pairs: Sequence[tuple[int, int]],
     graphs: Sequence[ColonyGraph],
     e_p: int,
@@ -201,7 +201,7 @@ def aco_attempt(
         n, m = query.sse_sizes[a - 1], query.sse_sizes[b - 1]
         rng = np.random.default_rng(streams[k])
         result = local_aco((n, m), pair_graph, params, rng)
-        first_a, first_b = query.graph.sse_ranges[a - 1][0], query.graph.sse_ranges[b - 1][0]
+        first_a, first_b = query.sse_ranges[a - 1][0], query.sse_ranges[b - 1][0]
         for i, j in result.cells:
             u, v = first_a + i - 1, first_b + j - 1
             edge = (u, v) if u < v else (v, u)
@@ -209,8 +209,7 @@ def aco_attempt(
     if e_p <= 0 or not candidates:
         return AttemptOutcome(tuple(sorted(candidates)), (), {})
     rng_global = np.random.default_rng(streams[-1])
-    graph = query.graph
-    result = global_aco(graph.vertices, graph.intra_edges, candidates, e_p, params, rng_global)
+    result = global_aco(query.vertices, query.intra_edges, candidates, e_p, params, rng_global)
     return AttemptOutcome(tuple(sorted(candidates)), result.selected, result.normalized_tau)
 
 
@@ -279,7 +278,7 @@ def shortcut_edges_to_tsv(rows: Sequence[tuple[int, int, str, str, float]]) -> s
 
 
 def _family_profiles(
-    templates: Sequence[TemplateProtein], family: str
+    templates: Collection[SseInGraph], family: str
 ) -> tuple[TopologicalProfile, TopologicalProfile]:
     """The family's SSE-level and residue-level mean profiles; fails on a
     residue-level field of 0, which the topology gate cannot use."""
@@ -297,7 +296,7 @@ def _family_profiles(
 def _ga_stage(
     ctx: SseContext,
     sse_sizes: Sequence[int],
-    templates: Sequence[TemplateProtein],
+    templates: Mapping[str, SseInGraph],
     profile_sse: TopologicalProfile,
     config: RunConfig,
     seed_seq: np.random.SeedSequence,
@@ -315,7 +314,7 @@ def _ga_stage(
 
 
 def gated_attempts(
-    query: TemplateProtein,
+    query: SseInGraph,
     pairs: Sequence[tuple[int, int]],
     graphs: Sequence[ColonyGraph],
     e_p: int,
@@ -329,10 +328,9 @@ def gated_attempts(
     Yields (outcome, built profile, accepted) per attempt, lazily, so a
     caller may stop at the first accepted one.
     """
-    graph = query.graph
     for seq in sim_seqs:
         outcome = aco_attempt(query, pairs, graphs, e_p, params, seq)
-        profile = topological_profile(graph.vertices, graph.intra_edges + outcome.selected)
+        profile = topological_profile(query.vertices, query.intra_edges + outcome.selected)
         yield outcome, profile, validate_built_network(profile, family_profile, tol=0.2)
 
 
@@ -353,12 +351,12 @@ def run_predict(config: RunConfig) -> RunReport:
     if len(protein.sse_list) < 2:
         raise ValueError(f"{protein.id}: need at least 2 SSEs, found {len(protein.sse_list)}")
 
-    query = TemplateProtein.from_structure(protein, config.threshold)
+    query = induce_sse_in(build_contact_map(protein, config.threshold), protein)
 
     index_path = Path(config.family_index_path)
     index = load_family_index(index_path.read_text(), family_id=index_path.stem)
     templates = load_templates(index, index_path.parent, config.threshold)
-    matching = [t for t in templates if t.sse_count == query.sse_count]
+    matching = {pid: t for pid, t in templates.items() if t.sse_count == query.sse_count}
     if not matching:
         raise FamilyMatchError(
             f"family {index.family_id} has no template with {query.sse_count} SSEs"
@@ -366,14 +364,14 @@ def run_predict(config: RunConfig) -> RunReport:
     t_ingest = time.perf_counter()
 
     ctx = SseContext.from_structure(protein)
-    profile_sse, profile_residue = _family_profiles(matching, index.family_id)
+    profile_sse, profile_residue = _family_profiles(matching.values(), index.family_id)
     moga, e_p, sim_seqs = _ga_stage(
         ctx, query.sse_sizes, matching, profile_sse, config, np.random.SeedSequence(config.seed)
     )
     t_moga = time.perf_counter()
 
     pairs = moga.best.links
-    graphs = pair_heuristics(pairs, query.sse_sizes, matching, e_p, config.aco)
+    graphs = pair_heuristics(pairs, query.sse_sizes, matching.values(), e_p, config.aco)
     gated = gated_attempts(query, pairs, graphs, e_p, profile_residue, config.aco, sim_seqs)
     # simulations >= 1, so the loop always binds the reported attempt
     for attempt, (outcome, built_profile, accepted) in enumerate(gated, start=1):
@@ -382,13 +380,13 @@ def run_predict(config: RunConfig) -> RunReport:
     verdict = "accepted" if accepted else "rejected"
     t_aco = time.perf_counter()
 
-    e_real = query.shortcut_count
+    e_real = len(query.shortcut_edges)
     truth_incidence = incidence_matrix(query.sse_links(), query.sse_count)
     score = None
     if e_real:
-        score = len(set(outcome.selected) & set(query.graph.shortcut_edges)) / e_real
-    sse_ids = query.graph.sse_ids
-    sse_k = query.graph.sse_index(np.array(outcome.selected, dtype=np.intp).reshape(-1, 2))
+        score = len(set(outcome.selected) & set(query.shortcut_edges)) / e_real
+    sse_ids = query.sse_ids
+    sse_k = query.sse_index(np.array(outcome.selected, dtype=np.intp).reshape(-1, 2))
     rows = [
         (u, v, sse_ids[ku - 1], sse_ids[kv - 1], outcome.normalized_tau.get((u, v), 0.0))
         for (u, v), (ku, kv) in zip(outcome.selected, sse_k.tolist())
@@ -528,17 +526,20 @@ def benchmark_instance(
     edge-prediction stages, the way they are analysed.
     """
     query = instance.query
-    profile_sse, profile_residue = _family_profiles(instance.templates, query.protein_id)
-    e_real = query.shortcut_count
+    templates = instance.templates
+    profile_sse, profile_residue = _family_profiles(templates.values(), instance.instance_id)
+    e_real = len(query.shortcut_edges)
     if e_real == 0:
-        raise ValueError(f"instance {query.protein_id}: no planted shortcut edge to score against")
+        raise ValueError(
+            f"instance {instance.instance_id}: no planted shortcut edge to score against"
+        )
     moga, e_p, sim_seqs = _ga_stage(
-        instance.ctx, query.sse_sizes, instance.templates, profile_sse, config, seed_seq
+        instance.ctx, query.sse_sizes, templates, profile_sse, config, seed_seq
     )
     pairs = query.sse_links()
     error_rate = matrix_error_rate(moga.incidence, incidence_matrix(pairs, query.sse_count))
-    graphs = pair_heuristics(pairs, query.sse_sizes, instance.templates, e_p, config.aco)
-    truth = set(query.graph.shortcut_edges)
+    graphs = pair_heuristics(pairs, query.sse_sizes, templates.values(), e_p, config.aco)
+    truth = set(query.shortcut_edges)
 
     scores = []
     recoveries = []
@@ -552,9 +553,9 @@ def benchmark_instance(
 
     stddev = statistics.stdev(scores) if len(scores) > 1 else 0.0
     return InstanceResult(
-        instance_id=query.protein_id,
-        n_templates=len(instance.templates),
-        residues=query.residue_total,
+        instance_id=instance.instance_id,
+        n_templates=len(templates),
+        residues=len(query.vertices),
         sse_count=query.sse_count,
         e_real=e_real,
         e_p=e_p,

@@ -3,10 +3,11 @@
 Each instance plants a ground-truth SSE graph (two clusters of SSEs chained
 by consecutive links) plus residue-level shortcut edges, and fabricates a
 family of template proteins whose occurrence evidence boosts a chosen
-fraction of the true shortcuts.  The truth is a `TemplateProtein` query, as
-in `predict`: its SSE-IN holds the true shortcuts, so the planted SSE graph
-is `query.sse_links()` and the true shortcuts are its
-`graph.shortcut_edges`.  SSE features are built so that truth-linked pairs
+fraction of the true shortcuts.  The truth is the query's SSE-IN, as in
+`predict`: it holds the true shortcuts, so the planted SSE graph is
+`query.sse_links()` and the true shortcuts are `query.shortcut_edges`.
+The family maps every template id to one shared SSE-IN, built once.  SSE
+features are built so that truth-linked pairs
 sit close in space with matching backbone angles, while cross-cluster links
 are far apart with clashing angles.
 """
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aco import TemplateProtein, round_half_up
+from .aco import round_half_up
 from .contact import Edge, SseInGraph
 from .moga import SseContext
 
@@ -28,11 +29,12 @@ _CLUSTER_ANGLES = [(-57.0, -47.0), (80.0, 120.0), (-130.0, 150.0), (20.0, -100.0
 
 @dataclass(frozen=True)
 class PlantedInstance:
-    """The planted query, its fabricated template family and the SSE
-    features the GA reads."""
+    """The planted query's SSE-IN, its fabricated template family (protein
+    id to SSE-IN) and the SSE features the GA reads."""
 
-    query: TemplateProtein
-    templates: tuple[TemplateProtein, ...]
+    instance_id: str
+    query: SseInGraph
+    templates: dict[str, SseInGraph]
     ctx: SseContext
 
 
@@ -106,12 +108,10 @@ def make_planted_instance(
 
     intra = tuple(edge for first, last in sse_ranges for edge in _intra_edges(first, last))
     sse_ids = tuple(f"E{k}" for k in range(1, m + 1))
-    query = TemplateProtein(instance_id, SseInGraph(sse_ids, sse_ranges, intra, tuple(shortcuts)))
+    query = SseInGraph(sse_ids, sse_ranges, intra, tuple(shortcuts))
     # Every template has the same SSE-IN, the boosted truth.
     family_graph = SseInGraph(sse_ids, sse_ranges, intra, boosted)
-    templates = tuple(
-        TemplateProtein(f"{instance_id}-T{t + 1}", family_graph) for t in range(n_templates)
-    )
+    templates = {f"{instance_id}-T{t + 1}": family_graph for t in range(n_templates)}
 
     cluster_of = {sse: c for c, group in enumerate(groups) for sse in group}
     centroids = np.zeros((m, 3))
@@ -126,4 +126,4 @@ def make_planted_instance(
         mean_psi[sse - 1] = psi
     ctx = SseContext(centroids, mean_phi, mean_psi, np.full(m, 2.5))
 
-    return PlantedInstance(query, templates, ctx)
+    return PlantedInstance(instance_id, query, templates, ctx)

@@ -231,7 +231,7 @@ def test_criterion_09_ga_quality():
     """Shipped 8-SSE planted instance: median error < 10% over 10 seeds, < 60 s."""
     start = time.perf_counter()
     instance = make_ga_instance(np.random.default_rng(11))
-    profile = family_sse_profile(instance.templates)
+    profile = family_sse_profile(instance.templates.values())
     params = GaParams(population_size=15, archive_size=12, generations=150)
     assert params.population_size >= 15
     errors = []

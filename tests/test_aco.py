@@ -13,7 +13,6 @@ from ssein.aco import (
     FamilyMatchError,
     Colony,
     ColonyGraph,
-    TemplateProtein,
     allele_distance,
     allocate_pair_budgets,
     edge_probabilities,
@@ -24,14 +23,14 @@ from ssein.aco import (
     round_half_up,
     validate_built_network,
 )
-from ssein.contact import SseInGraph
+from ssein.contact import SseInGraph, build_contact_map, induce_sse_in
 from ssein.ingest import parse_pdb
 from ssein.metrics import left_sum, topological_profile
 from ssein.synth import make_planted_instance
 
 
-def template_from_sizes(protein_id, sizes, shortcut_cells=(), intra_span=2):
-    """TemplateProtein with chain-style intra edges and given shortcut cells.
+def template_from_sizes(sizes, shortcut_cells=(), intra_span=2):
+    """Template SSE-IN with chain-style intra edges and given shortcut cells.
 
     shortcut_cells: ((sse_a, pos_a), (sse_b, pos_b)) with 1-based positions.
     """
@@ -51,13 +50,12 @@ def template_from_sizes(protein_id, sizes, shortcut_cells=(), intra_span=2):
         v = ranges[b - 1][0] + pb - 1
         shortcuts.append((min(u, v), max(u, v)))
     ids = tuple(f"E{k}" for k in range(1, len(sizes) + 1))
-    graph = SseInGraph(ids, tuple(ranges), tuple(intra), tuple(shortcuts))
-    return TemplateProtein(protein_id, graph)
+    return SseInGraph(ids, tuple(ranges), tuple(intra), tuple(shortcuts))
 
 
 def reference_sse_position(template, vertex):
     """The linear scan over SSE ranges: which SSE holds a residue, and where."""
-    for k, (first, last) in enumerate(template.graph.sse_ranges, start=1):
+    for k, (first, last) in enumerate(template.sse_ranges, start=1):
         if first <= vertex <= last:
             return k, (vertex - first + 1) / (last - first + 1)
     raise ValueError(f"vertex {vertex} is outside every SSE range")
@@ -68,7 +66,7 @@ def reference_occurrence_matrix(templates, pair, n, m):
     a, b = pair
     counts = np.zeros((n, m), dtype=float)
     for t in templates:
-        for u, w in t.graph.shortcut_edges:
+        for u, w in t.shortcut_edges:
             ku, ru = reference_sse_position(t, u)
             kw, rw = reference_sse_position(t, w)
             if (ku, kw) == (a, b):
@@ -87,7 +85,7 @@ def reference_sse_links(template):
     """The SSE-id adjacency matrix the templates' SSE graphs were read from,
     through a per-residue SSE-id table, as 1-based upper-triangle pairs in
     row-major order."""
-    graph = template.graph
+    graph = template
     sse_of = {
         v: sse_id
         for sse_id, (first, last) in zip(graph.sse_ids, graph.sse_ranges)
@@ -106,10 +104,10 @@ def reference_sse_links(template):
 
 def stray_vertex_template():
     """Two SSEs at residues 1-2 and 3-4, and a shortcut to residue 9."""
-    return TemplateProtein("stray", SseInGraph(("A", "B"), ((1, 2), (3, 4)), (), ((2, 9),)))
+    return SseInGraph(("A", "B"), ((1, 2), (3, 4)), (), ((2, 9),))
 
 
-def random_template(protein_id, rng, sse_count, edges):
+def random_template(rng, sse_count, edges):
     """Template with random SSE sizes (one-residue SSEs included) and random
     shortcut cells, written in both orientations."""
     sizes = tuple(int(x) for x in rng.integers(1, 14, size=sse_count))
@@ -118,7 +116,7 @@ def random_template(protein_id, rng, sse_count, edges):
         a, b = (int(k) + 1 for k in rng.choice(sse_count, size=2, replace=False))
         cells.append(((a, int(rng.integers(1, sizes[a - 1] + 1))),
                       (b, int(rng.integers(1, sizes[b - 1] + 1)))))
-    return template_from_sizes(protein_id, sizes, cells)
+    return template_from_sizes(sizes, cells)
 
 
 class TestAlleleDistance:
@@ -149,20 +147,20 @@ class TestEstimateEdgeBudget:
         # template (10,12,8): 30 residues, 12 shortcut edges -> rate 0.4
         cells = [((1, i), (2, i)) for i in range(1, 7)]
         cells += [((2, i), (3, i)) for i in range(1, 7)]
-        template = template_from_sizes("t", (10, 12, 8), cells)
-        assert template.shortcut_count == 12
-        assert template.residue_total == 30
-        assert estimate_edge_budget((11, 12, 9), [template]) == 13
+        template = template_from_sizes((10, 12, 8), cells)
+        assert len(template.shortcut_edges) == 12
+        assert len(template.vertices) == 30
+        assert estimate_edge_budget((11, 12, 9), {"t": template}) == 13
 
     def test_identical_sequence_returns_own_count(self):
         cells = [((1, 1), (2, 2)), ((1, 3), (2, 4)), ((2, 5), (3, 1))]
-        template = template_from_sizes("t", (8, 9, 7), cells)
-        assert estimate_edge_budget((8, 9, 7), [template]) == 3
+        template = template_from_sizes((8, 9, 7), cells)
+        assert estimate_edge_budget((8, 9, 7), {"t": template}) == 3
 
     def test_uniform_rate_family_converges(self):
         rng = np.random.default_rng(11)
         rate = 0.25
-        templates = []
+        templates = {}
         for t in range(6):
             sizes = tuple(int(s) for s in rng.integers(8, 13, size=3))
             count = round_half_up(rate * sum(sizes))
@@ -170,7 +168,7 @@ class TestEstimateEdgeBudget:
             for c in range(count):
                 cells.append(((1, 1 + c % sizes[0]), (2, 1 + c % sizes[1])))
             cells = list(dict.fromkeys(cells))
-            templates.append(template_from_sizes(f"t{t}", sizes, cells))
+            templates[f"t{t}"] = template_from_sizes(sizes, cells)
         sequence = (10, 10, 10)
         e_p = estimate_edge_budget(sequence, templates)
         assert e_p / sum(sequence) == pytest.approx(rate, abs=0.07)
@@ -179,26 +177,29 @@ class TestEstimateEdgeBudget:
         # both at distance 1 from (10, 10), inside the bound of 4: "a" lends
         # its rate 5/21; from (20, 20) both lie past the bound of 8 and the
         # mean rate 1/6 applies
-        b = template_from_sizes("b", (10, 11), [((1, i), (2, i)) for i in (1, 2)])
-        a = template_from_sizes("a", (11, 10), [((1, i), (2, i)) for i in range(1, 6)])
-        assert estimate_edge_budget((10, 10), [b, a]) == 5
-        assert estimate_edge_budget((20, 20), [b, a]) == 7
+        b = template_from_sizes((10, 11), [((1, i), (2, i)) for i in (1, 2)])
+        a = template_from_sizes((11, 10), [((1, i), (2, i)) for i in range(1, 6)])
+        assert estimate_edge_budget((10, 10), {"b": b, "a": a}) == 5
+        assert estimate_edge_budget((20, 20), {"b": b, "a": a}) == 7
+        # the tie goes to the smaller key, whichever graph it names
+        assert estimate_edge_budget((10, 10), {"c": b, "b": a}) == 5
+        assert estimate_edge_budget((10, 10), {"a": b, "b": a}) == 2
 
     def test_no_matching_sse_count(self):
-        template = template_from_sizes("t", (5, 5), [((1, 1), (2, 1))])
+        template = template_from_sizes((5, 5), [((1, 1), (2, 1))])
         with pytest.raises(FamilyMatchError):
-            estimate_edge_budget((5, 5, 5), [template])
+            estimate_edge_budget((5, 5, 5), {"t": template})
 
 
 class TestOccurrenceMatrix:
     def test_no_evidence_gives_uniform(self):
-        template = template_from_sizes("t", (6, 7))
+        template = template_from_sizes((6, 7))
         [q] = occurrence_matrices([template], [(1, 2)], (6, 7))
         assert np.array_equal(q, np.ones((6, 7)))
 
     def test_central_edge_maps_to_central_cell(self):
         # edge at relative position (0.5, 0.5) of a 10x10 pair
-        template = template_from_sizes("t", (10, 10), [((1, 5), (2, 5))])
+        template = template_from_sizes((10, 10), [((1, 5), (2, 5))])
         [q] = occurrence_matrices([template], [(1, 2)], (10, 10))
         assert q[4, 4] == 2.0
         assert q.sum() == 101.0
@@ -207,7 +208,7 @@ class TestOccurrenceMatrix:
         # template SSEs sized 10, query pair sized 5: position u maps to
         # round_half_up(u/10 * 5)
         cells = [((1, u), (2, u)) for u in (1, 5, 10)]
-        template = template_from_sizes("t", (10, 10), cells)
+        template = template_from_sizes((10, 10), cells)
         [q] = occurrence_matrices([template, template], [(1, 2)], (5, 5))
         assert q[0, 0] == 3.0  # 1/10 -> cell 1, two templates
         assert q[2, 2] == 3.0  # 5/10 -> cell ceil(2.5) = 3
@@ -215,7 +216,7 @@ class TestOccurrenceMatrix:
         assert q.sum() == 25 + 6
 
     def test_orientation_swap(self):
-        template = template_from_sizes("t", (4, 6), [((2, 3), (1, 2))])
+        template = template_from_sizes((4, 6), [((2, 3), (1, 2))])
         [q] = occurrence_matrices([template], [(1, 2)], (4, 6))
         assert q[1, 2] == 2.0  # stored as (pair SSE1 pos 2, SSE2 pos 3)
         [q_swapped] = occurrence_matrices([template], [(2, 1)], (4, 6))
@@ -227,7 +228,7 @@ class TestOccurrenceMatrix:
         # several templates, both orientations of every pair in one call,
         # query sizes above, equal to and below the template sizes
         rng = np.random.default_rng(17)
-        templates = [random_template(f"t{k}", rng, 5, 30) for k in range(6)]
+        templates = [random_template(rng, 5, 30) for _ in range(6)]
         pairs = [(a, b) for a in range(1, 6) for b in range(1, 6) if a != b]
         for _ in range(4):
             sizes = tuple(int(x) for x in rng.integers(1, 16, size=5))
@@ -703,7 +704,7 @@ class TestGlobalAco:
         instance = make_planted_instance(
             "net", (6, 6, 6, 6), np.random.default_rng(5), boost_fraction=1.0
         )
-        return instance.query.graph
+        return instance.query
 
     def test_candidates_below_budget_returned_whole(self):
         graph = self.network()
@@ -755,12 +756,12 @@ class TestGlobalAco:
 
 class TestValidateBuiltNetwork:
     def test_template_accepts_itself(self):
-        graph = make_planted_instance("v", (7, 7, 7, 7), np.random.default_rng(2)).query.graph
+        graph = make_planted_instance("v", (7, 7, 7, 7), np.random.default_rng(2)).query
         profile = topological_profile(graph.vertices, graph.edges)
         assert validate_built_network(profile, profile, tol=0.2)
 
     def test_gross_distortion_rejected(self):
-        graph = make_planted_instance("v", (7, 7, 7, 7), np.random.default_rng(2)).query.graph
+        graph = make_planted_instance("v", (7, 7, 7, 7), np.random.default_rng(2)).query
         profile = topological_profile(graph.vertices, graph.edges)
         # strip every shortcut: the graph falls apart into SSE chains
         stripped = replace(graph, shortcut_edges=())
@@ -771,7 +772,7 @@ class TestValidateBuiltNetwork:
         inst = make_planted_instance(
             "v", (7, 7, 7, 7), np.random.default_rng(2), shortcuts_per_pair=2
         )
-        truth = inst.query.graph
+        truth = inst.query
         profile = topological_profile(truth.vertices, truth.edges)
         rng = np.random.default_rng(9)
         acceptance = []
@@ -795,8 +796,8 @@ class TestValidateBuiltNetwork:
 class TestTemplateProtein:
     def test_position_mapping(self):
         # residues 1 and 4 are the ends of SSE 1, residue 5 the start of SSE 2
-        template = template_from_sizes("t", (4, 6), [((1, 1), (2, 1)), ((1, 4), (2, 6))])
-        assert template.graph.shortcut_edges == ((1, 5), (4, 10))
+        template = template_from_sizes((4, 6), [((1, 1), (2, 1)), ((1, 4), (2, 6))])
+        assert template.shortcut_edges == ((1, 5), (4, 10))
         (first_u, first_w), (last_u, last_w) = template.shortcut_cells()
         assert first_u == (1, pytest.approx(0.25))
         assert first_w == (2, pytest.approx(1 / 6))
@@ -805,18 +806,18 @@ class TestTemplateProtein:
 
     def test_position_table_matches_range_scan(self):
         rng = np.random.default_rng(5)
-        for k in range(4):
-            template = random_template(f"t{k}", rng, 6, 40)
+        for _ in range(4):
+            template = random_template(rng, 6, 40)
             cells = template.shortcut_cells()
-            assert len(cells) == template.shortcut_count
-            for (u, w), (cell_u, cell_w) in zip(template.graph.shortcut_edges, cells):
+            assert len(cells) == len(template.shortcut_edges)
+            for (u, w), (cell_u, cell_w) in zip(template.shortcut_edges, cells):
                 assert cell_u == reference_sse_position(template, u)
                 assert cell_w == reference_sse_position(template, w)
 
     @settings(max_examples=60)
     @given(st.integers(2, 8), st.integers(0, 25), st.integers(0, 2**32 - 1))
     def test_sse_links_match_sse_id_adjacency(self, sse_count, edges, seed):
-        template = random_template("t", np.random.default_rng(seed), sse_count, edges)
+        template = random_template(np.random.default_rng(seed), sse_count, edges)
         links = template.sse_links()
         assert links == reference_sse_links(template)
         assert all(type(k) is int for link in links for k in link)
@@ -824,7 +825,8 @@ class TestTemplateProtein:
     def test_sse_links_of_a_parsed_structure(self):
         # four packed helices in a row: only consecutive helices touch
         text, _ = multi_helix_protein(4)
-        template = TemplateProtein.from_structure(parse_pdb(text, "four"))
+        protein = parse_pdb(text, "four")
+        template = induce_sse_in(build_contact_map(protein), protein)
         assert template.sse_links() == [(1, 2), (2, 3), (3, 4)]
         assert template.sse_links() == reference_sse_links(template)
 

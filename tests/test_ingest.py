@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +18,9 @@ from ssein.ingest import (
     EmptyStructureError,
     FamilyIndexError,
     PdbParseError,
+    ProteinStructure,
+    Residue,
+    SseAnnotation,
     assign_hydrophobicity,
     compute_backbone_dihedrals,
     dihedral_angle,
@@ -292,6 +296,34 @@ class TestHydrophobicity:
     def test_unknown_code(self):
         with pytest.raises(ValueError):
             assign_hydrophobicity("X")
+
+
+def structure_with_helices(*spans, n=8):
+    """An n-residue structure with one helix per (first, last) span, in the
+    order given."""
+    residues = tuple(Residue(i, "A", (3.8 * i, 0.0, 0.0)) for i in range(1, n + 1))
+    helices = tuple(
+        SseAnnotation(f"H{k}", "helix", first, last) for k, (first, last) in enumerate(spans, 1)
+    )
+    return ProteinStructure("p", residues, helices)
+
+
+class TestProteinStructure:
+    @pytest.mark.parametrize(
+        "spans, named",
+        [
+            (((0, 3), (5, 8)), "H1 range (0, 3)"),  # residue 0
+            (((5, 8), (1, 3)), "H2 range (1, 3)"),  # out of chain order
+            (((1, 4), (4, 8)), "H2 range (4, 8)"),  # overlapping
+        ],
+    )
+    def test_sse_out_of_chain_order_rejected(self, spans, named):
+        with pytest.raises(ValueError, match=rf"SSE {re.escape(named)} does not follow"):
+            structure_with_helices(*spans)
+
+    def test_sse_past_the_last_residue_rejected(self):
+        with pytest.raises(ValueError, match="SSE H2 range exceeds residue count"):
+            structure_with_helices((1, 3), (5, 9))
 
 
 class TestFamilyIndex:

@@ -504,7 +504,7 @@ class TestRunMoga:
 
     def test_same_seed_same_output(self):
         instance = make_ga_instance(np.random.default_rng(2))
-        profile = family_sse_profile(instance.templates)
+        profile = family_sse_profile(instance.templates.values())
         params = GaParams(population_size=12, archive_size=8, generations=30)
         r1 = run_moga(instance.ctx, params, profile, np.random.default_rng(99))
         r2 = run_moga(instance.ctx, params, profile, np.random.default_rng(99))
@@ -514,7 +514,7 @@ class TestRunMoga:
 
     def test_archive_mutually_non_dominated_members_have_rank_zero(self):
         instance = make_ga_instance(np.random.default_rng(2))
-        profile = family_sse_profile(instance.templates)
+        profile = family_sse_profile(instance.templates.values())
         params = GaParams(population_size=12, archive_size=8, generations=15)
         result = run_moga(instance.ctx, params, profile, np.random.default_rng(1))
         for ind in result.archive:

@@ -22,9 +22,9 @@ class TestPlantedInstance:
             "i", (8, 9, 7, 8), np.random.default_rng(0), shortcuts_per_pair=2
         )
         query = inst.query
-        assert query.protein_id == "i"
+        assert inst.instance_id == "i"
         assert query.sse_count == 4
-        assert query.residue_total == len(query.graph.vertices)
+        assert sum(query.sse_sizes) == len(query.vertices)
         # every true shortcut joins two different SSEs from an incidence pair
         for (ku, _), (kv, _) in query.shortcut_cells():
             assert ku != kv
@@ -51,8 +51,8 @@ class TestPlantedInstance:
             "i", (8, 8, 8, 8), np.random.default_rng(2), boost_fraction=0.5,
             shortcuts_per_pair=2,
         )
-        boosted = inst.templates[0].graph.shortcut_edges
-        assert len(boosted) == round(0.5 * inst.query.shortcut_count)
+        boosted = inst.templates["i-T1"].shortcut_edges
+        assert len(boosted) == round(0.5 * len(inst.query.shortcut_edges))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -69,14 +69,25 @@ class TestPlantedInstance:
         query = inst.query
         pairs = cluster_chain_pairs(len(sizes))
         assert query.sse_links() == pairs
-        assert query.shortcut_count == sum(
+        assert len(query.shortcut_edges) == sum(
             min(per_pair, sizes[a - 1], sizes[b - 1]) for a, b in pairs
         )
-        boosted_count = round_half_up(boost_fraction * query.shortcut_count)
-        for template in inst.templates:
-            boosted = template.graph.shortcut_edges
-            assert set(boosted) <= set(query.graph.shortcut_edges)
+        boosted_count = round_half_up(boost_fraction * len(query.shortcut_edges))
+        for template in inst.templates.values():
+            boosted = template.shortcut_edges
+            assert set(boosted) <= set(query.shortcut_edges)
             assert len(boosted) == boosted_count
+
+    def test_family_maps_every_template_id_to_one_graph(self):
+        # the family is built once: n_templates ids, one shared SSE-IN
+        inst = make_planted_instance(
+            "i", (8, 8, 8), np.random.default_rng(4), boost_fraction=0.5, n_templates=5
+        )
+        assert list(inst.templates) == [f"i-T{t}" for t in range(1, 6)]
+        graph = inst.templates["i-T1"]
+        assert all(template is graph for template in inst.templates.values())
+        assert graph.sse_ranges == inst.query.sse_ranges
+        assert graph.intra_edges == inst.query.intra_edges
 
     def test_validation(self):
         with pytest.raises(ValueError):
