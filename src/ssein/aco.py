@@ -4,8 +4,9 @@ Stage one works per SSE pair: a complete bipartite candidate graph between
 the two SSEs is weighted by the family occurrence matrix, a colony of
 n + m ants reinforces pheromone on the edges it crosses, and edges whose
 normalized pheromone clears lambda_min survive as candidates.  Stage two
-runs the same dynamics over the whole candidate network and keeps the E_p
-top-pheromone edges, where E_p comes from family template edge rates.
+runs the same dynamics over the query's SSE-IN, an array of candidate
+residue edges as its inter-SSE edges, and keeps the E_p top-pheromone
+edges, where E_p comes from family template edge rates.
 
 A family is a mapping from protein id to each template's SSE-IN
 (`SseInGraph`).  A template's shortcut edges are placed in its SSEs in one
@@ -106,25 +107,20 @@ def estimate_edge_budget(
 ) -> int:
     """Predicted shortcut-edge total E_p from family template edge rates.
 
-    `templates` maps protein id to SSE-IN.  The nearest template (by allele
-    distance, ties by protein id) lends its shortcut-edge rate if it is
-    closer than 20% of the sequence's cumulated size; otherwise the
-    family-mean rate applies.  Either way E_p scales the rate by the
-    sequence's cumulated size.
+    `templates` maps protein id to SSE-IN, each with as many SSEs as the
+    sequence.  The nearest template (by allele distance, ties by protein
+    id) lends its shortcut-edge rate if it is closer than 20% of the
+    sequence's cumulated size; otherwise the family-mean rate applies.
+    Either way E_p scales the rate by the sequence's cumulated size.
     """
-    matching = [(pid, t) for pid, t in templates.items() if t.sse_count == len(sequence_sizes)]
-    if not matching:
-        raise FamilyMatchError(
-            f"no template with SSE count {len(sequence_sizes)} in the family"
-        )
     cumulated = sum(sequence_sizes)
     distance, _, nearest = min(
-        ((allele_distance(sequence_sizes, t.sse_sizes), pid, t) for pid, t in matching),
+        ((allele_distance(sequence_sizes, t.sse_sizes), pid, t) for pid, t in templates.items()),
         key=lambda ranked: ranked[:2],
     )
     if distance < 0.2 * cumulated:
         return round_half_up(nearest.shortcut_rate * cumulated)
-    mean_rate = left_sum(t.shortcut_rate for _, t in matching) / len(matching)
+    mean_rate = left_sum(t.shortcut_rate for t in templates.values()) / len(templates)
     return round_half_up(mean_rate * cumulated)
 
 
@@ -414,49 +410,48 @@ def local_aco(
 @dataclass(frozen=True)
 class GlobalResult:
     selected: tuple[Edge, ...]
-    normalized_tau: dict[Edge, float]
+    selected_tau: tuple[float, ...]
     shortfall: int
     iterations: int
 
 
 def global_aco(
-    vertices: Iterable[int],
-    intra_edges: Iterable[Edge],
-    candidates: Mapping[Edge, float],
+    query: SseInGraph,
+    inter_edges: np.ndarray,
+    s: np.ndarray,
     e_p: int,
     params: AcoParams,
     rng: np.random.Generator,
 ) -> GlobalResult:
-    """Stage two: rank all candidates by whole-network pheromone, keep E_p.
+    """Stage two: rank all candidates by whole-network pheromone and keep
+    E_p, ties to the smaller edge, each with its tau over the largest.
 
-    When fewer than E_p candidates exist, all of them are returned and the
-    shortfall is reported.
+    The candidates are a non-empty (k, 2) array of distinct shortcut edges
+    (u, v), u < v, of the query, in any order, with weights s.  The slots
+    hold them in ascending order; a residue's vertex is its position in
+    `query.vertices`.  Fewer than E_p are all kept, the shortfall reported.
     """
     if e_p <= 0:
         raise ValueError(f"number of edges to predict must be positive, got {e_p}")
-    cand = {(min(u, v), max(u, v)): float(w) for (u, v), w in candidates.items()}
-    if not cand:
-        return GlobalResult((), {}, e_p, 0)
-    inter = sorted(cand)
-    s = [cand[e] for e in inter]
-    index = {v: i for i, v in enumerate(sorted(vertices))}
+    order = np.lexsort(inter_edges.T[::-1])
+    edges, s = inter_edges[order], s[order]
+    vertices = np.asarray(query.vertices, dtype=np.intp)
     graph = ColonyGraph.from_edges(
-        len(index),
-        [(index[u], index[v]) for u, v in inter],
+        len(vertices),
+        np.searchsorted(vertices, edges),
         s,
-        [(index[u], index[v]) for u, v in intra_edges],
-        left_sum(s) / len(s),
+        np.searchsorted(vertices, np.array(query.intra_edges, dtype=np.intp)),
+        left_sum(s.tolist()) / len(s),
         params.beta,
     )
     colony = Colony(graph, params, rng)
     iterations = colony.run()
-    taus = colony.tau[: len(inter)]
-    tau_max = float(taus.max())
-    normalized = {e: tau / tau_max for e, tau in zip(inter, taus.tolist())}
-    ranked = sorted(normalized, key=lambda e: (-normalized[e], e))
-    selected = tuple(sorted(ranked[: min(e_p, len(ranked))]))
+    taus = colony.tau[: len(s)]
+    normalized = taus / taus.max()
+    kept = np.sort(np.lexsort((edges[:, 1], edges[:, 0], -normalized))[:e_p])
+    selected = tuple(map(tuple, edges[kept].tolist()))
     shortfall = max(0, e_p - len(selected))
-    return GlobalResult(selected, normalized, shortfall, iterations)
+    return GlobalResult(selected, tuple(normalized[kept].tolist()), shortfall, iterations)
 
 
 def validate_built_network(

@@ -178,7 +178,8 @@ def parse_pdb_detailed(text: str, protein_id: str = "unknown") -> PdbParseResult
     Of alternate locations (column 17) only blank and ``A`` are read, so a
     residue with other locations only is dropped; a residue insertion code
     (column 27) raises PdbParseError, since it would merge two residues
-    under one number.
+    under one number.  Of overlapping ranges a helix wins, then the earlier
+    record; SSEs are named H1, H2, ... and S1, S2, ... along the chain.
     """
     atoms: dict[int, dict[str, Vec3]] = {}
     resnames: dict[int, str] = {}
@@ -244,12 +245,11 @@ def parse_pdb_detailed(text: str, protein_id: str = "unknown") -> PdbParseResult
 
     index_of = {res_seq: i + 1 for i, res_seq in enumerate(kept)}
 
-    annotations: list[SseAnnotation] = []
+    spans: list[tuple[int, int, str]] = []
     skipped = 0
     covered: set[int] = set()
     records = [(c, f, l, "helix") for c, f, l in helices]
     records += [(c, f, l, "strand") for c, f, l in strands]
-    counters = {"helix": 0, "strand": 0}
     for rec_chain, first_seq, last_seq, kind in records:
         if rec_chain not in (" ", chain):
             skipped += 1
@@ -258,12 +258,15 @@ def parse_pdb_detailed(text: str, protein_id: str = "unknown") -> PdbParseResult
         if not members or set(members) & covered:
             skipped += 1
             continue
+        spans.append((min(members), max(members), kind))
+        covered |= set(members)
+    # Gene positions follow chain order: SSEs sort and number by position.
+    annotations: list[SseAnnotation] = []
+    counters = {"helix": 0, "strand": 0}
+    for first, last, kind in sorted(spans):
         counters[kind] += 1
         sse_id = ("H" if kind == "helix" else "S") + str(counters[kind])
-        annotations.append(SseAnnotation(sse_id, kind, min(members), max(members)))
-        covered |= set(members)
-    # Gene positions follow chain order, so annotations sort by position.
-    annotations.sort(key=lambda a: a.first_residue)
+        annotations.append(SseAnnotation(sse_id, kind, first, last))
 
     residues = []
     backbone: dict[int, BackboneAtoms] = {}

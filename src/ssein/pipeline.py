@@ -164,11 +164,11 @@ def load_templates(
 
 @dataclass(frozen=True)
 class AttemptOutcome:
-    """One colony-stage simulation: stage-one candidates and the final pick."""
+    """One colony simulation: stage-one candidates, the final pick and its taus."""
 
     candidates: tuple[Edge, ...]
     selected: tuple[Edge, ...]
-    normalized_tau: dict[Edge, float]
+    selected_tau: tuple[float, ...]
 
 
 def pair_heuristics(
@@ -194,23 +194,24 @@ def aco_attempt(
     seed_seq: np.random.SeedSequence,
 ) -> AttemptOutcome:
     """One full colony simulation on the query: local stage per SSE pair,
-    then the global pick over the query's SSE-IN."""
+    then the global pick over the query's SSE-IN.  Pairs (a, b) have a < b,
+    so a kept cell is a residue edge (u, v) with u < v."""
     streams = seed_seq.spawn(len(pairs) + 1)
-    candidates: dict[Edge, float] = {}
-    for k, ((a, b), pair_graph) in enumerate(zip(pairs, graphs)):
+    ends = [np.empty((0, 2), dtype=np.intp)]
+    weights = [np.empty(0)]
+    for (a, b), pair_graph, stream in zip(pairs, graphs, streams):
         n, m = query.sse_sizes[a - 1], query.sse_sizes[b - 1]
-        rng = np.random.default_rng(streams[k])
-        result = local_aco((n, m), pair_graph, params, rng)
-        first_a, first_b = query.sse_ranges[a - 1][0], query.sse_ranges[b - 1][0]
-        for i, j in result.cells:
-            u, v = first_a + i - 1, first_b + j - 1
-            edge = (u, v) if u < v else (v, u)
-            candidates[edge] = float(pair_graph.s[(i - 1) * m + j - 1])
+        result = local_aco((n, m), pair_graph, params, np.random.default_rng(stream))
+        cells = np.array(result.cells, dtype=np.intp).reshape(-1, 2) - 1
+        ends.append(cells + (query.sse_ranges[a - 1][0], query.sse_ranges[b - 1][0]))
+        weights.append(pair_graph.s[cells[:, 0] * m + cells[:, 1]])
+    edges = np.concatenate(ends)
+    candidates = tuple(zip(*edges.T.tolist()))
     if e_p <= 0 or not candidates:
-        return AttemptOutcome(tuple(sorted(candidates)), (), {})
+        return AttemptOutcome(candidates, (), ())
     rng_global = np.random.default_rng(streams[-1])
-    result = global_aco(query.vertices, query.intra_edges, candidates, e_p, params, rng_global)
-    return AttemptOutcome(tuple(sorted(candidates)), result.selected, result.normalized_tau)
+    result = global_aco(query, edges, np.concatenate(weights), e_p, params, rng_global)
+    return AttemptOutcome(candidates, result.selected, result.selected_tau)
 
 
 @dataclass
@@ -222,11 +223,11 @@ class RunReport:
     e_p: int
     e_candidates: int
     e_selected: int
-    e_real: Optional[int]
+    e_real: int
     ac: Optional[float]
     shortcut_score: Optional[float]
-    incidence_error_rate: Optional[float]
-    built_profile: Optional[TopologicalProfile]
+    incidence_error_rate: float
+    built_profile: TopologicalProfile
     family_profile: TopologicalProfile
     verdict: str
     attempts: int
@@ -249,7 +250,7 @@ class RunReport:
             "ac": self.ac,
             "shortcut_score": self.shortcut_score,
             "incidence_error_rate": self.incidence_error_rate,
-            "built_profile": self.built_profile.as_dict() if self.built_profile else None,
+            "built_profile": self.built_profile.as_dict(),
             "family_profile": self.family_profile.as_dict(),
             "shortcut_edges": [[u, v] for u, v, *_ in self.shortcut_rows],
             "verdict": self.verdict,
@@ -388,8 +389,8 @@ def run_predict(config: RunConfig) -> RunReport:
     sse_ids = query.sse_ids
     sse_k = query.sse_index(np.array(outcome.selected, dtype=np.intp).reshape(-1, 2))
     rows = [
-        (u, v, sse_ids[ku - 1], sse_ids[kv - 1], outcome.normalized_tau.get((u, v), 0.0))
-        for (u, v), (ku, kv) in zip(outcome.selected, sse_k.tolist())
+        (u, v, sse_ids[ku - 1], sse_ids[kv - 1], tau)
+        for (u, v), (ku, kv), tau in zip(outcome.selected, sse_k.tolist(), outcome.selected_tau)
     ]
     report = RunReport(
         protein_id=protein.id,

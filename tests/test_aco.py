@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from conftest import multi_helix_protein
 from ssein.aco import (
     AcoParams,
-    FamilyMatchError,
     Colony,
     ColonyGraph,
     allele_distance,
@@ -186,8 +185,9 @@ class TestEstimateEdgeBudget:
         assert estimate_edge_budget((10, 10), {"a": b, "b": a}) == 2
 
     def test_no_matching_sse_count(self):
+        # callers pass a family of the sequence's SSE count
         template = template_from_sizes((5, 5), [((1, 1), (2, 1))])
-        with pytest.raises(FamilyMatchError):
+        with pytest.raises(ValueError, match="length mismatch"):
             estimate_edge_budget((5, 5, 5), {"t": template})
 
 
@@ -698,6 +698,38 @@ class TestColonyGraph:
             ColonyGraph.from_edges(3, [(0, 3)], [1.0], [], 1.0, 12.0)
 
 
+def reference_global_aco(vertices, intra_edges, candidates, e_p, params, rng):
+    """The dict-keyed stage two, kept as the oracle of `global_aco`: an index
+    dict over the sorted vertices, slots in sorted edge order, and a sort of
+    every candidate by (-normalized tau, edge).  Returns (selected,
+    normalized tau per candidate, shortfall, iterations)."""
+    if e_p <= 0:
+        raise ValueError(f"number of edges to predict must be positive, got {e_p}")
+    cand = {(min(u, v), max(u, v)): float(w) for (u, v), w in candidates.items()}
+    if not cand:
+        return (), {}, e_p, 0
+    inter = sorted(cand)
+    s = [cand[e] for e in inter]
+    index = {v: i for i, v in enumerate(sorted(vertices))}
+    graph = ColonyGraph.from_edges(
+        len(index),
+        [(index[u], index[v]) for u, v in inter],
+        s,
+        [(index[u], index[v]) for u, v in intra_edges],
+        left_sum(s) / len(s),
+        params.beta,
+    )
+    colony = Colony(graph, params, rng)
+    iterations = colony.run()
+    taus = colony.tau[: len(inter)]
+    tau_max = float(taus.max())
+    normalized = {e: tau / tau_max for e, tau in zip(inter, taus.tolist())}
+    ranked = sorted(normalized, key=lambda e: (-normalized[e], e))
+    selected = tuple(sorted(ranked[: min(e_p, len(ranked))]))
+    shortfall = max(0, e_p - len(selected))
+    return selected, normalized, shortfall, iterations
+
+
 class TestGlobalAco:
     def network(self):
         """The planted query's SSE-IN: intra-SSE edges plus true shortcuts."""
@@ -706,52 +738,81 @@ class TestGlobalAco:
         )
         return instance.query
 
-    def test_candidates_below_budget_returned_whole(self):
-        graph = self.network()
-        candidates = {e: 1.0 for e in graph.shortcut_edges[:2]}
-        result = global_aco(
-            graph.vertices,
-            graph.intra_edges,
-            candidates,
-            5,
-            AcoParams(),
-            np.random.default_rng(0),
+    def run(self, query, edges, e_p, seed):
+        edges = np.array(edges, dtype=np.intp)
+        return global_aco(
+            query, edges, np.ones(len(edges)), e_p, AcoParams(), np.random.default_rng(seed)
         )
-        assert set(result.selected) == set(candidates)
+
+    def test_candidates_below_budget_returned_whole(self):
+        query = self.network()
+        result = self.run(query, query.shortcut_edges[:2], 5, 0)
+        assert result.selected == query.shortcut_edges[:2]
         assert result.shortfall == 3
 
     def test_budget_one_takes_top_pheromone(self):
-        graph = self.network()
-        candidates = {e: 1.0 for e in graph.shortcut_edges}
-        result = global_aco(
-            graph.vertices,
-            graph.intra_edges,
-            candidates,
-            1,
-            AcoParams(),
-            np.random.default_rng(0),
-        )
+        query = self.network()
+        result = self.run(query, query.shortcut_edges, 1, 0)
         assert len(result.selected) == 1
-        top = max(result.normalized_tau.values())
-        assert result.normalized_tau[result.selected[0]] == pytest.approx(top)
+        assert result.selected_tau == (1.0,)
 
     def test_output_size_is_min(self):
-        graph = self.network()
-        candidates = {e: 1.0 for e in graph.shortcut_edges}
-        for e_p in (1, 2, len(candidates), len(candidates) + 3):
-            result = global_aco(
-                graph.vertices,
-                graph.intra_edges,
-                candidates,
-                e_p,
-                AcoParams(),
-                np.random.default_rng(1),
-            )
-            assert len(result.selected) == min(e_p, len(candidates))
+        query = self.network()
+        count = len(query.shortcut_edges)
+        for e_p in (1, 2, count, count + 3):
+            result = self.run(query, query.shortcut_edges, e_p, 1)
+            assert len(result.selected) == len(result.selected_tau) == min(e_p, count)
 
     def test_nonpositive_budget_rejected(self):
         with pytest.raises(ValueError):
-            global_aco([1, 2], [], {(1, 2): 1.0}, 0, AcoParams(), np.random.default_rng(0))
+            self.run(self.network(), [(1, 7)], 0, 0)
+
+    def test_matches_the_dict_reference(self):
+        """Random candidate sets on planted queries, passed in shuffled
+        order: the same picks, taus, iteration count, shortfall and
+        generator state as the dict-keyed reference."""
+        rng = np.random.default_rng(41)
+        cut_ties = 0
+        for case in range(20):
+            sizes = tuple(int(x) for x in rng.integers(3, 9, size=int(rng.integers(2, 6))))
+            query = make_planted_instance(
+                f"g{case}", sizes, np.random.default_rng(case), boost_fraction=1.0
+            ).query
+            ranges = query.sse_ranges
+            cross = [
+                (u, v)
+                for a in range(len(ranges))
+                for b in range(a + 1, len(ranges))
+                for u in range(ranges[a][0], ranges[a][1] + 1)
+                for v in range(ranges[b][0], ranges[b][1] + 1)
+            ]
+            picked = rng.permutation(len(cross))[: int(rng.integers(1, 40))]
+            edges = np.array([cross[i] for i in picked], dtype=np.intp)
+            if case % 2:  # tied weights
+                s = rng.choice([0.25, 1.0], size=len(edges))
+            else:
+                s = rng.uniform(0.05, 3.0, size=len(edges))
+            e_p = [1, len(edges) + 2, int(rng.integers(1, len(edges) + 1))][case % 3]
+            params = AcoParams(max_iterations=int(rng.integers(2, 40)))
+
+            new_rng, ref_rng = np.random.default_rng(case), np.random.default_rng(case)
+            result = global_aco(query, edges, s, e_p, params, new_rng)
+            selected, normalized, shortfall, iterations = reference_global_aco(
+                query.vertices,
+                query.intra_edges,
+                dict(zip(map(tuple, edges.tolist()), s.tolist())),
+                e_p,
+                params,
+                ref_rng,
+            )
+            assert result.selected == selected
+            assert result.selected_tau == tuple(normalized[e] for e in selected)
+            assert (result.iterations, result.shortfall) == (iterations, shortfall)
+            assert new_rng.bit_generator.state == ref_rng.bit_generator.state
+            ranked = sorted(normalized.values(), reverse=True)
+            cut_ties += e_p < len(ranked) and ranked[e_p - 1] == ranked[e_p]
+        # ties at the E_p cut are decided by edge, so they must occur
+        assert cut_ties >= 3
 
 
 class TestValidateBuiltNetwork:

@@ -146,6 +146,20 @@ class TestParsePdb:
         assert (strand.first_residue, strand.last_residue) == (2, 4)
         assert parse_pdb(emit_pdb(structure), "s") == structure
 
+    def test_sse_ids_count_along_the_chain(self):
+        # records out of chain order, helices and strands interleaved
+        records = [
+            helix_record(1, "ALA", "LEU", "A", 6, 8),
+            helix_record(2, "ALA", "LEU", "A", 2, 3),
+            "SHEET    1   1 1 ALA A  10  LEU A  11 0",
+            "SHEET    2   1 1 ALA A   4  LEU A   5 0",
+        ]
+        atoms = _ca_text([(3.8 * i, 0.0, 0.0) for i in range(12)])
+        sse = parse_pdb("\n".join(records) + "\n" + atoms).sse_list
+        assert [(a.sse_id, a.first_residue, a.last_residue) for a in sse] == [
+            ("H1", 2, 3), ("S1", 4, 5), ("H2", 6, 8), ("S2", 10, 11)
+        ]
+
     def test_skipped_annotations_counted(self):
         # residues 1-8 on chain A, one kept helix over 2-5
         atoms = _ca_text([(3.8 * i, 0.0, 0.0) for i in range(8)])
