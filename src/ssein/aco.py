@@ -433,6 +433,8 @@ def global_aco(
     """
     if e_p <= 0:
         raise ValueError(f"number of edges to predict must be positive, got {e_p}")
+    if len(inter_edges) == 0:
+        raise ValueError("global colony needs a non-empty candidate set")
     order = np.lexsort(inter_edges.T[::-1])
     edges, s = inter_edges[order], s[order]
     vertices = np.asarray(query.vertices, dtype=np.intp)

@@ -1,17 +1,19 @@
 """Structure-file and family-index ingestion.
 
 Parses fixed-column PDB text (ATOM / HELIX / SHEET records) into validated
-records carrying everything downstream stages need: per residue the Cα
-coordinates, backbone dihedrals and Kyte-Doolittle hydrophobicity, and per
+records: per residue its index, one-letter code and Cα coordinates, per
 secondary structure element an `SseAnnotation` whose inclusive residue range
-is the one record of SSE membership (no residue carries an SSE label).
-Only the first chain and the first model of a file are read.
+is the one record of SSE membership (no residue carries an SSE label), and
+beside the structure the N / Cα / C backbone atoms.  Features derived from
+these (backbone dihedrals, Kyte-Doolittle hydrophobicity) are computed by
+their one consumer, the GA's `SseContext.from_structure`, for SSE members
+only.  Only the first chain and the first model of a file are read.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple, Optional
 
 Vec3 = tuple[float, float, float]
@@ -58,14 +60,11 @@ def assign_hydrophobicity(code: str) -> float:
 
 @dataclass(frozen=True)
 class Residue:
-    """One residue: sequence position, identity, Cα position and features."""
+    """One residue: sequence position, identity and Cα position."""
 
     index: int
     code: str
     ca: Vec3
-    phi: Optional[float] = None
-    psi: Optional[float] = None
-    hydrophobicity: float = 0.0
 
     def __post_init__(self):
         if self.index < 1:
@@ -74,9 +73,6 @@ class Residue:
             raise ValueError(f"unknown amino-acid code {self.code!r}")
         if len(self.ca) != 3 or not all(math.isfinite(c) for c in self.ca):
             raise ValueError(f"non-finite Cα coordinates for residue {self.index}")
-        for name, angle in (("phi", self.phi), ("psi", self.psi)):
-            if angle is not None and not -180.0 <= angle <= 180.0:
-                raise ValueError(f"{name} out of [-180, 180]: {angle}")
 
 
 @dataclass(frozen=True)
@@ -179,13 +175,14 @@ def parse_pdb_detailed(text: str, protein_id: str = "unknown") -> PdbParseResult
     residue with other locations only is dropped; a residue insertion code
     (column 27) raises PdbParseError, since it would merge two residues
     under one number.  Of overlapping ranges a helix wins, then the earlier
-    record; SSEs are named H1, H2, ... and S1, S2, ... along the chain.
+    start (then the earlier end), whatever the record order; SSEs are named
+    H1, H2, ... and S1, S2, ... along the chain.
     """
     atoms: dict[int, dict[str, Vec3]] = {}
     resnames: dict[int, str] = {}
     order: list[int] = []
-    helices: list[tuple[str, int, int]] = []
-    strands: list[tuple[str, int, int]] = []
+    helices: list[tuple[int, int, str]] = []  # (first, last, chain)
+    strands: list[tuple[int, int, str]] = []
     chain: Optional[str] = None
     past_first_model = False
 
@@ -199,14 +196,14 @@ def parse_pdb_detailed(text: str, protein_id: str = "unknown") -> PdbParseResult
             helix_chain = line[19]
             first = _parse_int(line[21:25], line_no, "HELIX initial residue")
             last = _parse_int(line[33:37], line_no, "HELIX final residue")
-            helices.append((helix_chain, first, last))
+            helices.append((first, last, helix_chain))
         elif record.startswith("SHEET"):
             if len(line) < 37:
                 raise PdbParseError(line_no, "SHEET record too short")
             sheet_chain = line[21]
             first = _parse_int(line[22:26], line_no, "SHEET initial residue")
             last = _parse_int(line[33:37], line_no, "SHEET final residue")
-            strands.append((sheet_chain, first, last))
+            strands.append((first, last, sheet_chain))
         elif record == "ATOM  " and not past_first_model:
             if len(line) < 54:
                 raise PdbParseError(line_no, "ATOM record too short")
@@ -248,8 +245,9 @@ def parse_pdb_detailed(text: str, protein_id: str = "unknown") -> PdbParseResult
     spans: list[tuple[int, int, str]] = []
     skipped = 0
     covered: set[int] = set()
-    records = [(c, f, l, "helix") for c, f, l in helices]
-    records += [(c, f, l, "strand") for c, f, l in strands]
+    # Each kind in (first, last) order, so the earlier start wins an overlap.
+    records = [(c, f, l, "helix") for f, l, c in sorted(helices)]
+    records += [(c, f, l, "strand") for f, l, c in sorted(strands)]
     for rec_chain, first_seq, last_seq, kind in records:
         if rec_chain not in (" ", chain):
             skipped += 1
@@ -272,16 +270,8 @@ def parse_pdb_detailed(text: str, protein_id: str = "unknown") -> PdbParseResult
     backbone: dict[int, BackboneAtoms] = {}
     for res_seq in kept:
         idx = index_of[res_seq]
-        code = THREE_TO_ONE[resnames[res_seq]]
         entry = atoms[res_seq]
-        residues.append(
-            Residue(
-                index=idx,
-                code=code,
-                ca=entry["CA"],
-                hydrophobicity=assign_hydrophobicity(code),
-            )
-        )
+        residues.append(Residue(idx, THREE_TO_ONE[resnames[res_seq]], entry["CA"]))
         backbone[idx] = BackboneAtoms(entry.get("N"), entry["CA"], entry.get("C"))
 
     structure = ProteinStructure(protein_id, tuple(residues), tuple(annotations))
@@ -332,32 +322,27 @@ def dihedral_angle(p0: Vec3, p1: Vec3, p2: Vec3, p3: Vec3) -> float:
 PEPTIDE_BOND_MAX = 2.5
 
 
-def compute_backbone_dihedrals(
-    protein: ProteinStructure, backbone: Mapping[int, BackboneAtoms]
-) -> ProteinStructure:
-    """Fill phi/psi from backbone atoms; termini and gaps stay absent.
+def backbone_dihedrals(
+    backbone: Mapping[int, BackboneAtoms], index: int
+) -> tuple[Optional[float], Optional[float]]:
+    """(phi, psi) of residue `index` from the backbone atoms; None where absent.
 
     phi(i) uses C(i-1), N(i), Cα(i), C(i); psi(i) uses N(i), Cα(i), C(i),
-    N(i+1).  A missing atom leaves that residue's angle unset, and so does a
-    chain break: an angle is computed only across a C-N peptide bond of at
-    most PEPTIDE_BOND_MAX.
+    N(i+1).  A missing atom or neighbour (the chain ends) leaves that angle
+    unset, and so does a chain break: an angle is computed only across a
+    C-N peptide bond of at most PEPTIDE_BOND_MAX.
     """
-    n = len(protein.residues)
-    updated = []
-    for r in protein.residues:
-        i = r.index
-        here = backbone.get(i)
-        prev = backbone.get(i - 1) if i > 1 else None
-        nxt = backbone.get(i + 1) if i < n else None
-        phi = None
-        psi = None
-        if here is not None and here.n and here.ca and here.c:
-            if prev is not None and prev.c and math.dist(prev.c, here.n) <= PEPTIDE_BOND_MAX:
-                phi = dihedral_angle(prev.c, here.n, here.ca, here.c)
-            if nxt is not None and nxt.n and math.dist(here.c, nxt.n) <= PEPTIDE_BOND_MAX:
-                psi = dihedral_angle(here.n, here.ca, here.c, nxt.n)
-        updated.append(replace(r, phi=phi, psi=psi))
-    return replace(protein, residues=tuple(updated))
+    here = backbone.get(index)
+    if here is None or not (here.n and here.ca and here.c):
+        return None, None
+    prev = backbone.get(index - 1)
+    nxt = backbone.get(index + 1)
+    phi = psi = None
+    if prev is not None and prev.c and math.dist(prev.c, here.n) <= PEPTIDE_BOND_MAX:
+        phi = dihedral_angle(prev.c, here.n, here.ca, here.c)
+    if nxt is not None and nxt.n and math.dist(here.c, nxt.n) <= PEPTIDE_BOND_MAX:
+        psi = dihedral_angle(here.n, here.ca, here.c, nxt.n)
+    return phi, psi
 
 
 def load_family_index(text: str, family_id: str = "family") -> FamilyIndex:

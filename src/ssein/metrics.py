@@ -8,12 +8,15 @@ all sources at once over per-vertex bitsets.  Of equal largest components,
 the one holding the earliest vertex in input order is measured, and float
 sums run left to right in vertex order, so profiles are exact across Python
 versions (builtin `sum` over floats is compensated from 3.12 on).
+
+The error rate reads SSE graphs as link sets; `incidence_matrix` builds
+the M x M matrix only for the report files.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Mapping
+from typing import Hashable, Iterable
 
 import numpy as np
 
@@ -56,8 +59,8 @@ def left_sum(values: Iterable[float]) -> float:
 
 
 def incidence_matrix(edges: Iterable[Edge], size: int) -> np.ndarray:
-    """Symmetric 0/1 int8 matrix of 1-based edges, for the consumers that
-    need a matrix: the error rate and the incidence outputs."""
+    """Symmetric 0/1 int8 matrix of 1-based edges, for the one consumer
+    that needs a matrix: the incidence outputs of `predict`."""
     matrix = np.zeros((size, size), dtype=np.int8)
     for i, j in edges:
         matrix[i - 1, j - 1] = matrix[j - 1, i - 1] = 1
@@ -174,52 +177,11 @@ def profile_deviation(candidate: TopologicalProfile, template: TopologicalProfil
     return worst
 
 
-def modularity(
-    vertices: Iterable[Vertex],
-    edges: Iterable[tuple[Vertex, Vertex]],
-    clustering: Mapping[Vertex, Hashable],
-) -> float:
-    """Newman-Girvan modularity of a vertex partition.
-
-    Q = sum over clusters of e_c/m - (d_c/2m)^2 with m total edges, e_c
-    intra-cluster edges and d_c the cluster degree sum.  An edgeless graph
-    has Q = 0 for every partition.
-    """
-    adj = _adjacency(vertices, edges)
-    for v in adj:
-        if v not in clustering:
-            raise ValueError(f"vertex {v!r} has no cluster assignment")
-    m = sum(len(nbrs) for nbrs in adj.values()) // 2
-    if m == 0:
-        return 0.0
-    intra: dict[Hashable, int] = {}
-    degree: dict[Hashable, int] = {}
-    for v, nbrs in adj.items():
-        c = clustering[v]
-        degree[c] = degree.get(c, 0) + len(nbrs)
-        for w in nbrs:
-            if clustering[w] == c:
-                intra[c] = intra.get(c, 0) + 1
-    q = 0.0
-    for c, d in degree.items():
-        e_c = intra.get(c, 0) / 2  # each intra edge seen from both ends
-        q += e_c / m - (d / (2 * m)) ** 2
-    return q
-
-
-def matrix_error_rate(predicted: np.ndarray, truth: np.ndarray) -> float:
-    """Fraction of differing entries between two symmetric 0-1 matrices."""
-    predicted = np.asarray(predicted)
-    truth = np.asarray(truth)
-    if predicted.shape != truth.shape:
-        raise ValueError(f"shape mismatch: {predicted.shape} vs {truth.shape}")
-    for name, m in (("predicted", predicted), ("truth", truth)):
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"{name} matrix must be square")
-        if np.any(np.diag(m)) or not np.array_equal(m, m.T):
-            raise ValueError(f"{name} matrix must be symmetric with zero diagonal")
-    n = predicted.shape[0]
-    return float(np.sum(predicted != truth)) / (n * n)
+def link_error_rate(predicted: Iterable[Edge], truth: Iterable[Edge], size: int) -> float:
+    """Fraction of differing entries between the size x size incidence
+    matrices of two 1-based link sets, i < j: each link in one set only
+    differs in two mirrored entries."""
+    return 2 * len(set(predicted) ^ set(truth)) / (size * size)
 
 
 def prediction_accuracy(e_real: int, e_pred: int) -> float:

@@ -9,7 +9,12 @@ strengths of an individual's dominators, density is the inverse k-th nearest
 neighbour distance in normalized objective space, and the archive is
 truncated by that deviation.  Only the final archive is decoded into
 clusters (connected components of the links); the returned solution is the
-member whose clustering has the highest modularity over its own links.
+member whose clustering has the highest modularity over its own links, and
+its links are the predicted SSE graph.
+
+The per-SSE features the objectives read come from the parser's output:
+`SseContext.from_structure` computes backbone dihedrals and hydrophobicity
+for the SSE members only.
 """
 
 from __future__ import annotations
@@ -18,17 +23,15 @@ import math
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .ingest import ProteinStructure
+from .ingest import BackboneAtoms, ProteinStructure, assign_hydrophobicity, backbone_dihedrals
 from .metrics import (
     Edge,
     TopologicalProfile,
-    incidence_matrix,
     left_sum,
-    modularity,
     profile_deviation,
     topological_profile,
 )
@@ -125,7 +128,11 @@ class SseContext:
         return terms
 
     @classmethod
-    def from_structure(cls, protein: ProteinStructure) -> "SseContext":
+    def from_structure(
+        cls, protein: ProteinStructure, backbone: Mapping[int, BackboneAtoms]
+    ) -> "SseContext":
+        """Per SSE: the Cα centroid, the means of its members' defined phi
+        and psi (0 where none is), and the mean Kyte-Doolittle value."""
         centroids = []
         mean_phi = []
         mean_psi = []
@@ -134,11 +141,14 @@ class SseContext:
             members = protein.residues[a.first_residue - 1 : a.last_residue]
             coords = np.array([r.ca for r in members], dtype=float)
             centroids.append(coords.mean(axis=0))
-            phis = [r.phi for r in members if r.phi is not None]
-            psis = [r.psi for r in members if r.psi is not None]
+            angles = [backbone_dihedrals(backbone, r.index) for r in members]
+            phis = [phi for phi, _ in angles if phi is not None]
+            psis = [psi for _, psi in angles if psi is not None]
             mean_phi.append(left_sum(phis) / len(phis) if phis else 0.0)
             mean_psi.append(left_sum(psis) / len(psis) if psis else 0.0)
-            mean_hydro.append(left_sum(r.hydrophobicity for r in members) / len(members))
+            mean_hydro.append(
+                left_sum(assign_hydrophobicity(r.code) for r in members) / len(members)
+            )
         return cls(
             np.array(centroids, dtype=float),
             np.array(mean_phi, dtype=float),
@@ -173,6 +183,30 @@ def decode(genes: Genes) -> dict[int, int]:
         if ri != rg:
             parent[max(ri, rg)] = min(ri, rg)
     return {i: find(i) for i in range(1, len(genes) + 1)}
+
+
+def modularity(genes: Genes) -> float:
+    """Newman-Girvan modularity of `decode`'s clusters over the gene links.
+
+    Q = sum over clusters of e_c/m - (d_c/2m)^2, with m links, e_c links
+    inside cluster c and d_c its degree sum.  The clusters are the links'
+    connected components, so every link lies inside one: e_c = d_c/2, and
+    Q sums (d_c/2)/m - (d_c/2m)^2 over the clusters in label order.  A
+    link-free chromosome has Q = 0.
+    """
+    links = gene_links(genes)
+    if not links:
+        return 0.0
+    labels = decode(genes)
+    degree = [0] * (len(genes) + 1)  # by cluster label
+    for i, _ in links:
+        degree[labels[i]] += 2
+    m = len(links)
+    q = 0.0
+    for d in degree:
+        if d:
+            q += d / 2 / m - (d / (2 * m)) ** 2
+    return q
 
 
 def _wrap_degrees(delta: float) -> float:
@@ -333,26 +367,19 @@ def mutate(genes: Genes, rate: float, rng: np.random.Generator) -> Genes:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class MogaResult:
-    best: Individual
-    incidence: np.ndarray
-    archive: tuple[Individual, ...]
-
-
 def run_moga(
     ctx: SseContext,
     params: GaParams,
     family_profile: TopologicalProfile,
     rng: np.random.Generator,
-) -> MogaResult:
+) -> Individual:
     """Evolve SSE-graph chromosomes for a fixed generation budget.
 
     Each generation evaluates population plus archive, re-selects the
     archive, and breeds a new population from it by binary tournament,
     uniform crossover and mutation.  Only the non-dominated final archive is
-    decoded: its member of highest clustering modularity is returned
-    together with that archive.
+    decoded: its member of highest clustering modularity (ties to the
+    lowest gene vector) is returned, and its `links` are the SSE graph.
     """
     m = ctx.sse_count
     if m < 2:
@@ -388,8 +415,5 @@ def run_moga(
         population = offspring
 
     final = [ind for ind in archive if ind.rank == 0]
-    scored = [(modularity(range(1, m + 1), ind.links, decode(ind.genes)), ind) for ind in final]
-    scored.sort(key=lambda pair: (-pair[0], pair[1].genes))
-    best = scored[0][1]
-    return MogaResult(best, incidence_matrix(best.links, m), tuple(final))
+    return min(final, key=lambda ind: (-modularity(ind.genes), ind.genes))
 

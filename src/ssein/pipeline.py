@@ -19,10 +19,11 @@ query is an `SseInGraph`, planted or induced from the structure, and its
 A template family is a mapping from protein id to SSE-IN, filtered to the
 query's SSE count.
 
-An SSE graph is a sorted set of 1-based SSE links throughout: the GA's
-best individual, and the query's and each template's `sse_links()`.  The
-M x M incidence matrix is built only where a matrix is consumed: the error
-rate, `report.json` and `sse_incidence.tsv`.
+An SSE graph is a sorted set of 1-based SSE links throughout: the `links`
+of the individual `run_moga` returns, and the query's and each template's
+`sse_links()`; the error rate compares link sets.  The M x M incidence
+matrix is built once, in `run_predict`, for `report.json` and
+`sse_incidence.tsv`.
 
 Reports serialize deterministically: with an identical config and seed the
 emitted JSON and TSV bytes are identical run to run.  Stage timings are
@@ -55,21 +56,16 @@ from .aco import (
     validate_built_network,
 )
 from .contact import Edge, SseInGraph, build_contact_map, induce_sse_in
-from .ingest import (
-    FamilyIndex,
-    compute_backbone_dihedrals,
-    load_family_index,
-    parse_pdb_detailed,
-)
+from .ingest import FamilyIndex, load_family_index, parse_pdb_detailed
 from .metrics import (
     TopologicalProfile,
     incidence_matrix,
     left_sum,
-    matrix_error_rate,
+    link_error_rate,
     prediction_accuracy,
     topological_profile,
 )
-from .moga import GaParams, MogaResult, SseContext, run_moga
+from .moga import GaParams, Individual, SseContext, run_moga
 from .synth import PlantedInstance, make_planted_instance
 
 logger = logging.getLogger("ssein")
@@ -301,17 +297,17 @@ def _ga_stage(
     profile_sse: TopologicalProfile,
     config: RunConfig,
     seed_seq: np.random.SeedSequence,
-) -> tuple[MogaResult, int, list[np.random.SeedSequence]]:
+) -> tuple[Individual, int, list[np.random.SeedSequence]]:
     """Everything between the family profiles and the colony stage: split
     the seed into the GA stream and one stream per simulation, run the GA
     and estimate the edge budget E_p of a query with these SSE sizes.
 
-    Returns (GA result, E_p, simulation streams).
+    Returns (the GA's best individual, E_p, simulation streams).
     """
     moga_seq, *sim_seqs = seed_seq.spawn(1 + config.simulations)
-    moga = run_moga(ctx, config.ga, profile_sse, np.random.default_rng(moga_seq))
+    best = run_moga(ctx, config.ga, profile_sse, np.random.default_rng(moga_seq))
     e_p = estimate_edge_budget(sse_sizes, templates)
-    return moga, e_p, sim_seqs
+    return best, e_p, sim_seqs
 
 
 def gated_attempts(
@@ -343,7 +339,7 @@ def run_predict(config: RunConfig) -> RunReport:
 
     pdb_path = Path(config.pdb_path)
     parsed = parse_pdb_detailed(pdb_path.read_text(), protein_id=pdb_path.stem)
-    protein = compute_backbone_dihedrals(parsed.structure, parsed.backbone)
+    protein = parsed.structure
     if parsed.dropped_residues or parsed.skipped_annotations:
         logger.info(
             "%s: dropped %d residues without usable Cα, skipped %d HELIX/SHEET records",
@@ -364,14 +360,14 @@ def run_predict(config: RunConfig) -> RunReport:
         )
     t_ingest = time.perf_counter()
 
-    ctx = SseContext.from_structure(protein)
+    ctx = SseContext.from_structure(protein, parsed.backbone)
     profile_sse, profile_residue = _family_profiles(matching.values(), index.family_id)
-    moga, e_p, sim_seqs = _ga_stage(
+    best, e_p, sim_seqs = _ga_stage(
         ctx, query.sse_sizes, matching, profile_sse, config, np.random.SeedSequence(config.seed)
     )
     t_moga = time.perf_counter()
 
-    pairs = moga.best.links
+    pairs = best.links
     graphs = pair_heuristics(pairs, query.sse_sizes, matching.values(), e_p, config.aco)
     gated = gated_attempts(query, pairs, graphs, e_p, profile_residue, config.aco, sim_seqs)
     # simulations >= 1, so the loop always binds the reported attempt
@@ -382,7 +378,6 @@ def run_predict(config: RunConfig) -> RunReport:
     t_aco = time.perf_counter()
 
     e_real = len(query.shortcut_edges)
-    truth_incidence = incidence_matrix(query.sse_links(), query.sse_count)
     score = None
     if e_real:
         score = len(set(outcome.selected) & set(query.shortcut_edges)) / e_real
@@ -396,14 +391,14 @@ def run_predict(config: RunConfig) -> RunReport:
         protein_id=protein.id,
         sse_count=query.sse_count,
         sse_sizes=query.sse_sizes,
-        incidence=moga.incidence,
+        incidence=incidence_matrix(best.links, query.sse_count),
         e_p=e_p,
         e_candidates=len(outcome.candidates),
         e_selected=len(outcome.selected),
         e_real=e_real,
         ac=prediction_accuracy(e_real, e_p) if e_p > 0 else None,
         shortcut_score=score,
-        incidence_error_rate=matrix_error_rate(moga.incidence, truth_incidence),
+        incidence_error_rate=link_error_rate(best.links, query.sse_links(), query.sse_count),
         built_profile=built_profile,
         family_profile=profile_residue,
         verdict=verdict,
@@ -534,11 +529,11 @@ def benchmark_instance(
         raise ValueError(
             f"instance {instance.instance_id}: no planted shortcut edge to score against"
         )
-    moga, e_p, sim_seqs = _ga_stage(
+    best, e_p, sim_seqs = _ga_stage(
         instance.ctx, query.sse_sizes, templates, profile_sse, config, seed_seq
     )
     pairs = query.sse_links()
-    error_rate = matrix_error_rate(moga.incidence, incidence_matrix(pairs, query.sse_count))
+    error_rate = link_error_rate(best.links, pairs, query.sse_count)
     graphs = pair_heuristics(pairs, query.sse_sizes, templates.values(), e_p, config.aco)
     truth = set(query.shortcut_edges)
 

@@ -4,6 +4,7 @@ Backbones are grown atom by atom from internal coordinates (bond length,
 bond angle, torsion), so fixtures have exact, known dihedrals.  The
 two-helix protein packs two ideal helices side by side with a short loop,
 giving a realistic little SSE-IN with both intra and shortcut contacts.
+`chain_break_protein` is one ideal helix with two residues missing.
 `emit_pdb` writes a structure back as PDB text for the parse round trips.
 `dominates` is the brute-force Pareto oracle and `make_ga_instance` the
 planted 8-SSE instance of the GA tests.  `upper_triangle_edges` reads a
@@ -85,6 +86,20 @@ def helix_record(serial, res3_first, res3_last, chain, first, last):
 
 def residue_name(index):
     return ONE_TO_THREE[SEQUENCE[(index - 1) % len(SEQUENCE)]]
+
+
+def chain_break_protein(records=()):
+    """PDB text of an ideal 12-residue helix with residues 6 and 7 missing,
+    so 5 and 8 are neighbours in the file with their C-N 3.8 Å apart;
+    `records` (HELIX/SHEET lines) come first."""
+    lines, serial = list(records), 0
+    for res_seq, atoms in enumerate(build_chain(12), start=1):
+        if res_seq in (6, 7):
+            continue
+        for name, xyz in zip(("N", "CA", "C"), atoms):
+            serial += 1
+            lines.append(atom_line(serial, name, residue_name(res_seq), "A", res_seq, xyz))
+    return "\n".join(lines) + "\nEND\n"
 
 
 def multi_helix_protein(n_helices=2, jitter=None, helix_len=10, loop_len=4, separation=11.0):

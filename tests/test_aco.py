@@ -767,6 +767,13 @@ class TestGlobalAco:
         with pytest.raises(ValueError):
             self.run(self.network(), [(1, 7)], 0, 0)
 
+    def test_empty_candidate_set_rejected(self):
+        edges = np.empty((0, 2), dtype=np.intp)
+        with pytest.raises(ValueError, match="non-empty candidate set"):
+            global_aco(
+                self.network(), edges, np.empty(0), 3, AcoParams(), np.random.default_rng(0)
+            )
+
     def test_matches_the_dict_reference(self):
         """Random candidate sets on planted queries, passed in shuffled
         order: the same picks, taus, iteration count, shortfall and

@@ -9,12 +9,14 @@ from hypothesis import strategies as st
 from conftest import (
     atom_line,
     build_chain,
+    chain_break_protein,
     emit_pdb,
     helix_record,
     residue_name,
     two_helix_protein,
 )
 from ssein.ingest import (
+    BackboneAtoms,
     EmptyStructureError,
     FamilyIndexError,
     PdbParseError,
@@ -22,7 +24,7 @@ from ssein.ingest import (
     Residue,
     SseAnnotation,
     assign_hydrophobicity,
-    compute_backbone_dihedrals,
+    backbone_dihedrals,
     dihedral_angle,
     load_family_index,
     parse_pdb,
@@ -160,6 +162,15 @@ class TestParsePdb:
             ("H1", 2, 3), ("S1", 4, 5), ("H2", 6, 8), ("S2", 10, 11)
         ]
 
+    @pytest.mark.parametrize("spans", [((2, 6), (5, 9)), ((5, 9), (2, 6))])
+    def test_overlapping_helices_earlier_start_wins(self, spans):
+        records = [helix_record(k, "ALA", "LEU", "A", f, l) for k, (f, l) in enumerate(spans, 1)]
+        atoms = _ca_text([(3.8 * i, 0.0, 0.0) for i in range(12)])
+        result = parse_pdb_detailed("\n".join(records) + "\n" + atoms)
+        sse = result.structure.sse_list
+        assert [(a.sse_id, a.first_residue, a.last_residue) for a in sse] == [("H1", 2, 6)]
+        assert result.skipped_annotations == 1
+
     def test_skipped_annotations_counted(self):
         # residues 1-8 on chain A, one kept helix over 2-5
         atoms = _ca_text([(3.8 * i, 0.0, 0.0) for i in range(8)])
@@ -217,63 +228,44 @@ class TestDihedrals:
                 oracle(chain[i - 1][2], chain[i][0], chain[i][1], chain[i][2]), abs=1e-9
             )
 
-    def test_compute_backbone_dihedrals_on_fixture(self):
-        text, _ = two_helix_protein()
-        result = parse_pdb_detailed(text)
-        protein = compute_backbone_dihedrals(result.structure, result.backbone)
-        assert protein.residues[0].phi is None  # chain start
-        assert protein.residues[-1].psi is None  # chain end
-        interior = protein.residues[2]
-        assert interior.phi == pytest.approx(-57.0, abs=1.0)
-        assert interior.psi == pytest.approx(-47.0, abs=1.0)
+    def test_backbone_dihedrals_on_fixture(self):
+        text, n = two_helix_protein()
+        backbone = parse_pdb_detailed(text).backbone
+        assert backbone_dihedrals(backbone, 1)[0] is None  # chain start
+        assert backbone_dihedrals(backbone, n)[1] is None  # chain end
+        phi, psi = backbone_dihedrals(backbone, 3)  # interior
+        assert phi == pytest.approx(-57.0, abs=1.0)
+        assert psi == pytest.approx(-47.0, abs=1.0)
 
     def test_structure_level_antisymmetry_under_reflection(self):
         text, _ = two_helix_protein()
-        result = parse_pdb_detailed(text)
-        protein = compute_backbone_dihedrals(result.structure, result.backbone)
-        from ssein.ingest import BackboneAtoms
+        backbone = parse_pdb_detailed(text).backbone
 
         def flip(xyz):
             return None if xyz is None else (xyz[0], xyz[1], -xyz[2])
 
-        mirrored_backbone = {
-            i: BackboneAtoms(flip(b.n), flip(b.ca), flip(b.c))
-            for i, b in result.backbone.items()
+        mirrored = {
+            i: BackboneAtoms(flip(b.n), flip(b.ca), flip(b.c)) for i, b in backbone.items()
         }
-        mirrored = compute_backbone_dihedrals(result.structure, mirrored_backbone)
-        for original, reflected in zip(protein.residues, mirrored.residues):
-            for name in ("phi", "psi"):
-                a, b = getattr(original, name), getattr(reflected, name)
+        for i in backbone:
+            for a, b in zip(backbone_dihedrals(backbone, i), backbone_dihedrals(mirrored, i)):
                 assert (a is None) == (b is None)
                 if a is not None:
                     assert b == pytest.approx(-a, abs=1e-9)
 
     def test_missing_backbone_atom_leaves_angle_absent(self):
         text, _ = two_helix_protein()
-        result = parse_pdb_detailed(text)
-        loop_residue = result.structure.residues[11]  # loop: CA only
-        assert result.backbone[loop_residue.index].n is None
-        protein = compute_backbone_dihedrals(result.structure, result.backbone)
-        assert protein.residues[11].phi is None
-        assert protein.residues[11].psi is None
+        backbone = parse_pdb_detailed(text).backbone
+        assert backbone[12].n is None  # loop: CA only
+        assert backbone_dihedrals(backbone, 12) == (None, None)
 
     def test_chain_break_leaves_angles_absent(self):
-        # an ideal helix with residues 6 and 7 missing: 5 and 8 become
-        # neighbours in the file, their C-N 3.8 Å apart
-        lines, serial = [], 0
-        for res_seq, atoms in enumerate(build_chain(12), start=1):
-            if res_seq in (6, 7):
-                continue
-            for name, xyz in zip(("N", "CA", "C"), atoms):
-                serial += 1
-                lines.append(atom_line(serial, name, residue_name(res_seq), "A", res_seq, xyz))
-        result = parse_pdb_detailed("\n".join(lines) + "\nEND\n")
-        protein = compute_backbone_dihedrals(result.structure, result.backbone)
-        before, after = protein.residues[4], protein.residues[5]  # residues 5 and 8
-        assert before.psi is None
-        assert after.phi is None
-        assert before.phi == pytest.approx(-57.0, abs=1.0)
-        assert after.psi == pytest.approx(-47.0, abs=1.0)
+        backbone = parse_pdb_detailed(chain_break_protein()).backbone
+        before, after = backbone_dihedrals(backbone, 5), backbone_dihedrals(backbone, 6)
+        assert before[1] is None  # residue 5's psi
+        assert after[0] is None  # residue 8's phi
+        assert before[0] == pytest.approx(-57.0, abs=1.0)
+        assert after[1] == pytest.approx(-47.0, abs=1.0)
 
     @given(
         st.lists(

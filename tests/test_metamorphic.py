@@ -3,8 +3,9 @@
 Each transformation rewrites the four-helix query file without changing
 the protein it describes: its residue numbers, its record order, or what
 the parser is documented to skip (HETATM records, other chains, models
-after the first).  Written under the same file name, the query must give
-byte-identical `report.json`, `sse_incidence.tsv` and `shortcut_edges.tsv`.
+after the first, a HELIX record overlapping an earlier-starting one).
+Written under the same file name, the query must give byte-identical
+`report.json`, `sse_incidence.tsv` and `shortcut_edges.tsv`.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import helix_record
 from ssein.cli import main
 from test_golden import _write_four_helix_family
 
@@ -36,6 +38,15 @@ def helices_reversed(text: str) -> str:
     lines = text.splitlines()
     helices = [line for line in lines if line.startswith("HELIX ")]
     return "\n".join(helices[::-1] + [l for l in lines if not l.startswith("HELIX ")]) + "\n"
+
+
+def with_overlapping_helix(text: str) -> str:
+    """A HELIX record over residues 20-26, written before H2 (15-24): the
+    earlier start keeps H2 and the extra record is skipped."""
+    lines = text.splitlines()
+    assert lines[1].startswith("HELIX ") and int(lines[1][21:25]) == 15  # H2
+    extra = helix_record(9, "ALA", "ALA", "A", 20, 26)
+    return "\n".join([lines[0], extra, *lines[1:]]) + "\n"
 
 
 def before_end(text: str, extra: list[str]) -> str:
@@ -71,6 +82,7 @@ TRANSFORMS = {
     "renumbered_by_100": lambda text: renumbered(text, lambda r: r + 100),
     "numbering_gaps": lambda text: renumbered(text, lambda r: r + 3 * (r // 4)),
     "helix_records_reversed": helices_reversed,
+    "overlapping_helix_before_h2": with_overlapping_helix,
     "appended_waters": with_waters,
     "copied_chain_b": with_chain_b,
     "second_shifted_model": with_second_model,

@@ -1,23 +1,25 @@
 import itertools
 import random
 from collections import deque
+from typing import Hashable
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import upper_triangle_edges
 from ssein.metrics import (
     TopologicalProfile,
+    _adjacency,
     incidence_matrix,
     is_compatible,
-    matrix_error_rate,
-    modularity,
+    link_error_rate,
     prediction_accuracy,
     profile_deviation,
     topological_profile,
 )
+from ssein.moga import decode, gene_links, modularity
 
 
 def random_graph(n, p, seed):
@@ -385,82 +387,137 @@ class TestIsCompatible:
         assert profile_deviation(self.TEMPLATE, zero) == float("inf")
 
 
+def reference_modularity(vertices, edges, clustering):
+    """Newman-Girvan modularity of any vertex partition; the GA's
+    component-only `modularity` must give the same float."""
+    adj = _adjacency(vertices, edges)
+    for v in adj:
+        if v not in clustering:
+            raise ValueError(f"vertex {v!r} has no cluster assignment")
+    m = sum(len(nbrs) for nbrs in adj.values()) // 2
+    if m == 0:
+        return 0.0
+    intra: dict[Hashable, int] = {}
+    degree: dict[Hashable, int] = {}
+    for v, nbrs in adj.items():
+        c = clustering[v]
+        degree[c] = degree.get(c, 0) + len(nbrs)
+        for w in nbrs:
+            if clustering[w] == c:
+                intra[c] = intra.get(c, 0) + 1
+    q = 0.0
+    for c, d in degree.items():
+        e_c = intra.get(c, 0) / 2  # each intra edge seen from both ends
+        q += e_c / m - (d / (2 * m)) ** 2
+    return q
+
+
+def reference_matrix_error_rate(predicted, truth):
+    """Fraction of differing entries between two symmetric 0-1 matrices."""
+    predicted = np.asarray(predicted)
+    truth = np.asarray(truth)
+    if predicted.shape != truth.shape:
+        raise ValueError(f"shape mismatch: {predicted.shape} vs {truth.shape}")
+    for name, m in (("predicted", predicted), ("truth", truth)):
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ValueError(f"{name} matrix must be square")
+        if np.any(np.diag(m)) or not np.array_equal(m, m.T):
+            raise ValueError(f"{name} matrix must be symmetric with zero diagonal")
+    n = predicted.shape[0]
+    return float(np.sum(predicted != truth)) / (n * n)
+
+
+chromosomes = st.integers(1, 24).flatmap(
+    lambda m: st.one_of(
+        st.tuples(*[st.integers(1, m)] * m),
+        st.just(tuple(range(1, m + 1))),  # all self-loops: no links
+    )
+)
+
+
+def random_links(rng, n, p):
+    return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1) if rng.random() < p]
+
+
 class TestModularity:
+    """The GA's modularity of a chromosome over `decode`'s clusters."""
+
     def test_single_cluster_is_zero(self):
-        vertices, edges = random_graph(8, 0.5, 3)
-        q = modularity(vertices, edges, {v: 0 for v in vertices})
-        assert q == pytest.approx(0.0, abs=1e-15)
+        ring = (2, 3, 4, 5, 6, 7, 8, 1)  # one connected component
+        assert len(set(decode(ring).values())) == 1
+        assert modularity(ring) == pytest.approx(0.0, abs=1e-15)
 
     def test_two_disjoint_triangles(self):
-        edges = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
-        clustering = {0: "a", 1: "a", 2: "a", 3: "b", 4: "b", 5: "b"}
-        assert modularity(range(6), edges, clustering) == pytest.approx(0.5)
+        genes = (2, 3, 1, 5, 6, 4)  # triangles 1-2-3 and 4-5-6
+        assert gene_links(genes) == ((1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6))
+        assert modularity(genes) == pytest.approx(0.5)
 
     def test_edgeless_graph_is_zero(self):
-        assert modularity(range(5), [], {v: v for v in range(5)}) == 0.0
+        assert modularity((1, 2, 3, 4, 5)) == 0.0
 
     def test_matches_per_edge_oracle(self):
         for seed in range(8):
             n = 12
-            vertices, edges = random_graph(n, 0.3, seed)
             rng = np.random.default_rng(seed)
-            clustering = {v: int(rng.integers(0, 3)) for v in vertices}
+            genes = tuple(int(g) for g in rng.integers(1, n + 1, size=n))
+            clustering = decode(genes)
+            edges = gene_links(genes)
             # oracle: Q = (1/2m) sum_ij (A_ij - k_i k_j / 2m) delta(c_i, c_j)
             if not edges:
                 continue
             m = len(edges)
-            adj = np.zeros((n, n))
+            adj = np.zeros((n + 1, n + 1))
             for u, v in edges:
                 adj[u, v] = adj[v, u] = 1
             deg = adj.sum(axis=1)
             expected = 0.0
-            for i in range(n):
-                for j in range(n):
+            for i in range(1, n + 1):
+                for j in range(1, n + 1):
                     if clustering[i] == clustering[j]:
                         expected += adj[i, j] - deg[i] * deg[j] / (2 * m)
             expected /= 2 * m
-            assert modularity(vertices, edges, clustering) == pytest.approx(
-                expected, abs=1e-12
-            )
+            assert modularity(genes) == pytest.approx(expected, abs=1e-12)
 
-    def test_missing_assignment(self):
-        with pytest.raises(ValueError):
-            modularity(range(3), [(0, 1)], {0: 0, 1: 0})
+    @settings(max_examples=500)
+    @given(chromosomes)
+    @example((1,))
+    @example((1, 2, 3))
+    def test_equals_general_reference(self, genes):
+        m = len(genes)
+        expected = reference_modularity(range(1, m + 1), gene_links(genes), decode(genes))
+        assert modularity(genes) == expected
 
 
 class TestMatrixErrorRate:
+    """`link_error_rate`: the incidence-matrix error rate read from links."""
+
     def test_identical(self):
-        m = np.array([[0, 1], [1, 0]])
-        assert matrix_error_rate(m, m) == 0.0
+        assert link_error_rate([(1, 2)], [(1, 2)], 2) == 0.0
 
     def test_symmetric_difference_counted_twice(self):
-        a = np.zeros((3, 3), dtype=int)
-        b = np.zeros((3, 3), dtype=int)
-        b[0, 1] = b[1, 0] = 1
-        assert matrix_error_rate(a, b) == pytest.approx(2 / 9)
+        assert link_error_rate([], [(1, 2)], 3) == pytest.approx(2 / 9)
 
     def test_matches_double_loop_oracle(self):
         rng = np.random.default_rng(5)
         for _ in range(5):
             n = 8
-            a = np.triu(rng.integers(0, 2, size=(n, n)), k=1)
-            a = a + a.T
-            b = np.triu(rng.integers(0, 2, size=(n, n)), k=1)
-            b = b + b.T
+            a = random_links(rng, n, 0.5)
+            b = random_links(rng, n, 0.5)
+            ma, mb = incidence_matrix(a, n), incidence_matrix(b, n)
             expected = sum(
-                1 for i in range(n) for j in range(n) if a[i, j] != b[i, j]
+                1 for i in range(n) for j in range(n) if ma[i, j] != mb[i, j]
             ) / (n * n)
-            assert matrix_error_rate(a, b) == pytest.approx(expected)
-            assert matrix_error_rate(a, b) == matrix_error_rate(b, a)
+            assert link_error_rate(a, b, n) == pytest.approx(expected)
+            assert link_error_rate(a, b, n) == link_error_rate(b, a, n)
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            matrix_error_rate(np.zeros((2, 2)), np.zeros((3, 3)))
-
-    def test_asymmetric_rejected(self):
-        bad = np.array([[0, 1], [0, 0]])
-        with pytest.raises(ValueError):
-            matrix_error_rate(bad, np.zeros((2, 2), dtype=int))
+    def test_equals_matrix_reference(self):
+        rng = np.random.default_rng(15)
+        for _ in range(300):
+            n = int(rng.integers(1, 25))
+            a = random_links(rng, n, rng.random())
+            b = random_links(rng, n, rng.random())
+            expected = reference_matrix_error_rate(incidence_matrix(a, n), incidence_matrix(b, n))
+            assert link_error_rate(a, b, n) == expected
 
 
 class TestPredictionAccuracy:

@@ -1,4 +1,5 @@
 import itertools
+import math
 from collections import deque
 
 import numpy as np
@@ -6,8 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dominates, make_ga_instance
-from ssein.metrics import TopologicalProfile, incidence_matrix
+from conftest import (
+    chain_break_protein,
+    dominates,
+    helix_record,
+    make_ga_instance,
+    two_helix_protein,
+)
+from ssein.ingest import KYTE_DOOLITTLE, PEPTIDE_BOND_MAX, dihedral_angle, parse_pdb_detailed
+from ssein.metrics import TopologicalProfile, incidence_matrix, left_sum
 from ssein.moga import (
     WORST_OBJECTIVE,
     GaParams,
@@ -208,6 +216,58 @@ class TestObjectives:
         hydro = -np.mean([ctx.mean_hydro[i - 1] * ctx.mean_hydro[j - 1] for i, j in pairs])
         obj = evaluate_objectives(gene_links(genes), ctx)
         assert obj == pytest.approx((dist, torsion, hydro), abs=1e-9)
+
+
+def reference_context(structure, backbone):
+    """SSE features built the long way: phi/psi for every residue of the
+    chain first, then the means over each SSE's members."""
+    n = len(structure.residues)
+    angles = {}
+    for r in structure.residues:
+        i = r.index
+        here = backbone.get(i)
+        prev = backbone.get(i - 1) if i > 1 else None
+        nxt = backbone.get(i + 1) if i < n else None
+        phi = psi = None
+        if here is not None and here.n and here.ca and here.c:
+            if prev is not None and prev.c and math.dist(prev.c, here.n) <= PEPTIDE_BOND_MAX:
+                phi = dihedral_angle(prev.c, here.n, here.ca, here.c)
+            if nxt is not None and nxt.n and math.dist(here.c, nxt.n) <= PEPTIDE_BOND_MAX:
+                psi = dihedral_angle(here.n, here.ca, here.c, nxt.n)
+        angles[i] = (phi, psi)
+    centroids, mean_phi, mean_psi, mean_hydro = [], [], [], []
+    for a in structure.sse_list:
+        members = structure.residues[a.first_residue - 1 : a.last_residue]
+        centroids.append(np.array([r.ca for r in members], dtype=float).mean(axis=0))
+        phis = [angles[r.index][0] for r in members if angles[r.index][0] is not None]
+        psis = [angles[r.index][1] for r in members if angles[r.index][1] is not None]
+        mean_phi.append(left_sum(phis) / len(phis) if phis else 0.0)
+        mean_psi.append(left_sum(psis) / len(psis) if psis else 0.0)
+        mean_hydro.append(left_sum(KYTE_DOOLITTLE[r.code] for r in members) / len(members))
+    return [np.array(x, dtype=float) for x in (centroids, mean_phi, mean_psi, mean_hydro)]
+
+
+# One helix across the chain break (residues 2-9), one after it.
+CHAIN_BREAK_HELICES = (
+    helix_record(1, "ALA", "ALA", "A", 2, 9),
+    helix_record(2, "ALA", "ALA", "A", 10, 12),
+)
+
+
+class TestFromStructure:
+    @pytest.mark.parametrize(
+        "text",
+        [two_helix_protein()[0], chain_break_protein(CHAIN_BREAK_HELICES)],
+        ids=["two_helix", "chain_break"],
+    )
+    def test_matches_every_residue_reference(self, text):
+        parsed = parse_pdb_detailed(text)
+        ctx = SseContext.from_structure(parsed.structure, parsed.backbone)
+        expected = reference_context(parsed.structure, parsed.backbone)
+        got = [ctx.centroids, ctx.mean_phi, ctx.mean_psi, ctx.mean_hydro]
+        assert len(parsed.structure.sse_list) == 2
+        for g, e in zip(got, expected):
+            assert g.shape == e.shape and np.array_equal(g, e)
 
 
 class TestDominance:
@@ -489,8 +549,8 @@ class TestRunMoga:
     def test_two_sse_forced_link(self):
         profile = TopologicalProfile(1.0, 1.0, 1.0, 0.01)
         params = GaParams(population_size=8, archive_size=4, generations=10)
-        result = run_moga(self.small_ctx(), params, profile, np.random.default_rng(0))
-        assert result.incidence.tolist() == [[0, 1], [1, 0]]
+        best = run_moga(self.small_ctx(), params, profile, np.random.default_rng(0))
+        assert best.links == ((1, 2),)
 
     def test_single_sse_rejected(self):
         ctx = SseContext(
@@ -506,16 +566,14 @@ class TestRunMoga:
         instance = make_ga_instance(np.random.default_rng(2))
         profile = family_sse_profile(instance.templates.values())
         params = GaParams(population_size=12, archive_size=8, generations=30)
-        r1 = run_moga(instance.ctx, params, profile, np.random.default_rng(99))
-        r2 = run_moga(instance.ctx, params, profile, np.random.default_rng(99))
-        assert np.array_equal(r1.incidence, r2.incidence)
-        assert r1.best.genes == r2.best.genes
-        assert [i.genes for i in r1.archive] == [i.genes for i in r2.archive]
+        b1 = run_moga(instance.ctx, params, profile, np.random.default_rng(99))
+        b2 = run_moga(instance.ctx, params, profile, np.random.default_rng(99))
+        assert b1.genes == b2.genes
+        assert b1.objectives == b2.objectives
 
-    def test_archive_mutually_non_dominated_members_have_rank_zero(self):
+    def test_best_has_rank_zero(self):
         instance = make_ga_instance(np.random.default_rng(2))
         profile = family_sse_profile(instance.templates.values())
         params = GaParams(population_size=12, archive_size=8, generations=15)
-        result = run_moga(instance.ctx, params, profile, np.random.default_rng(1))
-        for ind in result.archive:
-            assert ind.rank == 0
+        best = run_moga(instance.ctx, params, profile, np.random.default_rng(1))
+        assert best.rank == 0
