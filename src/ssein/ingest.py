@@ -1,13 +1,14 @@
 """Structure-file and family-index ingestion.
 
-Parses fixed-column PDB text (ATOM / HELIX / SHEET records) into validated
-records: per residue its index, one-letter code and Cα coordinates, per
-secondary structure element an `SseAnnotation` whose inclusive residue range
-is the one record of SSE membership (no residue carries an SSE label), and
-beside the structure the N / Cα / C backbone atoms.  Features derived from
-these (backbone dihedrals, Kyte-Doolittle hydrophobicity) are computed by
-their one consumer, the GA's `SseContext.from_structure`, for SSE members
-only.  Only the first chain and the first model of a file are read.
+Parses fixed-column PDB text (ATOM / HELIX / SHEET records, and HETATM
+selenomethionine) into validated records: per residue its index, one-letter
+code and Cα coordinates, per secondary structure element an `SseAnnotation`
+whose inclusive residue range is the one record of SSE membership (no
+residue carries an SSE label), and beside the structure the N / Cα / C
+backbone atoms.  Features derived from these (backbone dihedrals,
+Kyte-Doolittle hydrophobicity) are computed by their one consumer, the GA's
+`SseContext.from_structure`, for SSE members only.  Only the first chain and
+the first model of a file are read.
 """
 
 from __future__ import annotations
@@ -115,9 +116,6 @@ class ProteinStructure:
                 raise ValueError(f"SSE {a.sse_id} range exceeds residue count")
             previous_last = a.last_residue
 
-    def __len__(self) -> int:
-        return len(self.residues)
-
 
 class BackboneAtoms(NamedTuple):
     """N / Cα / C coordinates of one residue; any atom may be missing."""
@@ -171,6 +169,9 @@ def parse_pdb_detailed(text: str, protein_id: str = "unknown") -> PdbParseResult
 
     First chain, first model only.  A residue enters the structure iff it has
     a Cα atom and a standard residue name; others are counted and dropped.
+    Selenomethionine (``MSE``), as an ATOM or a HETATM record, is read as
+    methionine ``M`` with its N/Cα/C atoms; waters, ligands and every other
+    HETATM record are skipped, uncounted.
     Of alternate locations (column 17) only blank and ``A`` are read, so a
     residue with other locations only is dropped; a residue insertion code
     (column 27) raises PdbParseError, since it would merge two residues
@@ -204,9 +205,11 @@ def parse_pdb_detailed(text: str, protein_id: str = "unknown") -> PdbParseResult
             first = _parse_int(line[22:26], line_no, "SHEET initial residue")
             last = _parse_int(line[33:37], line_no, "SHEET final residue")
             strands.append((first, last, sheet_chain))
-        elif record == "ATOM  " and not past_first_model:
+        elif record in ("ATOM  ", "HETATM") and not past_first_model:
+            if record == "HETATM" and line[17:20] != "MSE":
+                continue
             if len(line) < 54:
-                raise PdbParseError(line_no, "ATOM record too short")
+                raise PdbParseError(line_no, f"{record.strip()} record too short")
             atom_chain = line[21]
             if chain is None:
                 chain = atom_chain
@@ -225,7 +228,8 @@ def parse_pdb_detailed(text: str, protein_id: str = "unknown") -> PdbParseResult
                 atoms[res_seq] = {}
                 order.append(res_seq)
             if line[16] in " A":
-                resnames.setdefault(res_seq, line[17:20].strip())
+                resname = line[17:20].strip()
+                resnames.setdefault(res_seq, "MET" if resname == "MSE" else resname)
                 atoms[res_seq].setdefault(name, (x, y, z))
 
     dropped = 0
@@ -276,11 +280,6 @@ def parse_pdb_detailed(text: str, protein_id: str = "unknown") -> PdbParseResult
 
     structure = ProteinStructure(protein_id, tuple(residues), tuple(annotations))
     return PdbParseResult(structure, backbone, dropped, skipped)
-
-
-def parse_pdb(text: str, protein_id: str = "unknown") -> ProteinStructure:
-    """Parse PDB text into a ProteinStructure (see parse_pdb_detailed)."""
-    return parse_pdb_detailed(text, protein_id).structure
 
 
 def _sub(a: Vec3, b: Vec3) -> Vec3:

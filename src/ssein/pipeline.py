@@ -55,7 +55,7 @@ from .aco import (
     occurrence_matrices,
     validate_built_network,
 )
-from .contact import Edge, SseInGraph, build_contact_map, induce_sse_in
+from .contact import Edge, SseInGraph, build_contact_map
 from .ingest import FamilyIndex, load_family_index, parse_pdb_detailed
 from .metrics import (
     TopologicalProfile,
@@ -146,7 +146,7 @@ def load_templates(
         if not path.is_absolute():
             path = base_dir / path
         structure = parse_pdb_detailed(path.read_text(), protein_id=entry.protein_id).structure
-        template = induce_sse_in(build_contact_map(structure, threshold), structure)
+        template = build_contact_map(structure, threshold)
         if template.sse_count != entry.sse_count:
             logger.info(
                 "template %s: index says %d SSEs, file has %d",
@@ -348,7 +348,7 @@ def run_predict(config: RunConfig) -> RunReport:
     if len(protein.sse_list) < 2:
         raise ValueError(f"{protein.id}: need at least 2 SSEs, found {len(protein.sse_list)}")
 
-    query = induce_sse_in(build_contact_map(protein, config.threshold), protein)
+    query = build_contact_map(protein, config.threshold)
 
     index_path = Path(config.family_index_path)
     index = load_family_index(index_path.read_text(), family_id=index_path.stem)

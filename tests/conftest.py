@@ -186,7 +186,7 @@ def write_family(tmp_path: Path, n_templates: int = 3, seed: int = 9) -> tuple[P
 def emit_pdb(structure: ProteinStructure) -> str:
     """Canonical PDB text for a structure: HELIX/SHEET records, then Cα ATOMs.
 
-    parse_pdb of the emitted text reproduces the structure (coordinates are
+    parse_pdb_detailed of the emitted text reproduces the structure (coordinates are
     written at the format's native 3-decimal precision).
     """
     lines: list[str] = []

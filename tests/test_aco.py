@@ -22,8 +22,8 @@ from ssein.aco import (
     round_half_up,
     validate_built_network,
 )
-from ssein.contact import SseInGraph, build_contact_map, induce_sse_in
-from ssein.ingest import parse_pdb
+from ssein.contact import SseInGraph, build_contact_map
+from ssein.ingest import parse_pdb_detailed
 from ssein.metrics import left_sum, topological_profile
 from ssein.synth import make_planted_instance
 
@@ -893,8 +893,7 @@ class TestTemplateProtein:
     def test_sse_links_of_a_parsed_structure(self):
         # four packed helices in a row: only consecutive helices touch
         text, _ = multi_helix_protein(4)
-        protein = parse_pdb(text, "four")
-        template = induce_sse_in(build_contact_map(protein), protein)
+        template = build_contact_map(parse_pdb_detailed(text, "four").structure)
         assert template.sse_links() == [(1, 2), (2, 3), (3, 4)]
         assert template.sse_links() == reference_sse_links(template)
 

@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import two_helix_protein, upper_triangle_edges
-from ssein.contact import BLOCK_ROWS, ContactMap, SseInGraph, build_contact_map, induce_sse_in
-from ssein.ingest import ProteinStructure, Residue, SseAnnotation, parse_pdb
-from ssein.metrics import incidence_matrix
+from ssein.contact import SseInGraph, build_contact_map
+from ssein.ingest import ProteinStructure, Residue, SseAnnotation, parse_pdb_detailed
 
 
 def protein_from_coords(coords, annotations=()):
@@ -19,9 +18,9 @@ def protein_from_coords(coords, annotations=()):
     return ProteinStructure("p", residues, tuple(annotations))
 
 
-def reference_contact_bits(protein, threshold=7.0):
+def reference_contact_bits(coords, threshold=7.0):
     """The unblocked formula: one (N, N, 3) difference array, summed."""
-    coords = np.array([r.ca for r in protein.residues], dtype=float)
+    coords = np.asarray(coords, dtype=float)
     diff = coords[:, None, :] - coords[None, :, :]
     dist = np.sqrt(np.sum(diff * diff, axis=-1))
     bits = (dist < threshold).astype(np.uint8)
@@ -29,15 +28,19 @@ def reference_contact_bits(protein, threshold=7.0):
     return bits
 
 
-def reference_induce_sse_in(cmap, protein):
-    """The per-contact loop over every contact pair, with each residue's SSE
-    read off a per-residue table."""
+def reference_sse_in(protein, threshold=7.0, rows=None):
+    """The per-contact loop over the unblocked formula's contacts among the
+    0-based residue `rows` (all residues by default), with each residue's
+    SSE read off a per-residue table."""
     sse_of = {
         v: a.sse_id for a in protein.sse_list for v in range(a.first_residue, a.last_residue + 1)
     }
+    coords = np.array([r.ca for r in protein.residues], dtype=float).reshape(-1, 3)
+    rows = np.arange(len(coords)) if rows is None else np.asarray(rows)
     intra = []
     shortcut = []
-    for i, j in upper_triangle_edges(cmap.bits):
+    for a, b in upper_triangle_edges(reference_contact_bits(coords[rows], threshold)):
+        i, j = int(rows[a - 1]) + 1, int(rows[b - 1]) + 1
         if i in sse_of and j in sse_of:
             (intra if sse_of[i] == sse_of[j] else shortcut).append((i, j))
     ids = tuple(a.sse_id for a in protein.sse_list)
@@ -64,6 +67,18 @@ def annotate(coords, spans):
     return protein_from_coords(coords, annotations)
 
 
+def fully_annotated(coords, rng, longest=12):
+    """Protein over coords cut into adjacent SSEs of 1 to `longest` residues:
+    every residue is an SSE residue, so every contact is an edge."""
+    spans = []
+    first = 1
+    while first <= len(coords):
+        last = min(len(coords), first + int(rng.integers(0, longest)))
+        spans.append((first, last))
+        first = last + 1
+    return annotate(coords, spans)
+
+
 def boundary_coords(rng, count=40):
     """Residue 1 at the origin; every other residue sits where the last bit
     of its distance from residue 1 hangs on the formula: either the order
@@ -82,132 +97,134 @@ def boundary_coords(rng, count=40):
     return coords
 
 
+@st.composite
+def chains_with_spans(draw):
+    """A random chain with random SSE spans: gaps, 1-residue SSEs and
+    adjacent SSEs, enough residues to cross block edges."""
+    n = draw(st.integers(1, 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    coords = random_walk(n, rng) if draw(st.booleans()) else rng.uniform(-15, 15, size=(n, 3))
+    spans = []
+    last = 0
+    while True:
+        first = last + 1 + draw(st.integers(0, 6))
+        if first > n:
+            break
+        last = min(n, first + draw(st.integers(0, 40)))
+        spans.append((first, last))
+    return annotate(coords, spans)
+
+
 class TestBuildContactMap:
+    """The builder against the unblocked formula and the per-contact loop."""
+
     def test_single_residue(self):
-        cmap = build_contact_map(protein_from_coords([(0, 0, 0)]), 7.0)
-        assert cmap.n == 1
-        assert cmap.bits.tolist() == [[0]]
+        graph = build_contact_map(annotate([(0, 0, 0)], [(1, 1)]), 7.0)
+        assert graph.vertices == (1,)
+        assert graph.edges == ()
 
     def test_strict_threshold_boundary(self):
-        cmap = build_contact_map(
-            protein_from_coords([(0, 0, 0), (0, 0, 5), (0, 0, 12)]), 7.0
-        )
-        assert upper_triangle_edges(cmap.bits) == [(1, 2)]  # d=5 in, d=7 and d=12 out
-        assert np.array_equal(incidence_matrix([(1, 2)], 3), cmap.bits)
+        protein = annotate([(0, 0, 0), (0, 0, 5), (0, 0, 12)], [(1, 3)])
+        graph = build_contact_map(protein, 7.0)
+        assert graph.intra_edges == ((1, 2),)  # d=5 in, d=7 and d=12 out
+        assert graph.shortcut_edges == ()
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(30)
         coords = rng.uniform(-10, 10, size=(30, 3))
-        cmap = build_contact_map(protein_from_coords(coords), 7.0)
-        for i in range(30):
-            for j in range(30):
-                expected = int(i != j and np.linalg.norm(coords[i] - coords[j]) < 7.0)
-                assert cmap.bits[i, j] == expected
+        graph = build_contact_map(fully_annotated(coords, rng), 7.0)
+        expected = [
+            (i + 1, j + 1)
+            for i in range(30)
+            for j in range(i + 1, 30)
+            if np.linalg.norm(coords[i] - coords[j]) < 7.0
+        ]
+        assert sorted(graph.edges) == expected
 
     def test_bad_threshold(self):
         with pytest.raises(ValueError):
-            build_contact_map(protein_from_coords([(0, 0, 0)]), 0.0)
+            build_contact_map(annotate([(0, 0, 0)], [(1, 1)]), 0.0)
 
     @settings(max_examples=30)
     @given(st.integers(2, 15), st.floats(1.0, 6.0), st.floats(0.1, 6.0))
     def test_monotone_in_threshold(self, n, thr, bump):
         rng = np.random.default_rng(n)
-        coords = rng.uniform(-8, 8, size=(n, 3))
-        protein = protein_from_coords(coords)
+        protein = fully_annotated(rng.uniform(-8, 8, size=(n, 3)), rng, longest=4)
         low = build_contact_map(protein, thr)
         high = build_contact_map(protein, thr + bump)
-        assert np.all(high.bits >= low.bits)
+        assert set(low.edges) <= set(high.edges)
 
     @pytest.mark.parametrize("n", [1, 63, 64, 65, 129, 300])
     def test_matches_unblocked_formula_across_block_edges(self, n):
+        # every residue in some SSE, so the blocks cut at n SSE residues
         rng = np.random.default_rng(n)
         for coords in (rng.uniform(-15, 15, size=(n, 3)), random_walk(n, rng)):
-            protein = protein_from_coords(coords)
+            protein = fully_annotated(coords, rng)
             for threshold in (7.0, 4.0, 11.5):
-                assert np.array_equal(
-                    build_contact_map(protein, threshold).bits,
-                    reference_contact_bits(protein, threshold),
+                graph = build_contact_map(protein, threshold)
+                assert graph == reference_sse_in(protein, threshold)
+                assert sorted(graph.edges) == upper_triangle_edges(
+                    reference_contact_bits(coords, threshold)
                 )
 
     def test_exact_seven_angstrom_distances_are_out(self):
         # 2-3-6 and 0-0-7 triangles: distance exactly 7.0 from residue 1
         coords = [(0, 0, 0), (7, 0, 0), (0, -7, 0), (2, 3, 6), (-6, 2, -3), (0, 0, 6.999)]
-        protein = protein_from_coords(coords)
-        bits = build_contact_map(protein, 7.0).bits
-        assert np.array_equal(bits, reference_contact_bits(protein, 7.0))
-        assert bits[0].tolist() == [0, 0, 0, 0, 0, 1]
+        protein = annotate(coords, [(1, 2), (3, 3), (4, 6)])
+        graph = build_contact_map(protein, 7.0)
+        assert graph == reference_sse_in(protein, 7.0)
+        assert [edge for edge in graph.edges if 1 in edge] == [(1, 6)]
 
     def test_last_bit_boundaries_match_unblocked_formula(self):
         # Thresholds at, and one ulp above, every distance from residue 1
-        # and every on-axis x: a map that adds the axis squares in another
-        # order or compares squared distances with threshold**2 differs.
-        coords = boundary_coords(np.random.default_rng(71))
-        protein = protein_from_coords(coords)
+        # and every on-axis x: a builder that adds the axis squares in
+        # another order or compares squared distances with threshold**2
+        # differs.
+        rng = np.random.default_rng(71)
+        coords = boundary_coords(rng)
+        protein = fully_annotated(coords, rng, longest=6)
         origin_dist = np.sqrt(np.sum(np.square(coords), axis=1))[1:]
         on_axis = [x for x, y, z in coords if y == 0.0 and z == 0.0 and x > 0]
-        thresholds = set(origin_dist) | set(np.nextafter(origin_dist, np.inf)) | set(on_axis)
+        thresholds = set(origin_dist) | set(np.nextafter(origin_dist, np.inf))
+        thresholds |= set(on_axis) | set(np.nextafter(on_axis, np.inf))
         for threshold in sorted(thresholds):
-            assert np.array_equal(
-                build_contact_map(protein, float(threshold)).bits,
-                reference_contact_bits(protein, float(threshold)),
+            threshold = float(threshold)
+            assert build_contact_map(protein, threshold) == reference_sse_in(
+                protein, threshold
             ), threshold
 
-    def test_large_chain_stays_within_three_bytes_per_cell(self):
-        # A 2,000-residue chain: the unblocked formula peaks at about 224 MB
-        # (two N x N x 3 float arrays and the N x N distances); the blocked
-        # map needs about N^2 bytes, the map itself.
+    @settings(max_examples=60, deadline=None)
+    @given(chains_with_spans(), st.floats(0.5, 16.0))
+    def test_matches_oracle_on_random_chains_and_spans(self, protein, threshold):
+        assert build_contact_map(protein, threshold) == reference_sse_in(protein, threshold)
+
+    def test_large_chain_peak_stays_under_one_megabyte(self):
+        # A 2,000-residue chain with 195 SSE residues: a residue-by-residue
+        # uint8 map alone is 4 MB; the builder holds a few 64-row float
+        # blocks over the SSE residues.
         n = 2000
         coords = random_walk(n, np.random.default_rng(2000))
         protein = annotate(coords, [(10, 40), (55, 55), (300, 360), (1200, 1290), (1990, 2000)])
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
-            cmap = build_contact_map(protein)
+            graph = build_contact_map(protein)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 3 * n * n
-        graph = induce_sse_in(cmap, protein)
-        reference = reference_induce_sse_in(cmap, protein)
-        assert graph == reference
+        assert peak < 1e6
+        # The unblocked formula over all 2,000 residues would take about
+        # 230 MB; being elementwise, it gives the same bits over the SSE
+        # residues alone.
+        assert graph == reference_sse_in(protein, rows=np.array(graph.vertices) - 1)
         assert graph.shortcut_edges and graph.intra_edges
-
-    def test_symmetry_invariants_enforced(self):
-        with pytest.raises(ValueError):
-            ContactMap(np.array([[0, 1], [0, 0]], dtype=np.uint8))
-        with pytest.raises(ValueError):
-            ContactMap(np.array([[1]], dtype=np.uint8))
-
-    def test_asymmetry_in_the_last_block_rejected(self):
-        # both cells in the short last row block, so no other block sees them
-        n = 3 * BLOCK_ROWS + 5
-        bits = np.zeros((n, n), dtype=np.uint8)
-        bits[n - 1, n - 3] = 1
-        with pytest.raises(ValueError, match="symmetric"):
-            ContactMap(bits)
-        bits[n - 3, n - 1] = 1
-        ContactMap(bits)
-
-    def test_validation_makes_no_full_size_temporary(self):
-        # The map is 4.0 MB; comparing it with its transpose in one go
-        # allocates another 4.0 MB of bools.
-        bits = np.zeros((2000, 2000), dtype=np.uint8)
-        i = np.arange(1999)
-        bits[i, i + 1] = bits[i + 1, i] = 1
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            ContactMap(bits)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 0.5e6
 
 
 class TestInduceSseIn:
+    """The SSE-IN is the contact graph induced by the SSE residues."""
+
     def test_no_sse_gives_empty_graph(self):
-        protein = protein_from_coords([(0, 0, 0), (0, 0, 3)])
-        graph = induce_sse_in(build_contact_map(protein), protein)
+        graph = build_contact_map(protein_from_coords([(0, 0, 0), (0, 0, 3)]))
         assert graph.vertices == ()
         assert graph.edges == ()
 
@@ -218,31 +235,26 @@ class TestInduceSseIn:
             SseAnnotation("H1", "helix", 1, 2),
             SseAnnotation("H2", "helix", 7, 7),
         ]
-        protein = protein_from_coords(coords, annotations)
-        graph = induce_sse_in(build_contact_map(protein, 7.0), protein)
+        graph = build_contact_map(protein_from_coords(coords, annotations), 7.0)
         assert graph.intra_edges == ((1, 2),)
         assert graph.shortcut_edges == ((2, 7),)
 
     def test_vertex_count_is_sum_of_sse_sizes(self):
         text, _ = two_helix_protein()
-        protein = parse_pdb(text)
-        graph = induce_sse_in(build_contact_map(protein), protein)
+        protein = parse_pdb_detailed(text).structure
+        graph = build_contact_map(protein)
         sizes = [a.last_residue - a.first_residue + 1 for a in protein.sse_list]
         assert len(graph.vertices) == sum(sizes)
 
-    def test_dimension_mismatch(self):
-        protein = protein_from_coords([(0, 0, 0), (0, 0, 3)])
-        small = build_contact_map(protein_from_coords([(0, 0, 0)]))
-        with pytest.raises(ValueError):
-            induce_sse_in(small, protein)
-
     def test_induction_is_subgraph(self):
         text, _ = two_helix_protein()
-        protein = parse_pdb(text)
-        cmap = build_contact_map(protein)
-        graph = induce_sse_in(cmap, protein)
-        contact_edges = set(upper_triangle_edges(cmap.bits))
+        protein = parse_pdb_detailed(text).structure
+        graph = build_contact_map(protein)
+        contact_edges = set(
+            upper_triangle_edges(reference_contact_bits([r.ca for r in protein.residues]))
+        )
         assert set(graph.edges) <= contact_edges
+        assert graph.edges
 
     @pytest.mark.parametrize(
         "n, spans",
@@ -259,25 +271,26 @@ class TestInduceSseIn:
         rng = np.random.default_rng(n + 1)
         for coords in (random_walk(n, rng), rng.uniform(-12, 12, size=(n, 3))):
             protein = annotate(coords, spans)
-            cmap = build_contact_map(protein)
-            graph = induce_sse_in(cmap, protein)
-            assert graph == reference_induce_sse_in(cmap, protein)
-            assert all(
-                type(v) is int for edge in graph.edges for v in edge
-            ), "edges must hold Python ints"
+            for threshold in (7.0, 4.0, 11.5):
+                graph = build_contact_map(protein, threshold)
+                assert graph == reference_sse_in(protein, threshold)
+                assert all(
+                    type(v) is int for edge in graph.edges for v in edge
+                ), "edges must hold Python ints"
 
     @settings(max_examples=20)
     @given(st.integers(4, 10))
     def test_symmetric_under_relabeling(self, n):
+        # one SSE over the whole chain: the edge set is the contact set
         rng = np.random.default_rng(n)
         coords = rng.uniform(-6, 6, size=(n, 3))
-        protein = protein_from_coords(coords)
-        cmap = build_contact_map(protein, 7.0)
+        graph = build_contact_map(annotate(coords, [(1, n)]), 7.0)
         perm = rng.permutation(n)
-        permuted = build_contact_map(protein_from_coords(coords[perm]), 7.0)
-        for i in range(n):
-            for j in range(n):
-                assert permuted.bits[i, j] == cmap.bits[perm[i], perm[j]]
+        permuted = build_contact_map(annotate(coords[perm], [(1, n)]), 7.0)
+        relabeled = {
+            tuple(sorted((int(perm[i - 1]) + 1, int(perm[j - 1]) + 1))) for i, j in permuted.edges
+        }
+        assert relabeled == set(graph.edges)
 
 
 class TestSseInGraph:

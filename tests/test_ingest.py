@@ -27,7 +27,6 @@ from ssein.ingest import (
     backbone_dihedrals,
     dihedral_angle,
     load_family_index,
-    parse_pdb,
     parse_pdb_detailed,
 )
 
@@ -43,7 +42,7 @@ def _ca_text(coords, start=1):
 class TestParsePdb:
     def test_minimal_two_residues(self):
         text = _ca_text([(0.0, 0.0, 0.0), (3.8, 0.0, 0.0)])
-        structure = parse_pdb(text)
+        structure = parse_pdb_detailed(text).structure
         assert len(structure.residues) == 2
         assert structure.residues[0].ca == (0.0, 0.0, 0.0)
         assert structure.residues[1].ca == (3.8, 0.0, 0.0)
@@ -52,7 +51,7 @@ class TestParsePdb:
     def test_helix_record_size(self):
         text = helix_record(1, residue_name(2), residue_name(5), "A", 2, 5) + "\n"
         text += _ca_text([(float(i), 0.0, 0.0) for i in range(6)])
-        structure = parse_pdb(text)
+        structure = parse_pdb_detailed(text).structure
         assert len(structure.sse_list) == 1
         helix = structure.sse_list[0]
         assert helix.kind == "helix"
@@ -60,7 +59,7 @@ class TestParsePdb:
 
     def test_realistic_two_helix_file(self):
         text, n = two_helix_protein()
-        structure = parse_pdb(text)
+        structure = parse_pdb_detailed(text).structure
         assert len(structure.residues) == n
         assert len(structure.sse_list) >= 1
         assert {a.kind for a in structure.sse_list} == {"helix"}
@@ -70,19 +69,19 @@ class TestParsePdb:
         lines = good.splitlines()
         lines[1] = lines[1][:30] + "   xx.xxx" + lines[1][39:]
         with pytest.raises(PdbParseError) as err:
-            parse_pdb("\n".join(lines))
+            parse_pdb_detailed("\n".join(lines))
         assert err.value.line_number == 2
 
     def test_no_ca_atoms(self):
         with pytest.raises(EmptyStructureError):
-            parse_pdb("REMARK nothing here\nEND\n")
+            parse_pdb_detailed("REMARK nothing here\nEND\n")
 
     def test_altloc_first_occurrence_wins(self):
         line_a = atom_line(1, "CA", "ALA", "A", 1, (1.0, 0.0, 0.0))
         line_b = atom_line(2, "CA", "ALA", "A", 1, (9.0, 0.0, 0.0))
         line_a = line_a[:16] + "A" + line_a[17:]
         line_b = line_b[:16] + "B" + line_b[17:]
-        structure = parse_pdb(line_a + "\n" + line_b + "\n")
+        structure = parse_pdb_detailed(line_a + "\n" + line_b + "\n").structure
         assert len(structure.residues) == 1
         assert structure.residues[0].ca == (1.0, 0.0, 0.0)
 
@@ -91,7 +90,7 @@ class TestParsePdb:
         line_a = atom_line(2, "CA", "ALA", "A", 1, (1.0, 0.0, 0.0))
         line_b = line_b[:16] + "B" + line_b[17:]
         line_a = line_a[:16] + "A" + line_a[17:]
-        structure = parse_pdb(line_b + "\n" + line_a + "\n")
+        structure = parse_pdb_detailed(line_b + "\n" + line_a + "\n").structure
         assert len(structure.residues) == 1
         assert structure.residues[0].ca == (1.0, 0.0, 0.0)
 
@@ -110,20 +109,47 @@ class TestParsePdb:
         ]
         lines[1] = lines[1][:26] + "A" + lines[1][27:]  # residue 52A
         with pytest.raises(PdbParseError, match="insertion code") as err:
-            parse_pdb("\n".join(lines) + "\n")
+            parse_pdb_detailed("\n".join(lines) + "\n")
         assert err.value.line_number == 2
+
+    def test_selenomethionine_read_as_methionine(self):
+        lines = [
+            atom_line(1, "CA", "ALA", "A", 1, (0.0, 0.0, 0.0)),
+            *(
+                atom_line(2 + k, name, "MSE", "A", 2, (3.8, float(k), 0.0))
+                for k, name in enumerate(("N", "CA", "C", "SE"))
+            ),
+            atom_line(6, "CA", "MSE", "A", 3, (7.6, 0.0, 0.0)),  # as an ATOM record
+            atom_line(7, "CA", "MSE", "B", 1, (9.0, 0.0, 0.0)),  # another chain
+            atom_line(8, "CA", "HYP", "A", 4, (11.4, 0.0, 0.0)),  # other HETATM
+        ]
+        lines[1:5] = ["HETATM" + line[6:] for line in lines[1:5]]
+        lines[6:] = ["HETATM" + line[6:] for line in lines[6:]]
+        result = parse_pdb_detailed("\n".join(lines) + "\n")
+        assert [r.code for r in result.structure.residues] == ["A", "M", "M"]
+        assert result.backbone[2] == ((3.8, 0.0, 0.0), (3.8, 1.0, 0.0), (3.8, 2.0, 0.0))
+        assert result.dropped_residues == 0
+
+    def test_selenomethionine_of_another_chain_or_model_skipped(self):
+        text = _ca_text([(0.0, 0.0, 0.0), (3.8, 0.0, 0.0)])
+        chain_b = "HETATM" + atom_line(3, "CA", "MSE", "B", 3, (7.6, 0.0, 0.0))[6:]
+        model_2 = "HETATM" + atom_line(3, "CA", "MSE", "A", 3, (7.6, 0.0, 0.0))[6:]
+        for extra in (chain_b, f"ENDMDL\n{model_2}"):
+            result = parse_pdb_detailed(f"{text}{extra}\n")
+            assert result.structure == parse_pdb_detailed(text).structure
+            assert result.dropped_residues == 0
 
     def test_first_chain_only(self):
         text = _ca_text([(0.0, 0.0, 0.0)])
         other = atom_line(2, "CA", "GLY", "B", 1, (5.0, 0.0, 0.0))
-        structure = parse_pdb(text + other + "\n")
+        structure = parse_pdb_detailed(text + other + "\n").structure
         assert len(structure.residues) == 1
         assert structure.residues[0].code == "A"
 
     def test_first_model_only(self):
         text = _ca_text([(0.0, 0.0, 0.0)]) + "ENDMDL\n"
         text += atom_line(9, "CA", "GLY", "A", 7, (5.0, 0.0, 0.0)) + "\n"
-        structure = parse_pdb(text)
+        structure = parse_pdb_detailed(text).structure
         assert len(structure.residues) == 1
 
     def test_unknown_resname_dropped_with_count(self):
@@ -135,18 +161,18 @@ class TestParsePdb:
 
     def test_roundtrip_on_fixture(self):
         text, _ = two_helix_protein()
-        structure = parse_pdb(text, "fix")
-        again = parse_pdb(emit_pdb(structure), "fix")
+        structure = parse_pdb_detailed(text, "fix").structure
+        again = parse_pdb_detailed(emit_pdb(structure), "fix").structure
         assert again == structure
 
     def test_sheet_record_and_strand_roundtrip(self):
         sheet = "SHEET    1   A 1 ALA A   2  LEU A   4  0"
         text = sheet + "\n" + _ca_text([(float(i), 0.0, 0.0) for i in range(6)])
-        structure = parse_pdb(text, "s")
+        structure = parse_pdb_detailed(text, "s").structure
         strand = structure.sse_list[0]
         assert strand.kind == "strand"
         assert (strand.first_residue, strand.last_residue) == (2, 4)
-        assert parse_pdb(emit_pdb(structure), "s") == structure
+        assert parse_pdb_detailed(emit_pdb(structure), "s").structure == structure
 
     def test_sse_ids_count_along_the_chain(self):
         # records out of chain order, helices and strands interleaved
@@ -157,7 +183,7 @@ class TestParsePdb:
             "SHEET    2   1 1 ALA A   4  LEU A   5 0",
         ]
         atoms = _ca_text([(3.8 * i, 0.0, 0.0) for i in range(12)])
-        sse = parse_pdb("\n".join(records) + "\n" + atoms).sse_list
+        sse = parse_pdb_detailed("\n".join(records) + "\n" + atoms).structure.sse_list
         assert [(a.sse_id, a.first_residue, a.last_residue) for a in sse] == [
             ("H1", 2, 3), ("S1", 4, 5), ("H2", 6, 8), ("S2", 10, 11)
         ]
@@ -380,5 +406,5 @@ class TestRoundTrip:
         if helix_end >= 2:
             text += helix_record(1, residue_name(1), residue_name(helix_end), "A", 1, helix_end) + "\n"
         text += _ca_text(coords)
-        structure = parse_pdb(text, "rt")
-        assert parse_pdb(emit_pdb(structure), "rt") == structure
+        structure = parse_pdb_detailed(text, "rt").structure
+        assert parse_pdb_detailed(emit_pdb(structure), "rt").structure == structure

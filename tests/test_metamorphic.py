@@ -3,7 +3,8 @@
 Each transformation rewrites the four-helix query file without changing
 the protein it describes: its residue numbers, its record order, or what
 the parser is documented to skip (HETATM records, other chains, models
-after the first, a HELIX record overlapping an earlier-starting one).
+after the first, a HELIX record overlapping an earlier-starting one), or how
+it writes a methionine (as ATOM MET or as HETATM selenomethionine, MSE).
 Written under the same file name, the query must give byte-identical
 `report.json`, `sse_incidence.tsv` and `shortcut_edges.tsv`.
 """
@@ -78,6 +79,17 @@ def with_second_model(text: str) -> str:
     return "\n".join(head + models + ["END"]) + "\n"
 
 
+def selenomethionine(text: str, residue: int = 31) -> str:
+    """Methionine 31, in H3, written as a HETATM MSE residue."""
+    lines = []
+    for line in text.splitlines():
+        if line.startswith("ATOM  ") and int(line[22:26]) == residue:
+            assert line[17:20] == "MET"
+            line = f"HETATM{line[6:17]}MSE{line[20:]}"
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
 TRANSFORMS = {
     "renumbered_by_100": lambda text: renumbered(text, lambda r: r + 100),
     "numbering_gaps": lambda text: renumbered(text, lambda r: r + 3 * (r // 4)),
@@ -86,6 +98,7 @@ TRANSFORMS = {
     "appended_waters": with_waters,
     "copied_chain_b": with_chain_b,
     "second_shifted_model": with_second_model,
+    "hetatm_selenomethionine": selenomethionine,
 }
 
 
