@@ -1,12 +1,12 @@
 """Structure-file and family-index ingestion.
 
 Parses fixed-column PDB text (ATOM / HELIX / SHEET records, and HETATM
-selenomethionine) into validated records: per residue its index, one-letter
-code and Cα coordinates, per secondary structure element an `SseAnnotation`
-whose inclusive residue range is the one record of SSE membership (no
-residue carries an SSE label), and beside the structure the N / Cα / C
-backbone atoms.  Features derived from these (backbone dihedrals,
-Kyte-Doolittle hydrophobicity) are computed by their one consumer, the GA's
+selenomethionine) in one pass into validated records: per residue its
+index, one-letter code and N / Cα / C atoms (N and C may be missing), per
+secondary structure element an `SseAnnotation` whose inclusive residue
+range is the one record of SSE membership (no residue carries an SSE
+label).  Features derived from these (backbone dihedrals, Kyte-Doolittle
+hydrophobicity) are computed by their one consumer, the GA's
 `SseContext.from_structure`, for SSE members only.  Only the first chain and
 the first model of a file are read.
 """
@@ -14,8 +14,8 @@ the first model of a file are read.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Mapping, NamedTuple, Optional
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 Vec3 = tuple[float, float, float]
 
@@ -61,19 +61,25 @@ def assign_hydrophobicity(code: str) -> float:
 
 @dataclass(frozen=True)
 class Residue:
-    """One residue: sequence position, identity and Cα position."""
+    """One residue: sequence position, identity and backbone atoms.  The Cα
+    is always there; the N and C may be missing (a Cα-only residue)."""
 
     index: int
     code: str
     ca: Vec3
+    n: Optional[Vec3] = None
+    c: Optional[Vec3] = None
 
     def __post_init__(self):
         if self.index < 1:
             raise ValueError(f"residue index must be >= 1, got {self.index}")
         if self.code not in KYTE_DOOLITTLE:
             raise ValueError(f"unknown amino-acid code {self.code!r}")
-        if len(self.ca) != 3 or not all(math.isfinite(c) for c in self.ca):
-            raise ValueError(f"non-finite Cα coordinates for residue {self.index}")
+        for name, xyz in (("Cα", self.ca), ("N", self.n), ("C", self.c)):
+            if xyz is None and name != "Cα":
+                continue
+            if len(xyz) != 3 or not all(map(math.isfinite, xyz)):
+                raise ValueError(f"non-finite {name} coordinates for residue {self.index}")
 
 
 @dataclass(frozen=True)
@@ -117,14 +123,6 @@ class ProteinStructure:
             previous_last = a.last_residue
 
 
-class BackboneAtoms(NamedTuple):
-    """N / Cα / C coordinates of one residue; any atom may be missing."""
-
-    n: Optional[Vec3]
-    ca: Optional[Vec3]
-    c: Optional[Vec3]
-
-
 @dataclass(frozen=True)
 class FamilyEntry:
     protein_id: str
@@ -142,30 +140,30 @@ class FamilyIndex:
 
 @dataclass(frozen=True)
 class PdbParseResult:
-    """Full parse output: structure plus backbone atoms and drop counts."""
+    """Full parse output: the structure and what the parser left out."""
 
     structure: ProteinStructure
-    backbone: dict[int, BackboneAtoms] = field(default_factory=dict)
     dropped_residues: int = 0
     skipped_annotations: int = 0
 
 
-def _parse_float(text: str, line_no: int, what: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise PdbParseError(line_no, f"cannot parse {what} from {text.strip()!r}") from None
+# SSE record -> (kind, chain column, initial-residue columns); both records
+# have the final residue in columns 34-37.
+SSE_RECORDS = {
+    "HELIX": ("helix", 19, slice(21, 25)),
+    "SHEET": ("strand", 21, slice(22, 26)),
+}
 
 
-def _parse_int(text: str, line_no: int, what: str) -> int:
+def _parse_number(kind: type, text: str, line_no: int, what: str) -> int | float:
     try:
-        return int(text)
+        return kind(text)
     except ValueError:
         raise PdbParseError(line_no, f"cannot parse {what} from {text.strip()!r}") from None
 
 
 def parse_pdb_detailed(text: str, protein_id: str = "unknown") -> PdbParseResult:
-    """Parse PDB text into a structure, backbone table and drop counters.
+    """Parse PDB text into a structure and its drop counters.
 
     First chain, first model only.  A residue enters the structure iff it has
     a Cα atom and a standard residue name; others are counted and dropped.
@@ -175,36 +173,35 @@ def parse_pdb_detailed(text: str, protein_id: str = "unknown") -> PdbParseResult
     Of alternate locations (column 17) only blank and ``A`` are read, so a
     residue with other locations only is dropped; a residue insertion code
     (column 27) raises PdbParseError, since it would merge two residues
-    under one number.  Of overlapping ranges a helix wins, then the earlier
-    start (then the earlier end), whatever the record order; SSEs are named
-    H1, H2, ... and S1, S2, ... along the chain.
+    under one number, and so does a residue number that comes back after
+    another residue (a second chain under the same chain id).  Residue
+    numbers need not increase along the chain.  An SSE record covers the
+    kept residues numbered within its [initial, final] range.  Of
+    overlapping ranges a helix wins, then the earlier start (then the
+    earlier end), whatever the record order; SSEs are named H1, H2, ... and
+    S1, S2, ... along the chain.
     """
+    # Residue number -> atom name -> xyz, in file order.
     atoms: dict[int, dict[str, Vec3]] = {}
     resnames: dict[int, str] = {}
-    order: list[int] = []
-    helices: list[tuple[int, int, str]] = []  # (first, last, chain)
-    strands: list[tuple[int, int, str]] = []
+    records: list[tuple[str, int, int, str]] = []  # (kind, first, last, chain)
     chain: Optional[str] = None
+    current: Optional[int] = None
     past_first_model = False
 
     for line_no, line in enumerate(text.splitlines(), start=1):
         record = line[:6]
+        sse = SSE_RECORDS.get(line[:5])
         if record == "ENDMDL":
             past_first_model = True
-        elif record.startswith("HELIX"):
+        elif sse is not None:
+            kind, chain_col, first_cols = sse
+            tag = line[:5]
             if len(line) < 37:
-                raise PdbParseError(line_no, "HELIX record too short")
-            helix_chain = line[19]
-            first = _parse_int(line[21:25], line_no, "HELIX initial residue")
-            last = _parse_int(line[33:37], line_no, "HELIX final residue")
-            helices.append((first, last, helix_chain))
-        elif record.startswith("SHEET"):
-            if len(line) < 37:
-                raise PdbParseError(line_no, "SHEET record too short")
-            sheet_chain = line[21]
-            first = _parse_int(line[22:26], line_no, "SHEET initial residue")
-            last = _parse_int(line[33:37], line_no, "SHEET final residue")
-            strands.append((first, last, sheet_chain))
+                raise PdbParseError(line_no, f"{tag} record too short")
+            first = _parse_number(int, line[first_cols], line_no, f"{tag} initial residue")
+            last = _parse_number(int, line[33:37], line_no, f"{tag} final residue")
+            records.append((kind, first, last, line[chain_col]))
         elif record in ("ATOM  ", "HETATM") and not past_first_model:
             if record == "HETATM" and line[17:20] != "MSE":
                 continue
@@ -220,48 +217,50 @@ def parse_pdb_detailed(text: str, protein_id: str = "unknown") -> PdbParseResult
             name = line[12:16].strip()
             if name not in ("N", "CA", "C"):
                 continue
-            res_seq = _parse_int(line[22:26], line_no, "residue number")
-            x = _parse_float(line[30:38], line_no, "x coordinate")
-            y = _parse_float(line[38:46], line_no, "y coordinate")
-            z = _parse_float(line[46:54], line_no, "z coordinate")
-            if res_seq not in atoms:
+            res_seq = _parse_number(int, line[22:26], line_no, "residue number")
+            x = _parse_number(float, line[30:38], line_no, "x coordinate")
+            y = _parse_number(float, line[38:46], line_no, "y coordinate")
+            z = _parse_number(float, line[46:54], line_no, "z coordinate")
+            if res_seq != current:
+                if res_seq in atoms:
+                    raise PdbParseError(
+                        line_no, f"residue number {res_seq} comes back after another residue"
+                    )
                 atoms[res_seq] = {}
-                order.append(res_seq)
+                current = res_seq
             if line[16] in " A":
                 resname = line[17:20].strip()
                 resnames.setdefault(res_seq, "MET" if resname == "MSE" else resname)
                 atoms[res_seq].setdefault(name, (x, y, z))
 
-    dropped = 0
-    kept: list[int] = []
-    for res_seq in order:
+    residues: list[Residue] = []
+    numbers: list[int] = []  # residue number of each kept residue
+    for res_seq, entry in atoms.items():
         code = THREE_TO_ONE.get(resnames.get(res_seq))
-        if code is None or "CA" not in atoms[res_seq]:
-            dropped += 1
+        if code is None or "CA" not in entry:
             continue
-        kept.append(res_seq)
-
-    if not kept:
+        residues.append(
+            Residue(len(residues) + 1, code, entry["CA"], entry.get("N"), entry.get("C"))
+        )
+        numbers.append(res_seq)
+    if not residues:
         raise EmptyStructureError(f"{protein_id}: no Cα atoms found")
 
-    index_of = {res_seq: i + 1 for i, res_seq in enumerate(kept)}
-
     spans: list[tuple[int, int, str]] = []
-    skipped = 0
     covered: set[int] = set()
-    # Each kind in (first, last) order, so the earlier start wins an overlap.
-    records = [(c, f, l, "helix") for f, l, c in sorted(helices)]
-    records += [(c, f, l, "strand") for f, l, c in sorted(strands)]
-    for rec_chain, first_seq, last_seq, kind in records:
+    # Helices first ("helix" < "strand"), each kind in (first, last) order,
+    # so a helix, then the earlier start, wins an overlap.
+    for kind, first_seq, last_seq, rec_chain in sorted(records):
         if rec_chain not in (" ", chain):
-            skipped += 1
             continue
-        members = [index_of[r] for r in kept if first_seq <= r <= last_seq]
-        if not members or set(members) & covered:
-            skipped += 1
+        members = [i for i, r in enumerate(numbers, start=1) if first_seq <= r <= last_seq]
+        if not members:
             continue
-        spans.append((min(members), max(members), kind))
-        covered |= set(members)
+        span = range(min(members), max(members) + 1)
+        if not covered.isdisjoint(span):
+            continue
+        spans.append((span.start, span.stop - 1, kind))
+        covered.update(span)
     # Gene positions follow chain order: SSEs sort and number by position.
     annotations: list[SseAnnotation] = []
     counters = {"helix": 0, "strand": 0}
@@ -270,16 +269,8 @@ def parse_pdb_detailed(text: str, protein_id: str = "unknown") -> PdbParseResult
         sse_id = ("H" if kind == "helix" else "S") + str(counters[kind])
         annotations.append(SseAnnotation(sse_id, kind, first, last))
 
-    residues = []
-    backbone: dict[int, BackboneAtoms] = {}
-    for res_seq in kept:
-        idx = index_of[res_seq]
-        entry = atoms[res_seq]
-        residues.append(Residue(idx, THREE_TO_ONE[resnames[res_seq]], entry["CA"]))
-        backbone[idx] = BackboneAtoms(entry.get("N"), entry["CA"], entry.get("C"))
-
     structure = ProteinStructure(protein_id, tuple(residues), tuple(annotations))
-    return PdbParseResult(structure, backbone, dropped, skipped)
+    return PdbParseResult(structure, len(atoms) - len(residues), len(records) - len(spans))
 
 
 def _sub(a: Vec3, b: Vec3) -> Vec3:
@@ -322,25 +313,25 @@ PEPTIDE_BOND_MAX = 2.5
 
 
 def backbone_dihedrals(
-    backbone: Mapping[int, BackboneAtoms], index: int
+    residues: Sequence[Residue], index: int
 ) -> tuple[Optional[float], Optional[float]]:
-    """(phi, psi) of residue `index` from the backbone atoms; None where absent.
+    """(phi, psi) of residue `index` of the chain `residues`; None where absent.
 
     phi(i) uses C(i-1), N(i), Cα(i), C(i); psi(i) uses N(i), Cα(i), C(i),
     N(i+1).  A missing atom or neighbour (the chain ends) leaves that angle
     unset, and so does a chain break: an angle is computed only across a
     C-N peptide bond of at most PEPTIDE_BOND_MAX.
     """
-    here = backbone.get(index)
-    if here is None or not (here.n and here.ca and here.c):
+    here = residues[index - 1]
+    if here.n is None or here.c is None:
         return None, None
-    prev = backbone.get(index - 1)
-    nxt = backbone.get(index + 1)
+    prev_c = residues[index - 2].c if index > 1 else None
+    next_n = residues[index].n if index < len(residues) else None
     phi = psi = None
-    if prev is not None and prev.c and math.dist(prev.c, here.n) <= PEPTIDE_BOND_MAX:
-        phi = dihedral_angle(prev.c, here.n, here.ca, here.c)
-    if nxt is not None and nxt.n and math.dist(here.c, nxt.n) <= PEPTIDE_BOND_MAX:
-        psi = dihedral_angle(here.n, here.ca, here.c, nxt.n)
+    if prev_c is not None and math.dist(prev_c, here.n) <= PEPTIDE_BOND_MAX:
+        phi = dihedral_angle(prev_c, here.n, here.ca, here.c)
+    if next_n is not None and math.dist(here.c, next_n) <= PEPTIDE_BOND_MAX:
+        psi = dihedral_angle(here.n, here.ca, here.c, next_n)
     return phi, psi
 
 

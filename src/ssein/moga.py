@@ -13,8 +13,8 @@ member whose clustering has the highest modularity over its own links, and
 its links are the predicted SSE graph.
 
 The per-SSE features the objectives read come from the parser's output:
-`SseContext.from_structure` computes backbone dihedrals and hydrophobicity
-for the SSE members only.
+`SseContext.from_structure` computes backbone dihedrals from each residue's
+N / Cα / C atoms, and hydrophobicity, for the SSE members only.
 """
 
 from __future__ import annotations
@@ -23,11 +23,11 @@ import math
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .ingest import BackboneAtoms, ProteinStructure, assign_hydrophobicity, backbone_dihedrals
+from .ingest import ProteinStructure, assign_hydrophobicity, backbone_dihedrals
 from .metrics import (
     Edge,
     TopologicalProfile,
@@ -128,9 +128,7 @@ class SseContext:
         return terms
 
     @classmethod
-    def from_structure(
-        cls, protein: ProteinStructure, backbone: Mapping[int, BackboneAtoms]
-    ) -> "SseContext":
+    def from_structure(cls, protein: ProteinStructure) -> "SseContext":
         """Per SSE: the Cα centroid, the means of its members' defined phi
         and psi (0 where none is), and the mean Kyte-Doolittle value."""
         centroids = []
@@ -141,7 +139,7 @@ class SseContext:
             members = protein.residues[a.first_residue - 1 : a.last_residue]
             coords = np.array([r.ca for r in members], dtype=float)
             centroids.append(coords.mean(axis=0))
-            angles = [backbone_dihedrals(backbone, r.index) for r in members]
+            angles = [backbone_dihedrals(protein.residues, r.index) for r in members]
             phis = [phi for phi, _ in angles if phi is not None]
             psis = [psi for _, psi in angles if psi is not None]
             mean_phi.append(left_sum(phis) / len(phis) if phis else 0.0)

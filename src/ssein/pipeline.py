@@ -98,17 +98,7 @@ class RunConfig:
 
     def echo(self) -> dict:
         """Full parameter echo with every default resolved."""
-        return {
-            "pdb_path": self.pdb_path,
-            "family_index_path": self.family_index_path,
-            "manifest_path": self.manifest_path,
-            "threshold": self.threshold,
-            "seed": self.seed,
-            "simulations": self.simulations,
-            "output_dir": self.output_dir,
-            "ga": {**asdict(self.ga), "k": self.ga.effective_k()},
-            "aco": asdict(self.aco),
-        }
+        return {**asdict(self), "ga": {**asdict(self.ga), "k": self.ga.effective_k()}}
 
 
 def mean_profile(profiles: Sequence[TopologicalProfile]) -> TopologicalProfile:
@@ -360,7 +350,7 @@ def run_predict(config: RunConfig) -> RunReport:
         )
     t_ingest = time.perf_counter()
 
-    ctx = SseContext.from_structure(protein, parsed.backbone)
+    ctx = SseContext.from_structure(protein)
     profile_sse, profile_residue = _family_profiles(matching.values(), index.family_id)
     best, e_p, sim_seqs = _ga_stage(
         ctx, query.sse_sizes, matching, profile_sse, config, np.random.SeedSequence(config.seed)

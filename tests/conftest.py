@@ -184,7 +184,8 @@ def write_family(tmp_path: Path, n_templates: int = 3, seed: int = 9) -> tuple[P
 
 
 def emit_pdb(structure: ProteinStructure) -> str:
-    """Canonical PDB text for a structure: HELIX/SHEET records, then Cα ATOMs.
+    """Canonical PDB text for a structure: HELIX/SHEET records, then each
+    residue's N, Cα and C ATOMs (N and C where the residue has them).
 
     parse_pdb_detailed of the emitted text reproduces the structure (coordinates are
     written at the format's native 3-decimal precision).
@@ -207,12 +208,12 @@ def emit_pdb(structure: ProteinStructure) -> str:
                 f"SHEET  {sheet_no:3d} {sheet_no:3d} 1 {ONE_TO_THREE[first.code]} A"
                 f"{a.first_residue:4d}  {ONE_TO_THREE[last.code]} A{a.last_residue:4d} 0"
             )
+    serial = 0
     for r in structure.residues:
-        x, y, z = r.ca
-        lines.append(
-            f"ATOM  {r.index:5d}  CA  {ONE_TO_THREE[r.code]} A{r.index:4d}    "
-            f"{x:8.3f}{y:8.3f}{z:8.3f}  1.00  0.00           C"
-        )
+        for name, xyz in (("N", r.n), ("CA", r.ca), ("C", r.c)):
+            if xyz is not None:
+                serial += 1
+                lines.append(atom_line(serial, name, ONE_TO_THREE[r.code], "A", r.index, xyz))
     lines.append("END")
     return "\n".join(lines) + "\n"
 

@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from conftest import (
     two_helix_protein,
 )
 from ssein.ingest import (
-    BackboneAtoms,
     EmptyStructureError,
     FamilyIndexError,
     PdbParseError,
@@ -112,6 +112,46 @@ class TestParsePdb:
             parse_pdb_detailed("\n".join(lines) + "\n")
         assert err.value.line_number == 2
 
+    def test_residue_number_coming_back_names_the_line(self):
+        # two chains under a blank chain id: 1-6, TER, then 1-9 again
+        chains = [
+            [atom_line(r, "CA", "ALA", " ", r, (3.8 * r, 0.0, 0.0)) for r in range(1, 7)],
+            [atom_line(6 + r, "CA", "GLY", " ", r, (3.8 * r, 9.0, 0.0)) for r in range(1, 10)],
+        ]
+        text = "\n".join([*chains[0], "TER", *chains[1]]) + "\n"
+        with pytest.raises(PdbParseError, match="residue number 1 comes back") as err:
+            parse_pdb_detailed(text)
+        assert err.value.line_number == 8
+
+    def test_decreasing_residue_numbers_read_in_file_order(self):
+        # a fusion insert numbered 1001-1004 inside a host chain 1-8
+        numbers = [1, 2, 3, 1001, 1002, 1003, 1004, 4, 5, 6, 7, 8]
+        lines = [
+            helix_record(1, "ALA", "ALA", "A", 1002, 1004),
+            helix_record(2, "ALA", "ALA", "A", 2, 5),
+            *(
+                atom_line(k, "CA", "ALA", "A", r, (4.0 * k, 0.0, 0.0))
+                for k, r in enumerate(numbers, start=1)
+            ),
+        ]
+        result = parse_pdb_detailed("\n".join(lines) + "\n")
+        assert [r.ca[0] for r in result.structure.residues] == [4.0 * k for k in range(1, 13)]
+        sse = result.structure.sse_list
+        # H2's numbers 2-5 cover indices 2, 3, 8, 9: its span is 2-9, over
+        # the insert's helix, so the insert's helix is skipped.
+        assert [(a.sse_id, a.first_residue, a.last_residue) for a in sse] == [("H1", 2, 9)]
+        assert result.skipped_annotations == 1
+
+    @pytest.mark.parametrize("atom", ["N", "C"])
+    def test_non_finite_backbone_atom_rejected(self, atom):
+        text, _ = two_helix_protein()
+        lines = text.splitlines()
+        for k, line in enumerate(lines):
+            if line.startswith("ATOM  ") and line[12:16].strip() == atom and int(line[22:26]) == 4:
+                lines[k] = f"{line[:30]}{'nan':>8}{line[38:]}"
+        with pytest.raises(ValueError, match=f"non-finite {atom} coordinates for residue 4"):
+            parse_pdb_detailed("\n".join(lines) + "\n")
+
     def test_selenomethionine_read_as_methionine(self):
         lines = [
             atom_line(1, "CA", "ALA", "A", 1, (0.0, 0.0, 0.0)),
@@ -127,7 +167,8 @@ class TestParsePdb:
         lines[6:] = ["HETATM" + line[6:] for line in lines[6:]]
         result = parse_pdb_detailed("\n".join(lines) + "\n")
         assert [r.code for r in result.structure.residues] == ["A", "M", "M"]
-        assert result.backbone[2] == ((3.8, 0.0, 0.0), (3.8, 1.0, 0.0), (3.8, 2.0, 0.0))
+        mse = result.structure.residues[1]
+        assert (mse.n, mse.ca, mse.c) == ((3.8, 0.0, 0.0), (3.8, 1.0, 0.0), (3.8, 2.0, 0.0))
         assert result.dropped_residues == 0
 
     def test_selenomethionine_of_another_chain_or_model_skipped(self):
@@ -256,38 +297,36 @@ class TestDihedrals:
 
     def test_backbone_dihedrals_on_fixture(self):
         text, n = two_helix_protein()
-        backbone = parse_pdb_detailed(text).backbone
-        assert backbone_dihedrals(backbone, 1)[0] is None  # chain start
-        assert backbone_dihedrals(backbone, n)[1] is None  # chain end
-        phi, psi = backbone_dihedrals(backbone, 3)  # interior
+        residues = parse_pdb_detailed(text).structure.residues
+        assert backbone_dihedrals(residues, 1)[0] is None  # chain start
+        assert backbone_dihedrals(residues, n)[1] is None  # chain end
+        phi, psi = backbone_dihedrals(residues, 3)  # interior
         assert phi == pytest.approx(-57.0, abs=1.0)
         assert psi == pytest.approx(-47.0, abs=1.0)
 
     def test_structure_level_antisymmetry_under_reflection(self):
         text, _ = two_helix_protein()
-        backbone = parse_pdb_detailed(text).backbone
+        residues = parse_pdb_detailed(text).structure.residues
 
         def flip(xyz):
             return None if xyz is None else (xyz[0], xyz[1], -xyz[2])
 
-        mirrored = {
-            i: BackboneAtoms(flip(b.n), flip(b.ca), flip(b.c)) for i, b in backbone.items()
-        }
-        for i in backbone:
-            for a, b in zip(backbone_dihedrals(backbone, i), backbone_dihedrals(mirrored, i)):
+        mirrored = [replace(r, n=flip(r.n), ca=flip(r.ca), c=flip(r.c)) for r in residues]
+        for i in range(1, len(residues) + 1):
+            for a, b in zip(backbone_dihedrals(residues, i), backbone_dihedrals(mirrored, i)):
                 assert (a is None) == (b is None)
                 if a is not None:
                     assert b == pytest.approx(-a, abs=1e-9)
 
     def test_missing_backbone_atom_leaves_angle_absent(self):
         text, _ = two_helix_protein()
-        backbone = parse_pdb_detailed(text).backbone
-        assert backbone[12].n is None  # loop: CA only
-        assert backbone_dihedrals(backbone, 12) == (None, None)
+        residues = parse_pdb_detailed(text).structure.residues
+        assert residues[11].n is None  # residue 12, loop: CA only
+        assert backbone_dihedrals(residues, 12) == (None, None)
 
     def test_chain_break_leaves_angles_absent(self):
-        backbone = parse_pdb_detailed(chain_break_protein()).backbone
-        before, after = backbone_dihedrals(backbone, 5), backbone_dihedrals(backbone, 6)
+        residues = parse_pdb_detailed(chain_break_protein()).structure.residues
+        before, after = backbone_dihedrals(residues, 5), backbone_dihedrals(residues, 6)
         assert before[1] is None  # residue 5's psi
         assert after[0] is None  # residue 8's phi
         assert before[0] == pytest.approx(-57.0, abs=1.0)

@@ -1,10 +1,11 @@
 """Metamorphic checks of `predict` on real-format PDB input.
 
 Each transformation rewrites the four-helix query file without changing
-the protein it describes: its residue numbers, its record order, or what
-the parser is documented to skip (HETATM records, other chains, models
-after the first, a HELIX record overlapping an earlier-starting one), or how
-it writes a methionine (as ATOM MET or as HETATM selenomethionine, MSE).
+the protein it describes: its residue numbers (which need not increase
+along the chain), its record order, or what the parser is documented to
+skip (HETATM records, other chains, models after the first, a HELIX record
+overlapping an earlier-starting one), or how it writes a methionine (as
+ATOM MET or as HETATM selenomethionine, MSE).
 Written under the same file name, the query must give byte-identical
 `report.json`, `sse_incidence.tsv` and `shortcut_edges.tsv`.
 """
@@ -93,6 +94,10 @@ def selenomethionine(text: str, residue: int = 31) -> str:
 TRANSFORMS = {
     "renumbered_by_100": lambda text: renumbered(text, lambda r: r + 100),
     "numbering_gaps": lambda text: renumbered(text, lambda r: r + 3 * (r // 4)),
+    # The H2-H3 loop numbered like a fusion insert: numbers fall back after it.
+    "fusion_numbered_loop": lambda text: renumbered(
+        text, lambda r: r + 1000 if 25 <= r <= 28 else r
+    ),
     "helix_records_reversed": helices_reversed,
     "overlapping_helix_before_h2": with_overlapping_helix,
     "appended_waters": with_waters,

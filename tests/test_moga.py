@@ -218,23 +218,21 @@ class TestObjectives:
         assert obj == pytest.approx((dist, torsion, hydro), abs=1e-9)
 
 
-def reference_context(structure, backbone):
+def reference_context(structure):
     """SSE features built the long way: phi/psi for every residue of the
     chain first, then the means over each SSE's members."""
-    n = len(structure.residues)
+    residues = structure.residues
     angles = {}
-    for r in structure.residues:
-        i = r.index
-        here = backbone.get(i)
-        prev = backbone.get(i - 1) if i > 1 else None
-        nxt = backbone.get(i + 1) if i < n else None
+    for k, here in enumerate(residues):
+        prev = residues[k - 1] if k > 0 else None
+        nxt = residues[k + 1] if k + 1 < len(residues) else None
         phi = psi = None
-        if here is not None and here.n and here.ca and here.c:
+        if here.n and here.ca and here.c:
             if prev is not None and prev.c and math.dist(prev.c, here.n) <= PEPTIDE_BOND_MAX:
                 phi = dihedral_angle(prev.c, here.n, here.ca, here.c)
             if nxt is not None and nxt.n and math.dist(here.c, nxt.n) <= PEPTIDE_BOND_MAX:
                 psi = dihedral_angle(here.n, here.ca, here.c, nxt.n)
-        angles[i] = (phi, psi)
+        angles[here.index] = (phi, psi)
     centroids, mean_phi, mean_psi, mean_hydro = [], [], [], []
     for a in structure.sse_list:
         members = structure.residues[a.first_residue - 1 : a.last_residue]
@@ -262,8 +260,8 @@ class TestFromStructure:
     )
     def test_matches_every_residue_reference(self, text):
         parsed = parse_pdb_detailed(text)
-        ctx = SseContext.from_structure(parsed.structure, parsed.backbone)
-        expected = reference_context(parsed.structure, parsed.backbone)
+        ctx = SseContext.from_structure(parsed.structure)
+        expected = reference_context(parsed.structure)
         got = [ctx.centroids, ctx.mean_phi, ctx.mean_psi, ctx.mean_hydro]
         assert len(parsed.structure.sse_list) == 2
         for g, e in zip(got, expected):

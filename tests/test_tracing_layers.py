@@ -12,6 +12,7 @@ import importlib.util
 from pathlib import Path
 
 from ssein import cli
+from test_metamorphic import predict_outputs
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -21,6 +22,14 @@ WORK = {
     "aco.local_ant_steps": 271,
     "aco.global_iterations": 60,
     "metrics.profile_vertices": 1156,
+    "pipeline.attempts": 2,
+}
+
+# Counters of the traced four-helix predict run (seed 13, 10 simulations):
+# 4 files of 52 residues, parsed and built into SSE-INs once each.
+PREDICT_WORK = {
+    "ingest.residues": 208,
+    "contact.cmap_bytes": 259_584,
     "pipeline.attempts": 2,
 }
 
@@ -64,4 +73,15 @@ def test_traced_benchmark_counts_work_and_keeps_the_bytes(tmp_path):
     # The amount of work of this run, pinned: a change that does more or
     # less of it shows here, not only in the benchmark.
     assert {name: metrics[name] for name in WORK} == WORK
+    assert traced == plain
+
+
+def test_traced_predict_counts_work_and_keeps_the_bytes(tmp_path):
+    tracing = tracing_module()
+    plain = predict_outputs(tmp_path / "plain")
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        traced = predict_outputs(tmp_path / "traced")
+    metrics = tracer.layer_metrics()
+    assert {name: metrics[name] for name in PREDICT_WORK} == PREDICT_WORK
     assert traced == plain
