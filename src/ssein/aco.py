@@ -442,7 +442,7 @@ def global_aco(
         len(vertices),
         np.searchsorted(vertices, edges),
         s,
-        np.searchsorted(vertices, np.array(query.intra_edges, dtype=np.intp)),
+        query.intra_positions,
         left_sum(s.tolist()) / len(s),
         params.beta,
     )

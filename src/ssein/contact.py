@@ -55,6 +55,8 @@ class SseInGraph:
     shortcut_edges: tuple[Edge, ...]
     vertices: tuple[int, ...] = field(init=False)
     sse_sizes: tuple[int, ...] = field(init=False)
+    # (len(intra_edges), 2): each intra edge's endpoints as positions in `vertices`
+    intra_positions: np.ndarray = field(init=False, repr=False, compare=False)
     _bounds: np.ndarray = field(init=False, repr=False, compare=False)  # (2, M) firsts, lasts
 
     def __post_init__(self):
@@ -88,6 +90,9 @@ class SseInGraph:
             if bad.any():
                 u, w = self.edges[int(bad.argmax())]
                 raise ValueError(message.format(u=u, w=w))
+        intra_ends = ends[: 2 * len(self.intra_edges)]
+        positions = np.searchsorted(np.array(self.vertices, dtype=np.intp), intra_ends)
+        object.__setattr__(self, "intra_positions", positions.reshape(-1, 2))
 
     @property
     def edges(self) -> tuple[Edge, ...]:

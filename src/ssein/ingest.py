@@ -174,7 +174,8 @@ def parse_pdb_detailed(text: str, protein_id: str = "unknown") -> PdbParseResult
     residue with other locations only is dropped; a residue insertion code
     (column 27) raises PdbParseError, since it would merge two residues
     under one number, and so does a residue number that comes back after
-    another residue (a second chain under the same chain id).  Residue
+    another residue (a second chain under the same chain id), or a
+    non-finite coordinate of an N / Cα / C atom that is read.  Residue
     numbers need not increase along the chain.  An SSE record covers the
     kept residues numbered within its [initial, final] range.  Of
     overlapping ranges a helix wins, then the earlier start (then the
@@ -228,10 +229,14 @@ def parse_pdb_detailed(text: str, protein_id: str = "unknown") -> PdbParseResult
                     )
                 atoms[res_seq] = {}
                 current = res_seq
-            if line[16] in " A":
+            if line[16] in " A" and name not in atoms[res_seq]:
+                if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+                    raise PdbParseError(
+                        line_no, f"non-finite {name} coordinates for residue {res_seq}"
+                    )
                 resname = line[17:20].strip()
                 resnames.setdefault(res_seq, "MET" if resname == "MSE" else resname)
-                atoms[res_seq].setdefault(name, (x, y, z))
+                atoms[res_seq][name] = (x, y, z)
 
     residues: list[Residue] = []
     numbers: list[int] = []  # residue number of each kept residue

@@ -12,6 +12,12 @@ clusters (connected components of the links); the returned solution is the
 member whose clustering has the highest modularity over its own links, and
 its links are the predicted SSE graph.
 
+Breeding (binary tournaments, the crossover mask, mutation) draws through
+`PcgDraws`, which replays numpy's `random()` and `integers(low, high)` from
+the PCG64 generator's raw output: the same values in the same order, at a
+fraction of numpy's per-call cost, with the generator synced back at the
+end of `run_moga`.  `breed` lists the draw order.
+
 The per-SSE features the objectives read come from the parser's output:
 `SseContext.from_structure` computes backbone dihedrals from each residue's
 N / Cα / C atoms, and hydrophobicity, for the SSE members only.
@@ -20,6 +26,7 @@ N / Cα / C atoms, and hydrophobicity, for the SSE members only.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -333,7 +340,91 @@ def environmental_selection(
     return archive
 
 
-def binary_tournament(archive: Sequence[Individual], rng: np.random.Generator) -> Individual:
+class PcgDraws:
+    """`random()` and `integers(low, high)` of a PCG64 `Generator`, replayed
+    in Python from blocks of its raw 64-bit output, value for value as numpy
+    computes them: a double is an output's top 53 bits times 2**-53; a 32-bit
+    draw is an output's low half, then its high half, held over as the
+    state's `has_uint32` / `uinteger`; a bounded integer multiplies a 32-bit
+    draw by the range and rejects below numpy's threshold (Lemire's method),
+    and a range of one value draws nothing.  A numpy call costs microseconds
+    of overhead per draw; this costs a fraction of one.
+
+    The generator runs ahead by the unused rest of a block until `sync()`
+    sets it back to exactly where the same numpy calls would have left it.
+    A block is small (a few kB of Python ints) and replaced when used up,
+    so memory stays flat.
+    """
+
+    def __init__(self, rng: np.random.Generator, block: int = 256):
+        if type(rng.bit_generator) is not np.random.PCG64:
+            raise TypeError(f"replay needs a PCG64 generator, got {rng.bit_generator!r}")
+        self._bits = rng.bit_generator
+        self._block = block
+        self._start = self._bits.state  # the state the current block began at
+        self._has_half = self._start["has_uint32"]
+        self._half = self._start["uinteger"]
+        self._raw: list[int] = []
+        self._unused = iter(self._raw)
+
+    def _refill(self) -> int:
+        """The next block's first output; the block replaces the last one."""
+        self._start = self._bits.state
+        self._raw = self._bits.random_raw(self._block).tolist()
+        self._unused = iter(self._raw)
+        return next(self._unused)
+
+    def _next32(self) -> int:
+        if self._has_half:
+            self._has_half = 0
+            return self._half
+        x = next(self._unused, None)
+        if x is None:
+            x = self._refill()
+        self._has_half, self._half = 1, x >> 32
+        return x & 0xFFFFFFFF
+
+    def random(self) -> float:
+        x = next(self._unused, None)
+        if x is None:
+            x = self._refill()
+        return (x >> 11) * _2_POW_M53
+
+    def integers(self, low: int, high: Optional[int] = None) -> int:
+        if high is None:
+            low, high = 0, low
+        span = high - low
+        if not 0 < span <= 1 << 32:
+            raise ValueError(f"range [{low}, {high}) must hold 1 to 2**32 values")
+        if span == 1:
+            return low
+        if span == 1 << 32:
+            return low + self._next32()
+        m = self._next32() * span
+        if m & 0xFFFFFFFF < span:
+            threshold = (0xFFFFFFFF - (span - 1)) % span
+            while m & 0xFFFFFFFF < threshold:
+                m = self._next32() * span
+        return low + (m >> 32)
+
+    def sync(self) -> None:
+        """Replay the used part of the block on the generator and set its
+        held-over half, so the stream continues as numpy's would."""
+        self._bits.state = self._start
+        self._bits.random_raw(len(self._raw) - operator.length_hint(self._unused))
+        state = self._bits.state
+        self._start = {**state, "has_uint32": self._has_half, "uinteger": self._half}
+        self._bits.state = self._start
+        self._raw = []
+        self._unused = iter(self._raw)
+
+
+_2_POW_M53 = 1.0 / 9007199254740992.0
+
+
+def binary_tournament(
+    archive: Sequence[Individual], rng: np.random.Generator | PcgDraws
+) -> Individual:
     """Two uniform draws with replacement; the lower fitness wins, ties to
     the first draw."""
     if not archive:
@@ -350,7 +441,7 @@ def uniform_crossover(p1: Genes, p2: Genes, mask: Sequence[int]) -> Genes:
     return tuple(p2[i] if mask[i] else p1[i] for i in range(len(p1)))
 
 
-def mutate(genes: Genes, rate: float, rng: np.random.Generator) -> Genes:
+def mutate(genes: Genes, rate: float, rng: np.random.Generator | PcgDraws) -> Genes:
     """Each gene reassigns, with probability rate, to a different allele."""
     if not 0.0 <= rate <= 1.0:
         raise ValueError(f"rate must be in [0, 1], got {rate}")
@@ -365,6 +456,28 @@ def mutate(genes: Genes, rate: float, rng: np.random.Generator) -> Genes:
     return tuple(out)
 
 
+def breed(
+    archive: Sequence[Individual], params: GaParams, rng: np.random.Generator | PcgDraws
+) -> list[Individual]:
+    """One offspring population.  Per offspring the draws are, in order: two
+    binary tournaments (four `integers(0, len(archive))`), one `random()`
+    against the crossover rate and, when it crosses, M `integers(0, 2)` for
+    the mask; then per gene one `random()` against the mutation rate and,
+    when it fires, one `integers(1, M)`."""
+    m = len(archive[0].genes)
+    offspring = []
+    for _ in range(params.population_size):
+        p1 = binary_tournament(archive, rng)
+        p2 = binary_tournament(archive, rng)
+        if rng.random() < params.crossover_rate:
+            mask = [rng.integers(0, 2) for _ in range(m)]
+            genes = uniform_crossover(p1.genes, p2.genes, mask)
+        else:
+            genes = p1.genes
+        offspring.append(Individual(mutate(genes, params.mutation_rate, rng)))
+    return offspring
+
+
 def run_moga(
     ctx: SseContext,
     params: GaParams,
@@ -375,9 +488,12 @@ def run_moga(
 
     Each generation evaluates population plus archive, re-selects the
     archive, and breeds a new population from it by binary tournament,
-    uniform crossover and mutation.  Only the non-dominated final archive is
-    decoded: its member of highest clustering modularity (ties to the
-    lowest gene vector) is returned, and its `links` are the SSE graph.
+    uniform crossover and mutation.  The initial population draws from `rng`
+    directly; breeding draws from a `PcgDraws` replay of it, synced back
+    before returning, so `rng` ends where numpy's own calls would leave it.
+    Only the non-dominated final archive is decoded: its member of highest
+    clustering modularity (ties to the lowest gene vector) is returned, and
+    its `links` are the SSE graph.
     """
     m = ctx.sse_count
     if m < 2:
@@ -390,28 +506,21 @@ def run_moga(
 
     archive: list[Individual] = []
     deviations: dict[int, float] = {}
-    for generation in range(params.generations):
-        pool = population + archive
-        for ind in pool:
-            if ind.objectives is None:
-                ind.objectives = evaluate_objectives(ind.links, ctx)
-        assign_fitness(pool, min(k, len(pool) - 1))
-        archive = environmental_selection(pool, params.archive_size, family_profile, deviations)
-        if generation == params.generations - 1:
-            break
-        offspring = []
-        for _ in range(params.population_size):
-            p1 = binary_tournament(archive, rng)
-            p2 = binary_tournament(archive, rng)
-            if rng.random() < params.crossover_rate:
-                mask = rng.integers(0, 2, size=m)
-                genes = uniform_crossover(p1.genes, p2.genes, mask)
-            else:
-                genes = p1.genes
-            genes = mutate(genes, params.mutation_rate, rng)
-            offspring.append(Individual(genes))
-        population = offspring
+    draws = PcgDraws(rng)
+    try:
+        for generation in range(params.generations):
+            pool = population + archive
+            for ind in pool:
+                if ind.objectives is None:
+                    ind.objectives = evaluate_objectives(ind.links, ctx)
+            assign_fitness(pool, min(k, len(pool) - 1))
+            archive = environmental_selection(
+                pool, params.archive_size, family_profile, deviations
+            )
+            if generation < params.generations - 1:
+                population = breed(archive, params, draws)
+    finally:
+        draws.sync()
 
     final = [ind for ind in archive if ind.rank == 0]
     return min(final, key=lambda ind: (-modularity(ind.genes), ind.genes))
-

@@ -7,7 +7,8 @@ estimates the edge budget.  `pair_heuristics` builds each SSE pair's
 colony graph once, and `gated_attempts` then yields one colony
 simulation at a time: the two-stage ant colony, the topological profile of
 the built SSE-IN (the query's intra-SSE edges plus the selected shortcuts,
-profiled once) and the family gate's verdict.
+each distinct one profiled once per run) and the family gate's verdict.
+The family profiles likewise profile each distinct template graph once.
 `run_predict` stops at the first accepted attempt and reports it, or the
 last attempt if none passes;
 `run_benchmark` consumes every attempt of each planted instance and scores
@@ -115,14 +116,30 @@ def mean_profile(profiles: Sequence[TopologicalProfile]) -> TopologicalProfile:
 
 def family_sse_profile(templates: Iterable[SseInGraph]) -> TopologicalProfile:
     """Mean profile of the templates' SSE graphs, given by their links."""
-    return mean_profile(
-        [topological_profile(range(1, t.sse_count + 1), t.sse_links()) for t in templates]
+    return _mean_over_graphs(
+        (range(1, t.sse_count + 1), tuple(t.sse_links())) for t in templates
     )
 
 
 def family_residue_profile(templates: Iterable[SseInGraph]) -> TopologicalProfile:
     """Mean profile of the templates' residue-level SSE-IN graphs."""
-    return mean_profile([topological_profile(t.vertices, t.edges) for t in templates])
+    return _mean_over_graphs((t.vertices, t.edges) for t in templates)
+
+
+def _mean_over_graphs(
+    graphs: Iterable[tuple[Sequence[int], tuple[Edge, ...]]],
+) -> TopologicalProfile:
+    """Mean profile of (vertices, edges) graphs.  Each distinct graph is
+    profiled once; the mean still runs over every graph, repeats included,
+    in order, so it adds the same values as profiling each one would."""
+    distinct: dict[tuple[tuple, tuple], TopologicalProfile] = {}
+    profiles = []
+    for vertices, edges in graphs:
+        key = (tuple(vertices), edges)
+        if key not in distinct:
+            distinct[key] = topological_profile(vertices, edges)
+        profiles.append(distinct[key])
+    return mean_profile(profiles)
 
 
 def load_templates(
@@ -313,11 +330,18 @@ def gated_attempts(
     query's intra-SSE edges and gated against the family profile.
 
     Yields (outcome, built profile, accepted) per attempt, lazily, so a
-    caller may stop at the first accepted one.
+    caller may stop at the first accepted one.  The intra-SSE edges are
+    fixed, so a built graph is its (sorted) selected edges, and each
+    distinct one is profiled once per run.
     """
+    built: dict[tuple[Edge, ...], TopologicalProfile] = {}
     for seq in sim_seqs:
         outcome = aco_attempt(query, pairs, graphs, e_p, params, seq)
-        profile = topological_profile(query.vertices, query.intra_edges + outcome.selected)
+        if outcome.selected not in built:
+            built[outcome.selected] = topological_profile(
+                query.vertices, query.intra_edges + outcome.selected
+            )
+        profile = built[outcome.selected]
         yield outcome, profile, validate_built_network(profile, family_profile, tol=0.2)
 
 

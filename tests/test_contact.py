@@ -307,6 +307,12 @@ class TestSseInGraph:
         assert graph.vertices == (1, 2, 3, 4, 5, 6, 7, 8)
         assert graph.edges == ((1, 2), (6, 8), (5, 6))
 
+    def test_intra_positions_index_the_vertices(self):
+        graph = SseInGraph(("H1", "H2"), ((2, 5), (9, 11)), ((2, 4), (9, 11), (3, 5)), ((5, 9),))
+        assert graph.vertices == (2, 3, 4, 5, 9, 10, 11)
+        assert graph.intra_positions.tolist() == [[0, 2], [4, 6], [1, 3]]
+        assert self.graph().intra_positions.shape == (0, 2)
+
     def test_intra_edge_spanning_two_ranges_rejected(self):
         with pytest.raises(ValueError, match=r"intra edge \(5, 6\) spans two SSEs"):
             self.graph(intra=[(1, 2), (5, 6)])

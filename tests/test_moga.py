@@ -20,9 +20,11 @@ from ssein.moga import (
     WORST_OBJECTIVE,
     GaParams,
     Individual,
+    PcgDraws,
     SseContext,
     assign_fitness,
     binary_tournament,
+    breed,
     _deviation,
     decode,
     density,
@@ -535,6 +537,126 @@ class TestMutate:
         assert all(1 <= g <= m for g in mutated)
 
 
+# Ranges of the replay's bounded integers: a single value (no draw), the
+# crossover mask's 2, a small range, 2**31 + 1 (rejects about half the
+# draws, so the rejection loop runs) and the full 32 bits.
+SPANS = (1, 2, 12, 2**31 + 1, 2**32)
+
+replay_ops = st.lists(
+    st.one_of(
+        st.just(("random",)),
+        st.tuples(st.just("integers"), st.integers(-3, 3), st.sampled_from(SPANS)),
+        st.tuples(st.just("below"), st.sampled_from(SPANS)),
+        st.just(("sync",)),
+    ),
+    max_size=80,
+)
+
+
+class TestPcgDraws:
+    """The replay against numpy's own calls on a twin generator: every value
+    and the generator state it leaves behind."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(replay_ops, st.integers(0, 2**64 - 1), st.integers(0, 2), st.sampled_from([1, 3, 256]))
+    def test_values_and_state_equal_numpy(self, ops, seed, warmup, block):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        # 1 warm-up draw leaves a uint32 buffered, 2 leave none but a stale one
+        for _ in range(warmup):
+            rng.integers(0, 2)
+            ref.integers(0, 2)
+        draws = PcgDraws(rng, block=block)
+        for op in ops:
+            if op[0] == "random":
+                assert draws.random() == ref.random()
+            elif op[0] == "integers":
+                low, span = op[1:]
+                value = draws.integers(low, low + span)
+                assert type(value) is int
+                assert value == ref.integers(low, low + span)
+            elif op[0] == "below":
+                assert draws.integers(op[1]) == ref.integers(op[1])
+            else:
+                draws.sync()
+                assert rng.bit_generator.state == ref.bit_generator.state
+        draws.sync()
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_block_is_replaced_not_grown(self):
+        draws = PcgDraws(np.random.default_rng(0), block=8)
+        for _ in range(100):
+            draws.random()
+        assert len(draws._raw) == 8
+
+    @pytest.mark.parametrize(
+        "bit_generator", [np.random.MT19937(0), np.random.Philox(0), np.random.PCG64DXSM(0)]
+    )
+    def test_other_bit_generator_rejected(self, bit_generator):
+        with pytest.raises(TypeError, match="PCG64"):
+            PcgDraws(np.random.Generator(bit_generator))
+
+    @pytest.mark.parametrize("low, high", [(0, 2**32 + 1), (-1, 2**32), (3, 3), (5, 4)])
+    def test_range_outside_one_to_two_pow_32_values_rejected(self, low, high):
+        with pytest.raises(ValueError, match="must hold 1 to 2\\*\\*32 values"):
+            PcgDraws(np.random.default_rng(0)).integers(low, high)
+
+
+def numpy_breed(archive, params, rng):
+    """The breeding loop as numpy calls on the generator: the reference the
+    replay must match draw for draw."""
+    m = len(archive[0].genes)
+    offspring = []
+    for _ in range(params.population_size):
+        parents = []
+        for _ in range(2):
+            a = archive[int(rng.integers(len(archive)))]
+            b = archive[int(rng.integers(len(archive)))]
+            parents.append(a if a.fitness <= b.fitness else b)
+        p1, p2 = parents
+        if rng.random() < params.crossover_rate:
+            mask = rng.integers(0, 2, size=m)
+            genes = [p2.genes[i] if mask[i] else p1.genes[i] for i in range(m)]
+        else:
+            genes = list(p1.genes)
+        for i in range(m):
+            if rng.random() < params.mutation_rate:
+                v = int(rng.integers(1, m))
+                genes[i] = v if v < genes[i] else v + 1
+        offspring.append(tuple(genes))
+    return offspring
+
+
+class TestBreed:
+    @pytest.mark.parametrize("m", [2, 3, 8])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("mutation_rate", [0.1, 0.6])
+    def test_one_generation_matches_numpy_calls(self, m, seed, mutation_rate):
+        setup = np.random.default_rng(100 + seed)
+        archive = []
+        for _ in range(int(setup.integers(1, 9))):
+            ind = Individual(tuple(int(g) for g in setup.integers(1, m + 1, size=m)))
+            ind.fitness = float(setup.integers(0, 4)) / 2  # ties happen
+            archive.append(ind)
+        params = GaParams(population_size=20, crossover_rate=0.7, mutation_rate=mutation_rate)
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        draws = PcgDraws(rng)
+        assert [ind.genes for ind in breed(archive, params, draws)] == numpy_breed(
+            archive, params, ref
+        )
+        draws.sync()
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_a_generator_still_breeds(self):
+        archive = [Individual((2, 1, 3))]
+        archive[0].fitness = 0.0
+        params = GaParams(population_size=4)
+        rng, ref = np.random.default_rng(4), np.random.default_rng(4)
+        assert [ind.genes for ind in breed(archive, params, rng)] == numpy_breed(
+            archive, params, ref
+        )
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
 class TestRunMoga:
     def small_ctx(self):
         return SseContext(
@@ -575,3 +697,25 @@ class TestRunMoga:
         params = GaParams(population_size=12, archive_size=8, generations=15)
         best = run_moga(instance.ctx, params, profile, np.random.default_rng(1))
         assert best.rank == 0
+
+    @pytest.mark.parametrize(
+        "seed, genes, state, has_uint32, uinteger",
+        [
+            # recorded from the numpy-call breeding loop this replay replaced
+            (99, (2, 1, 4, 4, 6, 5, 8, 8), 136955208279268629301566218210912347034, 0, 2682142607),
+            (5, (1, 1, 2, 3, 6, 7, 6, 7), 234103996628527748493880751127434969627, 1, 1710360306),
+        ],
+    )
+    def test_generator_left_where_numpy_calls_leave_it(
+        self, seed, genes, state, has_uint32, uinteger
+    ):
+        instance = make_ga_instance(np.random.default_rng(2))
+        profile = family_sse_profile(instance.templates.values())
+        params = GaParams(population_size=12, archive_size=8, generations=30)
+        rng = np.random.default_rng(seed)
+        best = run_moga(instance.ctx, params, profile, rng)
+        assert best.genes == genes
+        after = rng.bit_generator.state  # the increment is fixed by the seed
+        assert (after["state"]["state"], after["has_uint32"], after["uinteger"]) == (
+            state, has_uint32, uinteger
+        )

@@ -1,10 +1,13 @@
+import hashlib
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from conftest import write_family
+from test_golden import DESK_SWEEP, SCRIPTS
 from ssein import aco, pipeline
 from ssein.aco import AcoParams, Colony, ColonyGraph, FamilyMatchError, edge_probabilities
 from ssein.cli import main
@@ -216,6 +219,33 @@ class TestBenchmark:
         assert result.incidence_error_rate <= 0.25
 
 
+def test_desk_sweep_profiles_each_distinct_graph_once(tmp_path, monkeypatch):
+    """README sweep, seed 7: the pipeline's 420 profile calls (150 family
+    SSE-level, 150 residue-level, 120 gate) cover 6 + 6 + 11 distinct
+    graphs, and only those are profiled.  The table keeps its digest."""
+    calls = {"family SSE": 0, "family residue": 0, "gate": 0}
+    profile = pipeline.topological_profile
+
+    def counting(vertices, edges):
+        caller = sys._getframe(1).f_code.co_name
+        if caller == "gated_attempts":
+            calls["gate"] += 1
+        else:
+            calls["family SSE" if isinstance(vertices, range) else "family residue"] += 1
+        return profile(vertices, edges)
+
+    monkeypatch.setattr(pipeline, "topological_profile", counting)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    import run_desk_benchmark
+
+    monkeypatch.setattr(sys, "argv", ["run_desk_benchmark.py", "--out", "bench_out"])
+    assert run_desk_benchmark.main() == 0
+    assert calls == {"family SSE": 6, "family residue": 6, "gate": 11}
+    table = (tmp_path / "bench_out" / "benchmark_table.tsv").read_bytes()
+    assert hashlib.sha256(table).hexdigest() == DESK_SWEEP["benchmark_table.tsv"]
+
+
 class TestMeanProfile:
     def test_field_means(self):
         p1 = TopologicalProfile(4.0, 2.0, 3.0, 0.2)
@@ -305,6 +335,21 @@ class TestCli:
         err = capsys.readouterr().err
         assert code == 1
         assert f"line {at + 1}: insertion code" in err
+
+    def test_non_finite_coordinate_names_the_line(self, tmp_path, capsys):
+        query, index = write_family(tmp_path)
+        lines = query.read_text().splitlines()
+        at = next(
+            i for i, line in enumerate(lines)
+            if line.startswith("ATOM") and line[12:16].strip() == "N" and int(line[22:26]) == 4
+        )
+        lines[at] = f"{lines[at][:30]}{'nan':>8}{lines[at][38:]}"
+        query.write_text("\n".join(lines) + "\n")
+        code = main(["predict", "--pdb", str(query), "--family", str(index),
+                     "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"line {at + 1}: non-finite N coordinates for residue 4" in err
 
     def test_benchmark_cli(self, tmp_path):
         manifest = tmp_path / "m.tsv"

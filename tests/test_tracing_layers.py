@@ -21,7 +21,10 @@ WORK = {
     "moga.evaluations": 3000,
     "aco.local_ant_steps": 271,
     "aco.global_iterations": 60,
-    "metrics.profile_vertices": 1156,
+    # Each distinct graph profiled once: 1 SSE-level family profile x 4
+    # vertices, 1 residue-level x 36, 1 gate (both attempts select the
+    # same edges) x 36 and 21 GA link graphs x 4.
+    "metrics.profile_vertices": 160,
     "pipeline.attempts": 2,
 }
 
