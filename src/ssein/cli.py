@@ -88,7 +88,14 @@ def _load_config_file(path: str) -> dict[str, dict[str, object]]:
         for key, raw in items.items():
             if key not in schema[section]:
                 raise ValueError(f"unknown config key {key!r} in [{section}]")
-            sections[section][key] = schema[section][key](raw)
+            convert = schema[section][key]
+            try:
+                sections[section][key] = convert(raw)
+            except ValueError:
+                kind = "an integer" if convert is int else "a number"
+                raise ValueError(
+                    f"config file {path!r}: [{section}] {key} = {raw!r} is not {kind}"
+                ) from None
     return sections
 
 

@@ -12,11 +12,17 @@ clusters (connected components of the links); the returned solution is the
 member whose clustering has the highest modularity over its own links, and
 its links are the predicted SSE graph.
 
+Ranks and densities are computed from (n, n) arrays, one objective column
+at a time; the squared distance adds the columns in numpy's length-3 sum
+order, (d0² + d1²) + d2², so the values are those of a sum over an
+(n, n, 3) array, bit for bit.
+
 Breeding (binary tournaments, the crossover mask, mutation) draws through
-`PcgDraws`, which replays numpy's `random()` and `integers(low, high)` from
-the PCG64 generator's raw output: the same values in the same order, at a
-fraction of numpy's per-call cost, with the generator synced back at the
-end of `run_moga`.  `breed` lists the draw order.
+`PcgDraws`, which replays numpy's `random()` and `integers(low, high,
+size)` from the PCG64 generator's raw output: the same values in the same
+order, at a fraction of numpy's per-call cost, with the generator synced
+back at the end of `run_moga`.  The crossover mask is one sized draw,
+replayed as the top bits of M 32-bit draws.  `breed` lists the draw order.
 
 The per-SSE features the objectives read come from the parser's output:
 `SseContext.from_structure` computes backbone dihedrals from each residue's
@@ -249,40 +255,37 @@ def strength_ranks(pool: Sequence[Individual]) -> list[float]:
     Strength s(y) counts the pool members y dominates, so every
     non-dominated individual ends up with r = 0.
     """
-    obj = np.array([ind.objectives for ind in pool], dtype=float).reshape(-1, 3)
-    a, b = obj[:, None, :], obj[None, :, :]
-    dom = (a <= b).all(axis=-1) & (a < b).any(axis=-1)  # dom[i, j]: i dominates j
+    c0, c1, c2 = np.array([ind.objectives for ind in pool], dtype=float).reshape(-1, 3).T
+    a0, a1, a2 = c0[:, None], c1[:, None], c2[:, None]
+    # dom[i, j]: i dominates j.  One 2-D compare per objective column.
+    dom = ((a0 <= c0) & (a1 <= c1) & (a2 <= c2)) & ((a0 < c0) | (a1 < c1) | (a2 < c2))
     # Integer sums, so exact: r(j) = sum of s(i) over every i dominating j.
     return (dom.sum(axis=1) @ dom).astype(float).tolist()
-
-
-def _normalized_objectives(pool: Sequence[Individual]) -> np.ndarray:
-    # Halved before differencing so the link-free sentinel cannot overflow.
-    obj = np.array([pool[i].objectives for i in range(len(pool))], dtype=float)
-    half = obj / 2.0
-    lo = half.min(axis=0)
-    hi = half.max(axis=0)
-    span = hi - lo
-    out = np.zeros_like(half)
-    for c in range(half.shape[1]):
-        if span[c] > 0:
-            out[:, c] = (half[:, c] - lo[c]) / span[c]
-    return out
 
 
 def density(pool: Sequence[Individual], k: int) -> list[tuple[float, float]]:
     """(sigma_k, m) per individual: m = 1 / (sigma_k + 1).
 
     Distances are Euclidean in min-max normalized objective space; pools
-    with a constant objective normalize that coordinate to zero.
+    with a constant objective normalize that coordinate to zero.  The
+    squared distance adds the objectives' squared differences as
+    (d0² + d1²) + d2², the order numpy's sum over a length-3 axis uses; a
+    constant objective adds an exact 0 and is skipped.
     """
     n = len(pool)
     if k >= n:
         raise ValueError(f"k = {k} must be smaller than pool size {n}")
-    coords = _normalized_objectives(pool)
-    diff = coords[:, None, :] - coords[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=-1))
-    sigmas = np.sort(dist, axis=1)[:, k].tolist()  # column 0 is the self distance 0
+    # Halved before differencing so the link-free sentinel cannot overflow.
+    half = np.array([ind.objectives for ind in pool], dtype=float) / 2.0
+    lo = half.min(axis=0)
+    span = (half.max(axis=0) - lo).tolist()
+    square = np.zeros((n, n))
+    for c in range(3):
+        if span[c] > 0:
+            z = (half[:, c] - lo[c]) / span[c]
+            d = z[:, None] - z
+            square = square + d * d
+    sigmas = np.sort(np.sqrt(square), axis=1)[:, k].tolist()  # column 0 is the self distance 0
     return [(sigma, 1.0 / (sigma + 1.0)) for sigma in sigmas]
 
 
@@ -341,14 +344,15 @@ def environmental_selection(
 
 
 class PcgDraws:
-    """`random()` and `integers(low, high)` of a PCG64 `Generator`, replayed
-    in Python from blocks of its raw 64-bit output, value for value as numpy
-    computes them: a double is an output's top 53 bits times 2**-53; a 32-bit
-    draw is an output's low half, then its high half, held over as the
-    state's `has_uint32` / `uinteger`; a bounded integer multiplies a 32-bit
-    draw by the range and rejects below numpy's threshold (Lemire's method),
-    and a range of one value draws nothing.  A numpy call costs microseconds
-    of overhead per draw; this costs a fraction of one.
+    """`random()` and `integers(low, high, size)` of a PCG64 `Generator`,
+    replayed in Python from blocks of its raw 64-bit output, value for value
+    as numpy computes them: a double is an output's top 53 bits times 2**-53;
+    a 32-bit draw is an output's low half, then its high half, held over as
+    the state's `has_uint32` / `uinteger`; a bounded integer multiplies a
+    32-bit draw by the range and rejects below numpy's threshold (Lemire's
+    method), and a range of one value draws nothing.  A sized draw is a list
+    drawn as that many scalar draws.  A numpy call costs microseconds of
+    overhead per draw; this costs a fraction of one.
 
     The generator runs ahead by the unused rest of a block until `sync()`
     sets it back to exactly where the same numpy calls would have left it.
@@ -390,12 +394,16 @@ class PcgDraws:
             x = self._refill()
         return (x >> 11) * _2_POW_M53
 
-    def integers(self, low: int, high: Optional[int] = None) -> int:
+    def integers(
+        self, low: int, high: Optional[int] = None, size: Optional[int] = None
+    ) -> int | list[int]:
         if high is None:
             low, high = 0, low
         span = high - low
         if not 0 < span <= 1 << 32:
             raise ValueError(f"range [{low}, {high}) must hold 1 to 2**32 values")
+        if size is not None:
+            return self._sized(low, span, size)
         if span == 1:
             return low
         if span == 1 << 32:
@@ -406,6 +414,15 @@ class PcgDraws:
             while m & 0xFFFFFFFF < threshold:
                 m = self._next32() * span
         return low + (m >> 32)
+
+    def _sized(self, low: int, span: int, size: int) -> list[int]:
+        """`size` draws as a list, consumed as `size` scalar calls would.  A
+        power-of-two range never rejects (numpy's threshold is 0), so each
+        value is the top bits of one 32-bit draw."""
+        if span == 1 or span & (span - 1):
+            return [self.integers(low, low + span) for _ in range(size)]
+        shift = 33 - span.bit_length()
+        return [low + (self._next32() >> shift) for _ in range(size)]
 
     def sync(self) -> None:
         """Replay the used part of the block on the generator and set its
@@ -422,59 +439,42 @@ class PcgDraws:
 _2_POW_M53 = 1.0 / 9007199254740992.0
 
 
-def binary_tournament(
-    archive: Sequence[Individual], rng: np.random.Generator | PcgDraws
-) -> Individual:
-    """Two uniform draws with replacement; the lower fitness wins, ties to
-    the first draw."""
-    if not archive:
-        raise ValueError("archive is empty")
-    a = archive[int(rng.integers(len(archive)))]
-    b = archive[int(rng.integers(len(archive)))]
-    return a if a.fitness <= b.fitness else b
-
-
-def uniform_crossover(p1: Genes, p2: Genes, mask: Sequence[int]) -> Genes:
-    """Offspring gene i comes from p1 when mask_i = 0, otherwise from p2."""
-    if len(p1) != len(p2) or len(p1) != len(mask):
-        raise ValueError("parents and mask must have equal lengths")
-    return tuple(p2[i] if mask[i] else p1[i] for i in range(len(p1)))
-
-
-def mutate(genes: Genes, rate: float, rng: np.random.Generator | PcgDraws) -> Genes:
-    """Each gene reassigns, with probability rate, to a different allele."""
-    if not 0.0 <= rate <= 1.0:
-        raise ValueError(f"rate must be in [0, 1], got {rate}")
-    m = len(genes)
-    if m < 2:
-        return genes
-    out = list(genes)
-    for i in range(m):
-        if rng.random() < rate:
-            v = int(rng.integers(1, m))  # 1..m-1, then skip the current allele
-            out[i] = v if v < out[i] else v + 1
-    return tuple(out)
-
-
 def breed(
     archive: Sequence[Individual], params: GaParams, rng: np.random.Generator | PcgDraws
 ) -> list[Individual]:
-    """One offspring population.  Per offspring the draws are, in order: two
-    binary tournaments (four `integers(0, len(archive))`), one `random()`
-    against the crossover rate and, when it crosses, M `integers(0, 2)` for
-    the mask; then per gene one `random()` against the mutation rate and,
-    when it fires, one `integers(1, M)`."""
+    """One offspring population.  Per offspring the draws are, in order:
+    two binary tournaments, each two `integers(0, len(archive))` with the
+    lower fitness winning and ties going to the first draw; one `random()`
+    against the crossover rate and, when it crosses, one
+    `integers(0, 2, size=M)` for the uniform crossover mask (gene i comes
+    from the second parent where bit i is 1); then per gene one `random()`
+    against the mutation rate and, when it fires, one `integers(1, M)` that
+    picks a different allele.  The sized mask draw consumes the stream as M
+    scalar `integers(0, 2)` would; `PcgDraws` replays it as the top bits of
+    M 32-bit draws.  A one-gene chromosome is never mutated and draws
+    nothing for it."""
+    if not archive:
+        raise ValueError("archive is empty")
+    n = len(archive)
     m = len(archive[0].genes)
+    integers, random = rng.integers, rng.random
+    crossover_rate, mutation_rate = params.crossover_rate, params.mutation_rate
     offspring = []
     for _ in range(params.population_size):
-        p1 = binary_tournament(archive, rng)
-        p2 = binary_tournament(archive, rng)
-        if rng.random() < params.crossover_rate:
-            mask = [rng.integers(0, 2) for _ in range(m)]
-            genes = uniform_crossover(p1.genes, p2.genes, mask)
+        a, b = archive[integers(n)], archive[integers(n)]
+        p1 = (a if a.fitness <= b.fitness else b).genes
+        a, b = archive[integers(n)], archive[integers(n)]
+        p2 = (a if a.fitness <= b.fitness else b).genes
+        if random() < crossover_rate:
+            genes = [y if bit else x for x, y, bit in zip(p1, p2, integers(0, 2, size=m))]
         else:
-            genes = p1.genes
-        offspring.append(Individual(mutate(genes, params.mutation_rate, rng)))
+            genes = list(p1)
+        if m > 1:
+            for i in range(m):
+                if random() < mutation_rate:
+                    v = int(integers(1, m))  # 1..m-1, then skip the current allele
+                    genes[i] = v if v < genes[i] else v + 1
+        offspring.append(Individual(tuple(genes)))
     return offspring
 
 

@@ -8,7 +8,8 @@ giving a realistic little SSE-IN with both intra and shortcut contacts.
 `emit_pdb` writes a structure back as PDB text for the parse round trips.
 `dominates` is the brute-force Pareto oracle and `make_ga_instance` the
 planted 8-SSE instance of the GA tests.  `upper_triangle_edges` reads a
-0-1 matrix back as its list of 1-based edges.
+0-1 matrix back as its list of 1-based edges.  `ScriptedDraws` stands in
+for the generator `moga.breed` draws from, so a test sets each draw.
 """
 
 from __future__ import annotations
@@ -221,6 +222,23 @@ def emit_pdb(structure: ProteinStructure) -> str:
 def dominates(a, b) -> bool:
     """Pareto dominance with all objectives minimized."""
     return all(x <= y for x, y in zip(a, b)) and any(x < y for x, y in zip(a, b))
+
+
+class ScriptedDraws:
+    """A draw source that returns scripted values in order and logs each
+    call as ("random",) or ("integers", low, high, size)."""
+
+    def __init__(self, values):
+        self.values = list(values)
+        self.calls = []
+
+    def random(self):
+        self.calls.append(("random",))
+        return self.values.pop(0)
+
+    def integers(self, low, high=None, size=None):
+        self.calls.append(("integers", low, high, size))
+        return self.values.pop(0)
 
 
 def make_ga_instance(rng: np.random.Generator) -> PlantedInstance:

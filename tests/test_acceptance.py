@@ -13,7 +13,7 @@ from collections import deque
 import numpy as np
 import pytest
 
-from conftest import dominates, make_ga_instance, write_family
+from conftest import ScriptedDraws, dominates, make_ga_instance, write_family
 from ssein.aco import (
     AcoParams,
     Colony,
@@ -25,10 +25,10 @@ from ssein.metrics import link_error_rate, prediction_accuracy, topological_prof
 from ssein.moga import (
     GaParams,
     Individual,
+    breed,
     decode,
     run_moga,
     strength_ranks,
-    uniform_crossover,
 )
 from ssein.pipeline import family_sse_profile
 
@@ -105,10 +105,14 @@ def test_criterion_02_decode_oracle():
 
 def test_criterion_03_crossover_conformance():
     """The worked uniform-crossover example reproduces exactly."""
-    offspring = uniform_crossover(
-        (4, 3, 2, 2, 6, 5, 6), (3, 3, 1, 5, 4, 7, 6), (0, 1, 1, 0, 0, 1, 1)
-    )
-    assert offspring == (4, 3, 1, 2, 6, 7, 6)
+    p1, p2 = Individual((4, 3, 2, 2, 6, 5, 6)), Individual((3, 3, 1, 5, 4, 7, 6))
+    p1.fitness, p2.fitness = 0.0, 1.0
+    # Per offspring: tournaments pick p1 then p2, the crossover fires with
+    # the example's mask, and no gene mutates.
+    draws = ScriptedDraws(([0, 0, 1, 1, 0.0, [0, 1, 1, 0, 0, 1, 1]] + [0.5] * 7) * 2)
+    offspring = breed([p1, p2], GaParams(population_size=2, mutation_rate=0.0), draws)
+    assert [ind.genes for ind in offspring] == [(4, 3, 1, 2, 6, 7, 6)] * 2
+    assert not draws.values
     report("criterion 3 PASS: crossover example -> (4,3,1,2,6,7,6)")
 
 

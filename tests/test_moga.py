@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    ScriptedDraws,
     chain_break_protein,
     dominates,
     helix_record,
@@ -23,7 +24,6 @@ from ssein.moga import (
     PcgDraws,
     SseContext,
     assign_fitness,
-    binary_tournament,
     breed,
     _deviation,
     decode,
@@ -31,10 +31,8 @@ from ssein.moga import (
     environmental_selection,
     evaluate_objectives,
     gene_links,
-    mutate,
     run_moga,
     strength_ranks,
-    uniform_crossover,
 )
 from ssein.pipeline import family_sse_profile
 
@@ -306,6 +304,62 @@ def strength_oracle(pool):
     ]
 
 
+def reference_strength_ranks(pool):
+    """`strength_ranks` as it broadcast to (n, n, 3), kept as the exact
+    reference of the column-at-a-time version."""
+    obj = np.array([ind.objectives for ind in pool], dtype=float).reshape(-1, 3)
+    a, b = obj[:, None, :], obj[None, :, :]
+    dom = (a <= b).all(axis=-1) & (a < b).any(axis=-1)  # dom[i, j]: i dominates j
+    # Integer sums, so exact: r(j) = sum of s(i) over every i dominating j.
+    return (dom.sum(axis=1) @ dom).astype(float).tolist()
+
+
+def reference_density(pool, k):
+    """`density` as it broadcast to (n, n, 3), normalization included, kept
+    as the exact reference of the column-at-a-time version."""
+
+    def _normalized_objectives(pool):
+        # Halved before differencing so the link-free sentinel cannot overflow.
+        obj = np.array([pool[i].objectives for i in range(len(pool))], dtype=float)
+        half = obj / 2.0
+        lo = half.min(axis=0)
+        hi = half.max(axis=0)
+        span = hi - lo
+        out = np.zeros_like(half)
+        for c in range(half.shape[1]):
+            if span[c] > 0:
+                out[:, c] = (half[:, c] - lo[c]) / span[c]
+        return out
+
+    n = len(pool)
+    if k >= n:
+        raise ValueError(f"k = {k} must be smaller than pool size {n}")
+    coords = _normalized_objectives(pool)
+    diff = coords[:, None, :] - coords[None, :, :]
+    dist = np.sqrt(np.sum(diff * diff, axis=-1))
+    sigmas = np.sort(dist, axis=1)[:, k].tolist()  # column 0 is the self distance 0
+    return [(sigma, 1.0 / (sigma + 1.0)) for sigma in sigmas]
+
+
+@st.composite
+def objective_pools(draw):
+    """A pool of 2-64 members and a density neighbour k: small integer
+    objectives, so ties and duplicates occur, some constant columns and
+    some link-free members on the worst-objective sentinel."""
+    n = draw(st.integers(2, 64))
+    constant = draw(st.sets(st.integers(0, 2)))
+    worst = draw(st.sets(st.integers(0, n - 1), max_size=4))
+    pool = []
+    for i in range(n):
+        row = draw(st.tuples(*[st.integers(0, 9)] * 3))
+        if i in worst:
+            row = (WORST_OBJECTIVE,) * 3
+        else:
+            row = tuple(5 if c in constant else v for c, v in enumerate(row))
+        pool.append(mk(row))
+    return pool, draw(st.integers(1, n - 1))
+
+
 class TestStrengthRanks:
     def test_mutually_non_dominated(self):
         pool = [mk2(1, 3), mk2(2, 2), mk2(3, 1)]
@@ -364,6 +418,19 @@ class TestDensity:
 
 
 class TestFitness:
+    @settings(max_examples=300, deadline=None)
+    @given(objective_pools())
+    def test_equals_the_broadcast_references_exactly(self, pool_and_k):
+        pool, k = pool_and_k
+        ranks = reference_strength_ranks(pool)
+        densities = reference_density(pool, k)
+        assert strength_ranks(pool) == ranks
+        assert density(pool, k) == densities
+        assign_fitness(pool, k)
+        assert [ind.rank for ind in pool] == ranks
+        assert [ind.sigma_k for ind in pool] == [sigma for sigma, _ in densities]
+        assert [ind.fitness for ind in pool] == [r + m for r, (_, m) in zip(ranks, densities)]
+
     def test_sum_of_rank_and_density(self):
         pool = [mk2(1, 1), mk2(2, 2)]
         assign_fitness(pool, 1)
@@ -443,86 +510,111 @@ class TestEnvironmentalSelection:
             assert not dominates(a.objectives, b.objectives)
 
 
+def bred_genes(genes, params, rng, fitness=None):
+    """Offspring chromosomes bred from an archive of the given chromosomes,
+    all of fitness 0 unless `fitness` says otherwise."""
+    archive = [Individual(g) for g in genes]
+    for ind, f in zip(archive, fitness or [0.0] * len(archive)):
+        ind.fitness = f
+    return [ind.genes for ind in breed(archive, params, rng)]
+
+
+# Breeding with neither crossover nor mutation: each offspring is its first
+# tournament's winner.
+SELECT_ONLY = GaParams(population_size=2, crossover_rate=0.0, mutation_rate=0.0)
+
+
 class TestBinaryTournament:
     def test_singleton(self):
-        only = mk2(1, 1)
-        only.fitness = 0.4
-        rng = np.random.default_rng(0)
-        assert binary_tournament([only], rng) is only
+        assert bred_genes([(2, 1, 3)], SELECT_ONLY, np.random.default_rng(0)) == [(2, 1, 3)] * 2
 
     def test_better_fitness_wins(self):
-        a, b = mk2(1, 1), mk2(2, 2)
-        a.fitness, b.fitness = 0.2, 5.0
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            winner = binary_tournament([a, b], rng)
-            assert winner.fitness in (0.2, 5.0)
+        # The first tournament draws `first` then `second`: the lower
+        # fitness wins, a tie goes to the first draw.
+        archive = [(1, 1), (2, 1)]
+        for first, second, fitness, winner in [
+            (0, 1, [0.2, 5.0], 0),
+            (1, 0, [0.2, 5.0], 0),
+            (1, 0, [1.0, 1.0], 1),
+        ]:
+            draws = ScriptedDraws([first, second, 0, 0, 0.5, 0.5, 0.5] * 2)
+            assert bred_genes(archive, SELECT_ONLY, draws, fitness) == [archive[winner]] * 2
 
     def test_selection_frequency(self):
-        a, b = mk2(1, 1), mk2(2, 2)
-        a.fitness, b.fitness = 0.2, 5.0
-        rng = np.random.default_rng(1234)
-        wins = sum(binary_tournament([a, b], rng) is a for _ in range(10_000))
-        assert wins / 10_000 == pytest.approx(0.75, abs=0.02)
+        a, b = (1, 1), (2, 1)
+        params = GaParams(population_size=10_000, crossover_rate=0.0, mutation_rate=0.0)
+        children = bred_genes([a, b], params, np.random.default_rng(1234), [0.2, 5.0])
+        assert children.count(a) / 10_000 == pytest.approx(0.75, abs=0.02)
 
     def test_empty_archive(self):
-        with pytest.raises(ValueError):
-            binary_tournament([], np.random.default_rng(0))
+        with pytest.raises(ValueError, match="archive is empty"):
+            breed([], GaParams(), np.random.default_rng(0))
+
+
+def crossover_script(mask):
+    """One offspring's draws: tournaments pick archive members 0 then 1,
+    the crossover fires with `mask`, and no gene mutates."""
+    return [0, 0, 1, 1, 0.0, list(mask)] + [0.5] * len(mask)
 
 
 class TestCrossover:
+    def crossed(self, p1, p2, mask):
+        draws = ScriptedDraws(crossover_script(mask) * 2)
+        children = bred_genes([p1, p2], GaParams(population_size=2, mutation_rate=0.0), draws)
+        assert not draws.values
+        assert ("integers", 0, 2, len(mask)) in draws.calls  # one sized mask draw
+        assert children[0] == children[1]
+        return children[0]
+
     def test_worked_uniform_crossover_example(self):
-        offspring = uniform_crossover(
+        offspring = self.crossed(
             (4, 3, 2, 2, 6, 5, 6), (3, 3, 1, 5, 4, 7, 6), (0, 1, 1, 0, 0, 1, 1)
         )
         assert offspring == (4, 3, 1, 2, 6, 7, 6)
 
     def test_zero_mask_copies_first_parent(self):
         p1, p2 = (1, 2, 3), (3, 2, 1)
-        assert uniform_crossover(p1, p2, (0, 0, 0)) == p1
+        assert self.crossed(p1, p2, (0, 0, 0)) == p1
 
     def test_ones_mask_copies_second_parent(self):
         p1, p2 = (1, 2, 3), (3, 2, 1)
-        assert uniform_crossover(p1, p2, (1, 1, 1)) == p2
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            uniform_crossover((1, 2), (1, 2, 3), (0, 0, 0))
+        assert self.crossed(p1, p2, (1, 1, 1)) == p2
 
     @given(
         st.integers(2, 8).flatmap(
             lambda m: st.tuples(
                 st.tuples(*[st.integers(1, m)] * m),
                 st.tuples(*[st.integers(1, m)] * m),
-                st.tuples(*[st.integers(0, 1)] * m),
+                st.integers(0, 2**32 - 1),
             )
         )
     )
     def test_gene_provenance(self, args):
-        p1, p2, mask = args
-        child = uniform_crossover(p1, p2, mask)
-        for i, gene in enumerate(child):
-            assert gene in (p1[i], p2[i])
+        p1, p2, seed = args
+        params = GaParams(population_size=20, crossover_rate=1.0, mutation_rate=0.0)
+        for child in bred_genes([p1, p2], params, PcgDraws(np.random.default_rng(seed))):
+            for i, gene in enumerate(child):
+                assert gene in (p1[i], p2[i])
+
+
+def mutated(genes, rate, rng, n=2):
+    """`n` offspring of a one-member archive: only mutation changes them."""
+    return bred_genes([genes], GaParams(population_size=n, mutation_rate=rate), rng)
 
 
 class TestMutate:
     def test_rate_zero_is_identity(self):
         genes = (1, 3, 2, 4)
-        assert mutate(genes, 0.0, np.random.default_rng(0)) == genes
+        assert mutated(genes, 0.0, np.random.default_rng(0), n=20) == [genes] * 20
 
     def test_rate_one_flips_binary(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            assert mutate((1, 2), 1.0, rng) == (2, 1)
+        assert mutated((1, 2), 1.0, np.random.default_rng(0), n=20) == [(2, 1)] * 20
 
     def test_empirical_rate(self):
-        rng = np.random.default_rng(7)
         genes = (1, 1, 1, 1, 1, 1, 1, 1)
-        flips = 0
         trials = 10_000
-        for _ in range(trials):
-            mutated = mutate(genes, 0.1, rng)
-            flips += sum(a != b for a, b in zip(genes, mutated))
+        children = mutated(genes, 0.1, PcgDraws(np.random.default_rng(7)), n=trials)
+        flips = sum(a != b for child in children for a, b in zip(genes, child))
         assert flips / (trials * len(genes)) == pytest.approx(0.1, abs=0.01)
 
     @given(
@@ -532,9 +624,9 @@ class TestMutate:
     )
     def test_alleles_stay_valid(self, args):
         genes, seed = args
-        mutated = mutate(genes, 0.5, np.random.default_rng(seed))
         m = len(genes)
-        assert all(1 <= g <= m for g in mutated)
+        for child in mutated(genes, 0.5, np.random.default_rng(seed), n=10):
+            assert all(1 <= g <= m for g in child)
 
 
 # Ranges of the replay's bounded integers: a single value (no draw), the
@@ -547,9 +639,17 @@ replay_ops = st.lists(
         st.just(("random",)),
         st.tuples(st.just("integers"), st.integers(-3, 3), st.sampled_from(SPANS)),
         st.tuples(st.just("below"), st.sampled_from(SPANS)),
+        st.tuples(st.just("sized"), st.integers(-3, 3), st.sampled_from(SPANS), st.integers(0, 9)),
         st.just(("sync",)),
     ),
     max_size=80,
+)
+
+# Crossover masks of the sizes a chromosome takes, mixed with doubles and
+# mid-sequence syncs.
+mask_ops = st.lists(
+    st.one_of(st.sampled_from([1, 2, 3, 8, 24]), st.just("sync"), st.just("random")),
+    max_size=30,
 )
 
 
@@ -576,9 +676,37 @@ class TestPcgDraws:
                 assert value == ref.integers(low, low + span)
             elif op[0] == "below":
                 assert draws.integers(op[1]) == ref.integers(op[1])
+            elif op[0] == "sized":
+                low, span, size = op[1:]
+                values = draws.integers(low, low + span, size=size)
+                assert values == ref.integers(low, low + span, size=size).tolist()
             else:
                 draws.sync()
                 assert rng.bit_generator.state == ref.bit_generator.state
+        draws.sync()
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    @settings(max_examples=300, deadline=None)
+    @given(mask_ops, st.integers(0, 2**64 - 1), st.integers(0, 2), st.sampled_from([1, 3, 256]))
+    def test_mask_draw_equals_numpy(self, ops, seed, warmup, block):
+        """`integers(0, 2, size=M)`, read from the top bits of M 32-bit
+        draws, gives numpy's values and leaves numpy's state, starting with
+        no held half (warm-up 0), a buffered one (1) or a stale one (2)."""
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(warmup):
+            rng.integers(0, 2)
+            ref.integers(0, 2)
+        draws = PcgDraws(rng, block=block)
+        for op in ops:
+            if op == "sync":
+                draws.sync()
+                assert rng.bit_generator.state == ref.bit_generator.state
+            elif op == "random":
+                assert draws.random() == ref.random()
+            else:
+                mask = draws.integers(0, 2, size=op)
+                assert all(type(bit) is int for bit in mask)
+                assert mask == ref.integers(0, 2, size=op).tolist()
         draws.sync()
         assert rng.bit_generator.state == ref.bit_generator.state
 
@@ -597,8 +725,11 @@ class TestPcgDraws:
 
     @pytest.mark.parametrize("low, high", [(0, 2**32 + 1), (-1, 2**32), (3, 3), (5, 4)])
     def test_range_outside_one_to_two_pow_32_values_rejected(self, low, high):
+        draws = PcgDraws(np.random.default_rng(0))
         with pytest.raises(ValueError, match="must hold 1 to 2\\*\\*32 values"):
-            PcgDraws(np.random.default_rng(0)).integers(low, high)
+            draws.integers(low, high)
+        with pytest.raises(ValueError, match="must hold 1 to 2\\*\\*32 values"):
+            draws.integers(low, high, size=3)
 
 
 def numpy_breed(archive, params, rng):

@@ -527,6 +527,30 @@ class TestCli:
         assert err.startswith(f"error: malformed config file {str(cfg)!r}: ")
         assert message in err
 
+    @pytest.mark.parametrize(
+        "section, key, raw, kind",
+        [
+            ("ga", "population_size", "abc", "an integer"),
+            ("ga", "mutation_rate", "often", "a number"),
+            ("run", "seed", "4.5", "an integer"),
+            ("aco", "alpha", "1,5", "a number"),
+        ],
+    )
+    def test_unconvertible_config_value_names_file_section_and_key(
+        self, tmp_path, capsys, section, key, raw, kind
+    ):
+        manifest = tmp_path / "m.tsv"
+        manifest.write_text("one\t11\t9,8,10,9\t1.0\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[{section}]\n{key} = {raw}\n")
+        out = tmp_path / "bench"
+        code = main(["benchmark", "--manifest", str(manifest), "--config", str(cfg),
+                     "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == f"error: config file {str(cfg)!r}: [{section}] {key} = {raw!r} is not {kind}\n"
+        assert not out.exists()
+
     def test_e_stop_at_most_one_exits_one(self, tmp_path, capsys):
         manifest = tmp_path / "m.tsv"
         manifest.write_text("one\t11\t9,8,10,9\t1.0\n")

@@ -19,6 +19,9 @@ TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 # Counters of the one-row traced benchmark below (4 SSEs, seed 3, 2 simulations).
 WORK = {
     "moga.evaluations": 3000,
+    # strength_ranks once per generation on the whole pool, n(n - 1) each:
+    # 20 x 19 for the first generation's population, then 149 x 32 x 31.
+    "moga.dominance_tests": 148_188,
     "aco.local_ant_steps": 271,
     "aco.global_iterations": 60,
     # Each distinct graph profiled once: 1 SSE-level family profile x 4
