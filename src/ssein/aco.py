@@ -44,7 +44,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from .contact import Edge, SseInGraph
-from .metrics import TopologicalProfile, is_compatible, left_sum
+from .metrics import TopologicalProfile, left_sum, profile_deviation
 
 
 class FamilyMatchError(ValueError):
@@ -456,8 +456,14 @@ def global_aco(
     return GlobalResult(selected, tuple(normalized[kept].tolist()), shortfall, iterations)
 
 
+GATE_TOLERANCE = 0.2
+
+
 def validate_built_network(
-    built_profile: TopologicalProfile, family_profile: TopologicalProfile, tol: float = 0.2
+    built_profile: TopologicalProfile, family_profile: TopologicalProfile
 ) -> bool:
-    """Accept a built SSE-IN iff its topological profile is family-compatible."""
-    return is_compatible(built_profile, family_profile, tol)
+    """The family gate: accept a built SSE-IN iff every field of its
+    topological profile is within `GATE_TOLERANCE` of the family's, the
+    boundary included.  The family's fields are positive: `pipeline`
+    refuses a family otherwise."""
+    return profile_deviation(built_profile, family_profile) <= GATE_TOLERANCE

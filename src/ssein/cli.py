@@ -33,24 +33,28 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_REJECTED = 2
 
-_RUN_KEYS = {"threshold": float, "seed": int, "simulations": int, "output_dir": str}
-_GA_KEYS = {
-    "population_size": int,
-    "archive_size": int,
-    "generations": int,
-    "k": int,
-    "crossover_rate": float,
-    "mutation_rate": float,
-}
-_ACO_KEYS = {
-    "alpha": float,
-    "beta": float,
-    "rho": float,
-    "delta_tau": float,
-    "e_stop": float,
-    "lambda_min": float,
-    "max_iterations": int,
-    "initial_tau": float,
+# Config section -> key -> type.  The command-line flags that override a
+# key store their value under the key's name.
+_SCHEMA = {
+    "run": {"threshold": float, "seed": int, "simulations": int, "output_dir": str},
+    "ga": {
+        "population_size": int,
+        "archive_size": int,
+        "generations": int,
+        "k": int,
+        "crossover_rate": float,
+        "mutation_rate": float,
+    },
+    "aco": {
+        "alpha": float,
+        "beta": float,
+        "rho": float,
+        "delta_tau": float,
+        "e_stop": float,
+        "lambda_min": float,
+        "max_iterations": int,
+        "initial_tau": float,
+    },
 }
 
 
@@ -80,15 +84,14 @@ def _load_config_file(path: str) -> dict[str, dict[str, object]]:
         raise ValueError(f"malformed config file {path!r}: {exc}") from None
     if not read:
         raise ValueError(f"cannot read config file {path!r}")
-    sections: dict[str, dict[str, object]] = {"run": {}, "ga": {}, "aco": {}}
-    schema = {"run": _RUN_KEYS, "ga": _GA_KEYS, "aco": _ACO_KEYS}
+    sections: dict[str, dict[str, object]] = {section: {} for section in _SCHEMA}
     for section, items in raw_sections.items():
-        if section not in schema:
-            raise ValueError(f"unknown config section [{section}]")
+        if section not in _SCHEMA:
+            raise ValueError(f"config file {path!r}: unknown section [{section}]")
         for key, raw in items.items():
-            if key not in schema[section]:
-                raise ValueError(f"unknown config key {key!r} in [{section}]")
-            convert = schema[section][key]
+            if key not in _SCHEMA[section]:
+                raise ValueError(f"config file {path!r}: unknown key {key!r} in [{section}]")
+            convert = _SCHEMA[section][key]
             try:
                 sections[section][key] = convert(raw)
             except ValueError:
@@ -100,40 +103,24 @@ def _load_config_file(path: str) -> dict[str, dict[str, object]]:
 
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
-    sections = {"run": {}, "ga": {}, "aco": {}}
-    if getattr(args, "config", None):
-        sections = _load_config_file(args.config)
-
-    run = dict(sections["run"])
-    for flag, key in (
-        ("threshold", "threshold"),
-        ("seed", "seed"),
-        ("simulations", "simulations"),
-        ("out", "output_dir"),
-    ):
-        value = getattr(args, flag, None)
-        if value is not None:
-            run[key] = value
+    """The config file's values, overridden by the flags given, which are
+    the only ones `args` holds."""
+    given = vars(args)
+    sections = {section: {} for section in _SCHEMA}
+    if given.get("config"):
+        sections = _load_config_file(given["config"])
+    for section, keys in _SCHEMA.items():
+        sections[section].update((key, given[key]) for key in keys if key in given)
     if args.command == "benchmark":
-        run.setdefault("simulations", 20)  # desk-scale default
-
-    ga = dict(sections["ga"])
-    for flag, key in (
-        ("pop", "population_size"),
-        ("archive", "archive_size"),
-        ("generations", "generations"),
-    ):
-        value = getattr(args, flag, None)
-        if value is not None:
-            ga[key] = value
+        sections["run"].setdefault("simulations", 20)  # desk-scale default
 
     return RunConfig(
-        pdb_path=getattr(args, "pdb", None),
-        family_index_path=getattr(args, "family", None),
-        manifest_path=getattr(args, "manifest", None),
-        ga=GaParams(**ga),
+        pdb_path=given.get("pdb"),
+        family_index_path=given.get("family"),
+        manifest_path=given.get("manifest"),
+        ga=GaParams(**sections["ga"]),
         aco=AcoParams(**sections["aco"]),
-        **run,
+        **sections["run"],
     )
 
 
@@ -175,25 +162,27 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ssein", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    predict = sub.add_parser("predict", help="predict one protein against its family")
+    # Unset flags stay out of the namespace, so they cannot mask the config file.
+    quiet = {"argument_default": argparse.SUPPRESS}
+    predict = sub.add_parser("predict", help="predict one protein against its family", **quiet)
     predict.add_argument("--pdb", required=True, help="query structure file")
     predict.add_argument("--family", required=True, help="family index TSV")
     predict.add_argument("--config", help="key=value config file")
     predict.add_argument("--threshold", type=float, help="contact threshold in Å")
     predict.add_argument("--seed", type=int, help="master RNG seed")
-    predict.add_argument("--pop", type=int, help="GA population size")
-    predict.add_argument("--archive", type=int, help="GA archive size")
+    predict.add_argument("--pop", dest="population_size", type=int, help="GA population size")
+    predict.add_argument("--archive", dest="archive_size", type=int, help="GA archive size")
     predict.add_argument("--generations", type=int, help="GA generation budget")
     predict.add_argument("--simulations", type=int, help="max colony attempts")
-    predict.add_argument("--out", help="output directory")
+    predict.add_argument("--out", dest="output_dir", help="output directory")
     predict.set_defaults(func=_cmd_predict)
 
-    bench = sub.add_parser("benchmark", help="score planted instances from a manifest")
+    bench = sub.add_parser("benchmark", help="score planted instances from a manifest", **quiet)
     bench.add_argument("--manifest", required=True, help="instance manifest TSV")
     bench.add_argument("--config", help="key=value config file")
     bench.add_argument("--seed", type=int, help="master RNG seed")
     bench.add_argument("--simulations", type=int, help="simulations per instance")
-    bench.add_argument("--out", help="output directory")
+    bench.add_argument("--out", dest="output_dir", help="output directory")
     bench.set_defaults(func=_cmd_benchmark)
     return parser
 

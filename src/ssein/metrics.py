@@ -1,13 +1,14 @@
-"""Graph topology measurements, the family compatibility gate and error scores.
+"""Graph topology measurements, profile deviation and error scores.
 
 The topological profile (diameter, characteristic path length, mean degree,
-clustering coefficient) summarizes a graph; families of proteins accept a
-candidate network when every profile field deviates at most 20% from the
-family template.  Hop distances come from one breadth-first search run from
-all sources at once over per-vertex bitsets.  Of equal largest components,
-the one holding the earliest vertex in input order is measured, and float
-sums run left to right in vertex order, so profiles are exact across Python
-versions (builtin `sum` over floats is compensated from 3.12 on).
+clustering coefficient) summarizes a graph; `profile_deviation` is the
+largest relative field deviation from a family template, which the family
+gate, `aco.validate_built_network`, bounds.  Hop distances come from one
+breadth-first search run from all sources at once over per-vertex bitsets.
+Of equal largest components, the one holding the earliest vertex in input
+order is measured, and float sums run left to right in vertex order, so
+profiles are exact across Python versions (builtin `sum` over floats is
+compensated from 3.12 on).
 
 The error rate reads SSE graphs as link sets; `incidence_matrix` builds
 the M x M matrix only for the report files.
@@ -148,21 +149,6 @@ def topological_profile(
     clustering = clustering_sum / n
 
     return TopologicalProfile(float(diameter), cpl, mean_degree, clustering)
-
-
-def is_compatible(
-    candidate: TopologicalProfile, template: TopologicalProfile, tol: float
-) -> bool:
-    """Every profile field within a relative tolerance of the template.
-
-    The boundary is inclusive: a field deviating exactly `tol` still passes.
-    """
-    if not 0 < tol < 1:
-        raise ValueError(f"tol must be in (0, 1), got {tol}")
-    for name, t in template.as_dict().items():
-        if t <= 0:
-            raise ValueError(f"template {name} must be positive, got {t}")
-    return profile_deviation(candidate, template) <= tol
 
 
 def profile_deviation(candidate: TopologicalProfile, template: TopologicalProfile) -> float:

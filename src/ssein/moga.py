@@ -406,8 +406,6 @@ class PcgDraws:
             return self._sized(low, span, size)
         if span == 1:
             return low
-        if span == 1 << 32:
-            return low + self._next32()
         m = self._next32() * span
         if m & 0xFFFFFFFF < span:
             threshold = (0xFFFFFFFF - (span - 1)) % span

@@ -2,13 +2,14 @@
 
 Prediction and benchmark share one path.  `_family_profiles` profiles the
 template family (failing fast on a family the topology gate cannot use);
-`_ga_stage` splits the seed, runs the evolutionary SSE-graph stage and
-estimates the edge budget.  `pair_heuristics` builds each SSE pair's
-colony graph once, and `gated_attempts` then yields one colony
-simulation at a time: the two-stage ant colony, the topological profile of
-the built SSE-IN (the query's intra-SSE edges plus the selected shortcuts,
-each distinct one profiled once per run) and the family gate's verdict.
-The family profiles likewise profile each distinct template graph once.
+`_stages` runs the rest in order: it splits the seed, runs the evolutionary
+SSE-graph stage, estimates the edge budget, has `pair_heuristics` build
+each SSE pair's colony graph once, and hands back `gated_attempts`, which
+yields one colony simulation at a time: the two-stage ant colony, the
+topological profile of the built SSE-IN (the query's intra-SSE edges plus
+the selected shortcuts, each distinct one profiled once per run) and the
+family gate's verdict.  The family profiles likewise profile each distinct
+template graph once.
 `run_predict` stops at the first accepted attempt and reports it, or the
 last attempt if none passes;
 `run_benchmark` consumes every attempt of each planted instance and scores
@@ -38,7 +39,7 @@ import logging
 import math
 import statistics
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, astuple, dataclass, field
 from pathlib import Path
 from typing import Collection, Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -67,7 +68,7 @@ from .metrics import (
     topological_profile,
 )
 from .moga import GaParams, Individual, SseContext, run_moga
-from .synth import PlantedInstance, make_planted_instance
+from .synth import PlantedInstance, check_planted_shape, make_planted_instance
 
 logger = logging.getLogger("ssein")
 
@@ -240,27 +241,16 @@ class RunReport:
     timings: dict[str, float] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        """Deterministic report payload (timings deliberately excluded)."""
-        return {
-            "protein_id": self.protein_id,
-            "sse_count": self.sse_count,
-            "sse_sizes": list(self.sse_sizes),
-            "incidence": self.incidence.astype(int).tolist(),
-            "e_p": self.e_p,
-            "e_candidates": self.e_candidates,
-            "e_selected": self.e_selected,
-            "e_real": self.e_real,
-            "ac": self.ac,
-            "shortcut_score": self.shortcut_score,
-            "incidence_error_rate": self.incidence_error_rate,
-            "built_profile": self.built_profile.as_dict(),
-            "family_profile": self.family_profile.as_dict(),
-            "shortcut_edges": [[u, v] for u, v, *_ in self.shortcut_rows],
-            "verdict": self.verdict,
-            "attempts": self.attempts,
-            "seed": self.seed,
-            "config": self.config,
-        }
+        """Deterministic report payload: every field but the timings, with
+        the shortcut rows reduced to their edges."""
+        payload = asdict(self)
+        del payload["timings"]
+        payload.update(
+            sse_sizes=list(self.sse_sizes),
+            incidence=self.incidence.astype(int).tolist(),
+            shortcut_edges=[[u, v] for u, v, *_ in payload.pop("shortcut_rows")],
+        )
+        return payload
 
 
 def emit_report(report: RunReport) -> str:
@@ -297,24 +287,31 @@ def _family_profiles(
     return profile_sse, profile_residue
 
 
-def _ga_stage(
+def _stages(
+    query: SseInGraph,
     ctx: SseContext,
-    sse_sizes: Sequence[int],
     templates: Mapping[str, SseInGraph],
-    profile_sse: TopologicalProfile,
+    profiles: tuple[TopologicalProfile, TopologicalProfile],
     config: RunConfig,
     seed_seq: np.random.SeedSequence,
-) -> tuple[Individual, int, list[np.random.SeedSequence]]:
-    """Everything between the family profiles and the colony stage: split
-    the seed into the GA stream and one stream per simulation, run the GA
-    and estimate the edge budget E_p of a query with these SSE sizes.
+    pairs: Optional[Sequence[tuple[int, int]]] = None,
+) -> tuple[Individual, int, Iterator[tuple[AttemptOutcome, TopologicalProfile, bool]]]:
+    """Both stages after the family profiles: split the seed into the GA
+    stream and one stream per simulation, run the GA, estimate the edge
+    budget E_p, build the colony graphs of `pairs` (the GA's links by
+    default) and hand back the gated attempts, still lazy.
 
-    Returns (the GA's best individual, E_p, simulation streams).
+    Returns (the GA's best individual, E_p, the attempts).
     """
+    profile_sse, profile_residue = profiles
     moga_seq, *sim_seqs = seed_seq.spawn(1 + config.simulations)
     best = run_moga(ctx, config.ga, profile_sse, np.random.default_rng(moga_seq))
-    e_p = estimate_edge_budget(sse_sizes, templates)
-    return best, e_p, sim_seqs
+    e_p = estimate_edge_budget(query.sse_sizes, templates)
+    if pairs is None:
+        pairs = best.links
+    graphs = pair_heuristics(pairs, query.sse_sizes, templates.values(), e_p, config.aco)
+    attempts = gated_attempts(query, pairs, graphs, e_p, profile_residue, config.aco, sim_seqs)
+    return best, e_p, attempts
 
 
 def gated_attempts(
@@ -342,7 +339,7 @@ def gated_attempts(
                 query.vertices, query.intra_edges + outcome.selected
             )
         profile = built[outcome.selected]
-        yield outcome, profile, validate_built_network(profile, family_profile, tol=0.2)
+        yield outcome, profile, validate_built_network(profile, family_profile)
 
 
 def run_predict(config: RunConfig) -> RunReport:
@@ -375,15 +372,12 @@ def run_predict(config: RunConfig) -> RunReport:
     t_ingest = time.perf_counter()
 
     ctx = SseContext.from_structure(protein)
-    profile_sse, profile_residue = _family_profiles(matching.values(), index.family_id)
-    best, e_p, sim_seqs = _ga_stage(
-        ctx, query.sse_sizes, matching, profile_sse, config, np.random.SeedSequence(config.seed)
+    profiles = _family_profiles(matching.values(), index.family_id)
+    best, e_p, gated = _stages(
+        query, ctx, matching, profiles, config, np.random.SeedSequence(config.seed)
     )
-    t_moga = time.perf_counter()
+    t_moga = time.perf_counter()  # the colony graphs count here, the attempts below
 
-    pairs = best.links
-    graphs = pair_heuristics(pairs, query.sse_sizes, matching.values(), e_p, config.aco)
-    gated = gated_attempts(query, pairs, graphs, e_p, profile_residue, config.aco, sim_seqs)
     # simulations >= 1, so the loop always binds the reported attempt
     for attempt, (outcome, built_profile, accepted) in enumerate(gated, start=1):
         if accepted:
@@ -414,7 +408,7 @@ def run_predict(config: RunConfig) -> RunReport:
         shortcut_score=score,
         incidence_error_rate=link_error_rate(best.links, query.sse_links(), query.sse_count),
         built_profile=built_profile,
-        family_profile=profile_residue,
+        family_profile=profiles[1],
         verdict=verdict,
         attempts=attempt,
         seed=config.seed,
@@ -443,12 +437,16 @@ class ManifestRow:
     def __post_init__(self):
         if self.gen_seed < 0:
             raise ValueError(f"generator seed must be non-negative, got {self.gen_seed}")
+        check_planted_shape(
+            self.instance_id, self.sse_sizes, self.boost_fraction, self.shortcuts_per_pair
+        )
 
 
 def parse_manifest(text: str) -> list[ManifestRow]:
     """Benchmark manifest: id, generator seed, SSE sizes csv, boost fraction,
     optional shortcuts per pair; tab-separated, # comments allowed.  Ids
-    must be distinct."""
+    must be distinct, and each row must pass the generator's rules, so a
+    bad row fails, naming its line, before any instance runs."""
     rows = []
     seen: set[str] = set()
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -508,14 +506,9 @@ class BenchmarkResult:
             "ac\tincidence_error_rate\taccepted_fraction\n"
         )
         lines = [header]
-        for r in self.rows:
-            lines.append(
-                f"{r.instance_id}\t{r.n_templates}\t{r.residues}\t{r.sse_count}\t"
-                f"{r.e_real}\t{r.e_p}\t{r.simulations}\t{r.score_mean:.6f}\t"
-                f"{r.score_stddev:.6f}\t{r.score_median:.6f}\t"
-                f"{r.local_recovery_median:.6f}\t{r.ac:.6f}\t"
-                f"{r.incidence_error_rate:.6f}\t{r.accepted_fraction:.6f}\n"
-            )
+        for row in self.rows:
+            cells = (f"{x:.6f}" if isinstance(x, float) else str(x) for x in astuple(row))
+            lines.append("\t".join(cells) + "\n")
         return "".join(lines)
 
     def curve_csv(self) -> str:
@@ -537,26 +530,22 @@ def benchmark_instance(
     """
     query = instance.query
     templates = instance.templates
-    profile_sse, profile_residue = _family_profiles(templates.values(), instance.instance_id)
+    profiles = _family_profiles(templates.values(), instance.instance_id)
     e_real = len(query.shortcut_edges)
     if e_real == 0:
         raise ValueError(
             f"instance {instance.instance_id}: no planted shortcut edge to score against"
         )
-    best, e_p, sim_seqs = _ga_stage(
-        instance.ctx, query.sse_sizes, templates, profile_sse, config, seed_seq
-    )
     pairs = query.sse_links()
-    error_rate = link_error_rate(best.links, pairs, query.sse_count)
-    graphs = pair_heuristics(pairs, query.sse_sizes, templates.values(), e_p, config.aco)
+    best, e_p, attempts = _stages(
+        query, instance.ctx, templates, profiles, config, seed_seq, pairs
+    )
     truth = set(query.shortcut_edges)
 
     scores = []
     recoveries = []
     accepted = 0
-    for outcome, _, passed in gated_attempts(
-        query, pairs, graphs, e_p, profile_residue, config.aco, sim_seqs
-    ):
+    for outcome, _, passed in attempts:
         recoveries.append(len(set(outcome.candidates) & truth) / e_real)
         scores.append(len(set(outcome.selected) & truth) / e_real)
         accepted += passed
@@ -575,8 +564,8 @@ def benchmark_instance(
         score_median=statistics.median(scores),
         local_recovery_median=statistics.median(recoveries),
         ac=prediction_accuracy(e_real, e_p) if e_p > 0 else float("nan"),
-        incidence_error_rate=error_rate,
-        accepted_fraction=accepted / len(sim_seqs),
+        incidence_error_rate=link_error_rate(best.links, pairs, query.sse_count),
+        accepted_fraction=accepted / config.simulations,
     )
 
 

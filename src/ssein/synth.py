@@ -53,6 +53,27 @@ def _intra_edges(first: int, last: int) -> list[Edge]:
     ]
 
 
+def check_planted_shape(
+    instance_id: str,
+    sse_sizes: tuple[int, ...],
+    boost_fraction: float,
+    shortcuts_per_pair: int,
+) -> None:
+    """The generator's rules for an instance: at least 2 SSEs, each of at
+    least one residue, at least one shortcut per planted pair and a boost
+    fraction in [0, 1] (NaN fails the comparison and is refused)."""
+    if len(sse_sizes) < 2:
+        raise ValueError(f"instance {instance_id}: planted instances need at least 2 SSEs")
+    if shortcuts_per_pair < 1:
+        raise ValueError(
+            f"instance {instance_id}: shortcuts_per_pair must be >= 1, got {shortcuts_per_pair}"
+        )
+    if not 0.0 <= boost_fraction <= 1.0:
+        raise ValueError(f"instance {instance_id}: boost_fraction must be in [0, 1]")
+    if min(sse_sizes) < 1:
+        raise ValueError(f"instance {instance_id}: SSE sizes must be positive")
+
+
 def make_planted_instance(
     instance_id: str,
     sse_sizes: tuple[int, ...],
@@ -69,23 +90,14 @@ def make_planted_instance(
     up in the templates, every one of the `n_templates` (and hence in the
     occurrence matrix Q).
     """
-    m = len(sse_sizes)
-    if m < 2:
-        raise ValueError(f"instance {instance_id}: planted instances need at least 2 SSEs")
-    if shortcuts_per_pair < 1:
-        raise ValueError(
-            f"instance {instance_id}: shortcuts_per_pair must be >= 1, got {shortcuts_per_pair}"
-        )
-    if not 0.0 <= boost_fraction <= 1.0:
-        raise ValueError(f"instance {instance_id}: boost_fraction must be in [0, 1]")
+    check_planted_shape(instance_id, sse_sizes, boost_fraction, shortcuts_per_pair)
     if n_templates < 1:
         raise ValueError(f"instance {instance_id}: need at least one template")
 
+    m = len(sse_sizes)
     ranges = []
     start = 1
     for size in sse_sizes:
-        if size < 1:
-            raise ValueError(f"instance {instance_id}: SSE sizes must be positive")
         ranges.append((start, start + size - 1))
         start += size
     sse_ranges = tuple(ranges)

@@ -826,7 +826,7 @@ class TestValidateBuiltNetwork:
     def test_template_accepts_itself(self):
         graph = make_planted_instance("v", (7, 7, 7, 7), np.random.default_rng(2)).query
         profile = topological_profile(graph.vertices, graph.edges)
-        assert validate_built_network(profile, profile, tol=0.2)
+        assert validate_built_network(profile, profile)
 
     def test_gross_distortion_rejected(self):
         graph = make_planted_instance("v", (7, 7, 7, 7), np.random.default_rng(2)).query
@@ -834,7 +834,7 @@ class TestValidateBuiltNetwork:
         # strip every shortcut: the graph falls apart into SSE chains
         stripped = replace(graph, shortcut_edges=())
         built = topological_profile(stripped.vertices, stripped.edges)
-        assert not validate_built_network(built, profile, tol=0.2)
+        assert not validate_built_network(built, profile)
 
     def test_acceptance_degrades_with_perturbation(self):
         inst = make_planted_instance(
@@ -854,7 +854,7 @@ class TestValidateBuiltNetwork:
                 kept = tuple(shortcuts[i] for i in sorted(keep_idx))
                 graph = replace(truth, shortcut_edges=kept)
                 built = topological_profile(graph.vertices, graph.edges)
-                accepted += validate_built_network(built, profile, tol=0.2)
+                accepted += validate_built_network(built, profile)
             acceptance.append(accepted)
         assert acceptance[0] == 10  # unperturbed always accepted
         assert acceptance[-1] < 10  # fully stripped mostly rejected

@@ -13,12 +13,12 @@ from ssein.metrics import (
     TopologicalProfile,
     _adjacency,
     incidence_matrix,
-    is_compatible,
     link_error_rate,
     prediction_accuracy,
     profile_deviation,
     topological_profile,
 )
+from ssein.aco import GATE_TOLERANCE, validate_built_network
 from ssein.moga import decode, gene_links, modularity
 
 
@@ -357,29 +357,28 @@ class TestLargeGraphProfiles:
 
 
 class TestIsCompatible:
+    """The family gate, `aco.validate_built_network`: is a built profile
+    compatible with the family's?"""
+
     TEMPLATE = TopologicalProfile(5.0, 2.5, 4.0, 0.5)
 
     def test_identical_profiles(self):
-        assert is_compatible(self.TEMPLATE, self.TEMPLATE, 0.2)
+        assert validate_built_network(self.TEMPLATE, self.TEMPLATE)
 
     def test_one_field_25_percent_off(self):
         candidate = TopologicalProfile(5.0, 2.5, 5.0, 0.5)  # mean_degree +25%
-        assert not is_compatible(candidate, self.TEMPLATE, 0.2)
+        assert not validate_built_network(candidate, self.TEMPLATE)
 
     def test_exactly_20_percent_is_inclusive(self):
+        assert GATE_TOLERANCE == 0.2
         candidate = TopologicalProfile(6.0, 3.0, 4.8, 0.6)  # all fields +20%
-        assert is_compatible(candidate, self.TEMPLATE, 0.2)
+        assert validate_built_network(candidate, self.TEMPLATE)
 
     def test_self_compatibility_any_tol(self):
-        for tol in (0.01, 0.1, 0.5, 0.99):
-            assert is_compatible(self.TEMPLATE, self.TEMPLATE, tol)
-
-    def test_preconditions(self):
-        with pytest.raises(ValueError):
-            is_compatible(self.TEMPLATE, self.TEMPLATE, 0.0)
-        zero = TopologicalProfile(0.0, 0.0, 0.0, 0.0)
-        with pytest.raises(ValueError):
-            is_compatible(self.TEMPLATE, zero, 0.2)
+        # a profile deviates by 0 from itself, so no tolerance can reject it
+        for template in (self.TEMPLATE, TopologicalProfile(1.0, 1.0, 0.5, 1.0)):
+            assert profile_deviation(template, template) == 0.0
+            assert validate_built_network(template, template)
 
     def test_profile_deviation_zero_template_field(self):
         zero = TopologicalProfile(0.0, 0.0, 0.0, 0.0)

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from ssein.aco import AcoParams, Colony, ColonyGraph, FamilyMatchError, edge_pro
 from ssein.cli import main
 from ssein.pipeline import (
     DegenerateFamilyError,
+    InstanceResult,
     RunConfig,
     benchmark_instance,
     emit_report,
@@ -130,6 +132,17 @@ class TestEmitReport:
         assert list(parsed) == sorted(parsed)
         assert emit_report(report) == text
 
+    def test_report_key_set_is_pinned(self, tmp_path):
+        # every RunReport field but the timings enters the report, the
+        # shortcut rows as their edges; a new field must be added here
+        report = run_predict(predict_config(tmp_path))
+        assert sorted(json.loads(emit_report(report))) == [
+            "ac", "attempts", "built_profile", "config", "e_candidates", "e_p", "e_real",
+            "e_selected", "family_profile", "incidence", "incidence_error_rate",
+            "protein_id", "seed", "shortcut_edges", "shortcut_score", "sse_count",
+            "sse_sizes", "verdict",
+        ]
+
     def test_incidence_tsv(self):
         text = incidence_to_tsv(np.array([[0, 1], [1, 0]]))
         assert text == "0\t1\n1\t0\n"
@@ -159,6 +172,25 @@ class TestManifest:
     def test_bad_row_names_line(self):
         with pytest.raises(ValueError, match="line 2"):
             parse_manifest("a\t3\t8,9\t0.5\nb\tx\t8,9\t0.5\n")
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("b\t2\t8\t0.5", "instance b: planted instances need at least 2 SSEs"),
+            ("b\t2\t5,0,5\t0.5", "instance b: SSE sizes must be positive"),
+            ("b\t2\t5,-3,5\t0.5", "instance b: SSE sizes must be positive"),
+            ("b\t2\t5,5\t1.5", "instance b: boost_fraction must be in [0, 1]"),
+            ("b\t2\t5,5\t-0.1", "instance b: boost_fraction must be in [0, 1]"),
+            ("b\t2\t5,5\tnan", "instance b: boost_fraction must be in [0, 1]"),
+            ("b\t2\t5,5\t0.5\t0", "instance b: shortcuts_per_pair must be >= 1, got 0"),
+        ],
+        ids=["one-sse", "zero-size", "negative-size", "boost-above", "boost-below",
+             "boost-nan", "no-shortcuts"],
+    )
+    def test_generator_rules_name_line(self, row, message):
+        with pytest.raises(ValueError) as info:
+            parse_manifest(f"a\t3\t8,9\t0.5\n{row}\n")
+        assert str(info.value) == f"manifest line 2: {message}"
 
 
 class TestBenchmark:
@@ -207,6 +239,15 @@ class TestBenchmark:
         assert "one\t" in table
         curve = result.curve_csv()
         assert curve.splitlines()[0] == "local_recovery,global_score"
+
+    def test_table_has_one_column_per_result_field(self, tmp_path):
+        # rows are written field by field, so the header must match them
+        manifest = tmp_path / "m.tsv"
+        manifest.write_text("one\t11\t9,8,10,9\t1.0\n")
+        result = run_benchmark(RunConfig(manifest_path=str(manifest), simulations=2))
+        header, row = result.table_tsv().splitlines()
+        assert len(header.split("\t")) == len(fields(InstanceResult))
+        assert len(row.split("\t")) == len(fields(InstanceResult))
 
     def test_benchmark_isolates_colony_stage(self):
         instance = make_planted_instance(
@@ -386,6 +427,21 @@ class TestCli:
         err = capsys.readouterr().err
         assert code == 1
         assert "instance neg: shortcuts_per_pair must be >= 1, got -1" in err
+
+    def test_bad_manifest_row_fails_before_any_instance_runs(self, tmp_path, capsys, monkeypatch):
+        ran = []
+        monkeypatch.setattr(pipeline, "benchmark_instance", lambda *args: ran.append(args))
+        manifest = tmp_path / "m.tsv"
+        manifest.write_text("a\t1\t6,6,6,6\t1.0\nb\t2\t5,0,5\t0.5\n")
+        out = tmp_path / "bench"
+        code = main(
+            ["benchmark", "--manifest", str(manifest), "--simulations", "2", "--out", str(out)]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == "error: manifest line 2: instance b: SSE sizes must be positive\n"
+        assert ran == []
+        assert not out.exists()
 
     def test_negative_generator_seed_exits_one(self, tmp_path, capsys):
         manifest = tmp_path / "m.tsv"
@@ -572,6 +628,36 @@ class TestCli:
             ["predict", "--pdb", str(query), "--family", str(index), "--config", str(cfg)]
         )
         assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: config file {str(cfg)!r}: unknown key 'bogus' in [run]\n"
+
+    def test_unknown_config_section_exits_one(self, tmp_path, capsys):
+        query, index = write_family(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[colony]\nalpha = 1\n")
+        code = main(
+            ["predict", "--pdb", str(query), "--family", str(index), "--config", str(cfg)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: config file {str(cfg)!r}: unknown section [colony]\n"
+
+    def test_ga_flags_land_under_their_config_keys(self, tmp_path):
+        query, index = write_family(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            f"[run]\noutput_dir = {tmp_path / 'unused'}\n\n"
+            "[ga]\npopulation_size = 30\narchive_size = 9\ngenerations = 40\n"
+        )
+        out = tmp_path / "flags"
+        code = main(
+            ["predict", "--pdb", str(query), "--family", str(index), "--config", str(cfg),
+             "--pop", "10", "--archive", "6", "--generations", "5", "--out", str(out)]
+        )
+        assert code in (0, 2)
+        echo = json.loads((out / "report.json").read_text())["config"]
+        assert (echo["ga"]["population_size"], echo["ga"]["archive_size"]) == (10, 6)
+        assert (echo["ga"]["generations"], echo["output_dir"]) == (5, str(out))
 
     def test_rejected_by_topology_exits_two(self, tmp_path):
         # query helices too far apart to support the dense family topology
