@@ -81,7 +81,6 @@ class GaParams:
     k: Optional[int] = None  # density neighbour; default floor(sqrt(N_p + N_E))
     crossover_rate: float = 0.9
     mutation_rate: float = 0.1
-    tournament_replacement: bool = True
 
     def __post_init__(self):
         if self.population_size < 2:
@@ -127,14 +126,18 @@ class SseContext:
     @cached_property
     def pair_terms(self) -> dict[tuple[int, int], tuple[float, float, float]]:
         """(distance, torsion, hydro) objective terms of each 1-based SSE
-        pair i < j, computed once per context."""
+        pair i < j, computed once per context.  The distance is
+        sqrt((dx*dx + dy*dy) + dz*dz) in Python floats, the contact map's
+        association: no BLAS kernel, chosen per CPU, sets its last bit."""
+        centroids = self.centroids.tolist()
         terms = {}
         for a in range(self.sse_count):
             for b in range(a + 1, self.sse_count):
+                dx, dy, dz = (p - q for p, q in zip(centroids[a], centroids[b]))
                 dphi = _wrap_degrees(self.mean_phi[a] - self.mean_phi[b])
                 dpsi = _wrap_degrees(self.mean_psi[a] - self.mean_psi[b])
                 terms[a + 1, b + 1] = (
-                    float(np.linalg.norm(self.centroids[a] - self.centroids[b])),
+                    math.sqrt((dx * dx + dy * dy) + dz * dz),
                     float((dphi + dpsi) / 2.0),
                     float(self.mean_hydro[a] * self.mean_hydro[b]),
                 )

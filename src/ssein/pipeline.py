@@ -68,7 +68,7 @@ from .metrics import (
     topological_profile,
 )
 from .moga import GaParams, Individual, SseContext, run_moga
-from .synth import PlantedInstance, check_planted_shape, make_planted_instance
+from .synth import PlantedInstance, check_planted_shape, make_planted_instance, planted_pairs
 
 logger = logging.getLogger("ssein")
 
@@ -100,7 +100,10 @@ class RunConfig:
 
     def echo(self) -> dict:
         """Full parameter echo with every default resolved."""
-        return {**asdict(self), "ga": {**asdict(self.ga), "k": self.ga.effective_k()}}
+        # `breed` always draws its tournaments with replacement: a constant,
+        # echoed so that report.json keeps its bytes until it is re-recorded.
+        ga = {**asdict(self.ga), "k": self.ga.effective_k(), "tournament_replacement": True}
+        return {**asdict(self), "ga": ga}
 
 
 def mean_profile(profiles: Sequence[TopologicalProfile]) -> TopologicalProfile:
@@ -440,6 +443,11 @@ class ManifestRow:
         check_planted_shape(
             self.instance_id, self.sse_sizes, self.boost_fraction, self.shortcuts_per_pair
         )
+        if not planted_pairs(len(self.sse_sizes)):
+            raise ValueError(
+                f"instance {self.instance_id}: {len(self.sse_sizes)} SSEs plant no "
+                "shortcut edge to score against"
+            )
 
 
 def parse_manifest(text: str) -> list[ManifestRow]:

@@ -44,6 +44,13 @@ def _cluster_split(m: int) -> list[list[int]]:
     return [list(range(1, split + 1)), list(range(split + 1, m + 1))]
 
 
+def planted_pairs(m: int) -> list[Edge]:
+    """The planted SSE graph over m SSEs: consecutive SSEs within each
+    cluster.  Two SSEs make two one-SSE clusters, so m = 2 plants no pair
+    and hence no shortcut edge; every larger m plants m - 2 pairs."""
+    return [(group[i], group[i + 1]) for group in _cluster_split(m) for i in range(len(group) - 1)]
+
+
 def _intra_edges(first: int, last: int) -> list[Edge]:
     # Helix-like local contacts: neighbours up to three positions apart.
     return [
@@ -103,7 +110,7 @@ def make_planted_instance(
     sse_ranges = tuple(ranges)
 
     groups = _cluster_split(m)
-    pairs = [(group[i], group[i + 1]) for group in groups for i in range(len(group) - 1)]
+    pairs = planted_pairs(m)
 
     shortcuts: list[Edge] = []
     for a, b in pairs:

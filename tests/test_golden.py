@@ -21,8 +21,12 @@ import numpy as np
 from conftest import multi_helix_protein, two_helix_protein
 from ssein.cli import main
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+# The README's boost sweep: one 8-SSE instance per boost fraction.
+DESK_MANIFEST = ROOT / "manifests" / "desk_sweep.tsv"
+# The README's desk benchmark run (20 simulations, the benchmark default).
+DESK_ARGV = ["benchmark", "--manifest", str(DESK_MANIFEST), "--seed", "7", "--out", "bench_out"]
 # numpy's dispatch targets above its X86_V2 baseline (AVX2, AVX-512)
 SIMD_ABOVE_BASELINE = "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"
 # Checks in the child that the targets are really off before running the
@@ -35,8 +39,8 @@ NARROWED_PREDICT = (
     "sys.exit(main(sys.argv[2:]))\n"
 )
 
+DESK_MANIFEST_SHA256 = "1e2e02cf2ee632b39ffbdac8911295ccc98bb0eb307ce371d20d895ffaa9f83a"
 DESK_SWEEP = {
-    "manifest.tsv": "1e2e02cf2ee632b39ffbdac8911295ccc98bb0eb307ce371d20d895ffaa9f83a",
     "benchmark_table.tsv": "d203d0a986fb0ad197746968bba164b9da328e3fdee82dbb4878d40f098ae3de",
     "figure3_curve.csv": "fd64dc97845500e431b78797b1a967ede2bf0a8867f25a0266f56bcafe5876ef",
 }
@@ -60,14 +64,11 @@ def _write_index(count: int, sse_count: int) -> str:
     return "".join(f"t{t}\tt{t}.pdb\t{sse_count}\n" for t in range(1, count + 1))
 
 
-def test_desk_sweep_script_digests(tmp_path, monkeypatch, capsys):
-    """README sweep: the script's default manifest, seed 7, 20 simulations."""
+def test_desk_sweep_script_digests(tmp_path, monkeypatch):
+    """README sweep: the committed manifest, seed 7, 20 simulations."""
     monkeypatch.chdir(tmp_path)
-    monkeypatch.syspath_prepend(str(SCRIPTS))  # as when the script runs directly
-    import run_desk_benchmark
-
-    monkeypatch.setattr(sys, "argv", ["run_desk_benchmark.py", "--out", "bench_out"])
-    assert run_desk_benchmark.main() == 0
+    assert hashlib.sha256(DESK_MANIFEST.read_bytes()).hexdigest() == DESK_MANIFEST_SHA256
+    assert main(DESK_ARGV) == 0
     assert _digests(Path("bench_out"), DESK_SWEEP) == DESK_SWEEP
 
 
@@ -114,14 +115,16 @@ def test_far_helix_rejected_reports_last_attempt(tmp_path, monkeypatch):
 
 
 def test_four_helix_digests_without_wide_simd(tmp_path, monkeypatch):
-    """The same bytes when numpy may not dispatch to AVX2 or AVX-512: the
-    colony's float paths do not depend on the x86 SIMD level."""
+    """The same bytes when numpy may not dispatch to AVX2 or AVX-512 and
+    OpenBLAS runs its oldest x86-64 kernels: the float paths depend neither
+    on the x86 SIMD level nor on the BLAS kernel."""
     monkeypatch.chdir(tmp_path)
     argv = _write_four_helix_family()
     path = os.environ.get("PYTHONPATH")
     env = {
         **os.environ,
         "NPY_DISABLE_CPU_FEATURES": SIMD_ABOVE_BASELINE,
+        "OPENBLAS_CORETYPE": "Prescott",
         "PYTHONPATH": str(SRC) + (os.pathsep + path if path else ""),
     }
     child = subprocess.run(

@@ -217,6 +217,19 @@ class TestObjectives:
         obj = evaluate_objectives(gene_links(genes), ctx)
         assert obj == pytest.approx((dist, torsion, hydro), abs=1e-9)
 
+    def test_pair_distances_bit_for_bit_without_blas(self):
+        """np.linalg.norm's last bit depends on the BLAS kernel the CPU
+        selects; the distance term must be this one formula on every machine."""
+        rng = np.random.default_rng(21)
+        m = 40
+        centroids = rng.normal(scale=20.0, size=(m, 3))
+        ctx = SseContext(centroids, np.zeros(m), np.zeros(m), np.zeros(m))
+        expected = {}
+        for i, j in itertools.combinations(range(1, m + 1), 2):
+            dx, dy, dz = (ctx.centroids[i - 1] - ctx.centroids[j - 1]).tolist()
+            expected[i, j] = math.sqrt((dx * dx + dy * dy) + dz * dz)
+        assert {pair: terms[0] for pair, terms in ctx.pair_terms.items()} == expected
+
 
 def reference_context(structure):
     """SSE features built the long way: phi/psi for every residue of the

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import write_family
-from test_golden import DESK_SWEEP, SCRIPTS
+from test_golden import DESK_ARGV, DESK_SWEEP
 from ssein import aco, pipeline
 from ssein.aco import AcoParams, Colony, ColonyGraph, FamilyMatchError, edge_probabilities
 from ssein.cli import main
@@ -156,13 +156,13 @@ class TestEmitReport:
 
 class TestManifest:
     def test_parse_rows(self):
-        rows = parse_manifest("a\t3\t8,9,10\t0.8\nb\t4\t6,6\t1.0\t2\n")
+        rows = parse_manifest("a\t3\t8,9,10\t0.8\nb\t4\t6,6,6\t1.0\t2\n")
         assert rows[0].sse_sizes == (8, 9, 10)
         assert rows[0].shortcuts_per_pair == 1
         assert rows[1].shortcuts_per_pair == 2
 
     def test_comments_skipped(self):
-        rows = parse_manifest("# header\na\t3\t8,9\t0.5\n")
+        rows = parse_manifest("# header\na\t3\t8,9,10\t0.5\n")
         assert len(rows) == 1
 
     def test_empty_manifest_rejected(self):
@@ -171,7 +171,7 @@ class TestManifest:
 
     def test_bad_row_names_line(self):
         with pytest.raises(ValueError, match="line 2"):
-            parse_manifest("a\t3\t8,9\t0.5\nb\tx\t8,9\t0.5\n")
+            parse_manifest("a\t3\t8,9,10\t0.5\nb\tx\t8,9,10\t0.5\n")
 
     @pytest.mark.parametrize(
         "row, message",
@@ -179,17 +179,18 @@ class TestManifest:
             ("b\t2\t8\t0.5", "instance b: planted instances need at least 2 SSEs"),
             ("b\t2\t5,0,5\t0.5", "instance b: SSE sizes must be positive"),
             ("b\t2\t5,-3,5\t0.5", "instance b: SSE sizes must be positive"),
-            ("b\t2\t5,5\t1.5", "instance b: boost_fraction must be in [0, 1]"),
-            ("b\t2\t5,5\t-0.1", "instance b: boost_fraction must be in [0, 1]"),
-            ("b\t2\t5,5\tnan", "instance b: boost_fraction must be in [0, 1]"),
-            ("b\t2\t5,5\t0.5\t0", "instance b: shortcuts_per_pair must be >= 1, got 0"),
+            ("b\t2\t5,5,5\t1.5", "instance b: boost_fraction must be in [0, 1]"),
+            ("b\t2\t5,5,5\t-0.1", "instance b: boost_fraction must be in [0, 1]"),
+            ("b\t2\t5,5,5\tnan", "instance b: boost_fraction must be in [0, 1]"),
+            ("b\t2\t5,5,5\t0.5\t0", "instance b: shortcuts_per_pair must be >= 1, got 0"),
+            ("b\t2\t5,5\t0.5", "instance b: 2 SSEs plant no shortcut edge to score against"),
         ],
         ids=["one-sse", "zero-size", "negative-size", "boost-above", "boost-below",
-             "boost-nan", "no-shortcuts"],
+             "boost-nan", "no-shortcuts", "two-sses"],
     )
     def test_generator_rules_name_line(self, row, message):
         with pytest.raises(ValueError) as info:
-            parse_manifest(f"a\t3\t8,9\t0.5\n{row}\n")
+            parse_manifest(f"a\t3\t8,9,10\t0.5\n{row}\n")
         assert str(info.value) == f"manifest line 2: {message}"
 
 
@@ -277,11 +278,7 @@ def test_desk_sweep_profiles_each_distinct_graph_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(pipeline, "topological_profile", counting)
     monkeypatch.chdir(tmp_path)
-    monkeypatch.syspath_prepend(str(SCRIPTS))
-    import run_desk_benchmark
-
-    monkeypatch.setattr(sys, "argv", ["run_desk_benchmark.py", "--out", "bench_out"])
-    assert run_desk_benchmark.main() == 0
+    assert main(DESK_ARGV) == 0
     assert calls == {"family SSE": 6, "family residue": 6, "gate": 11}
     table = (tmp_path / "bench_out" / "benchmark_table.tsv").read_bytes()
     assert hashlib.sha256(table).hexdigest() == DESK_SWEEP["benchmark_table.tsv"]
@@ -428,18 +425,28 @@ class TestCli:
         assert code == 1
         assert "instance neg: shortcuts_per_pair must be >= 1, got -1" in err
 
-    def test_bad_manifest_row_fails_before_any_instance_runs(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("b\t2\t5,0,5\t0.5", "instance b: SSE sizes must be positive"),
+            ("solo\t1\t4,4\t1.0", "instance solo: 2 SSEs plant no shortcut edge to score against"),
+        ],
+        ids=["zero-size", "two-sses"],
+    )
+    def test_bad_manifest_row_fails_before_any_instance_runs(
+        self, tmp_path, capsys, monkeypatch, row, message
+    ):
         ran = []
         monkeypatch.setattr(pipeline, "benchmark_instance", lambda *args: ran.append(args))
         manifest = tmp_path / "m.tsv"
-        manifest.write_text("a\t1\t6,6,6,6\t1.0\nb\t2\t5,0,5\t0.5\n")
+        manifest.write_text(f"a\t1\t6,6,6,6\t1.0\n{row}\n")
         out = tmp_path / "bench"
         code = main(
             ["benchmark", "--manifest", str(manifest), "--simulations", "2", "--out", str(out)]
         )
         err = capsys.readouterr().err
         assert code == 1
-        assert err == "error: manifest line 2: instance b: SSE sizes must be positive\n"
+        assert err == f"error: manifest line 2: {message}\n"
         assert ran == []
         assert not out.exists()
 
