@@ -6,7 +6,8 @@ residues belonging to a secondary structure element; its inter-SSE edges are
 the shortcut edges the ant colony stage predicts.
 
 An `SseInGraph` is all the prediction reads of a protein, query or family
-template; a family is a mapping from protein id to its SSE-IN.  Which
+template; a family is read one template SSE-IN at a time, and the
+prediction keeps only each template's shortcut network.  Which
 residue belongs to which SSE is recorded once, as the SSE-IN's ordered
 inclusive residue ranges.  `SseInGraph.sse_index` places residues in SSEs
 with one `np.searchsorted` over the range starts; the graph's own check of

@@ -1,6 +1,6 @@
 """End-to-end prediction pipeline, benchmark harness and report emission.
 
-Prediction and benchmark share one path.  `_family_profiles` profiles the
+Prediction and benchmark share one path.  `_family_profiles` reads the
 template family (failing fast on a family the topology gate cannot use);
 `_stages` runs the rest in order: it splits the seed, runs the evolutionary
 SSE-graph stage, estimates the edge budget, has `pair_heuristics` build
@@ -8,8 +8,7 @@ each SSE pair's colony graph once, and hands back `gated_attempts`, which
 yields one colony simulation at a time: the two-stage ant colony, the
 topological profile of the built SSE-IN (the query's intra-SSE edges plus
 the selected shortcuts, each distinct one profiled once per run) and the
-family gate's verdict.  The family profiles likewise profile each distinct
-template graph once.
+family gate's verdict.
 `run_predict` stops at the first accepted attempt and reports it, or the
 last attempt if none passes;
 `run_benchmark` consumes every attempt of each planted instance and scores
@@ -18,8 +17,15 @@ pairs, mirroring how the stages are analysed separately) against the
 planted shortcut edges.  Both read a query's truth the same way: the
 query is an `SseInGraph`, planted or induced from the structure, and its
 `sse_links()` and `shortcut_edges` are the true SSE graph and shortcuts.
-A template family is a mapping from protein id to SSE-IN, filtered to the
-query's SSE count.
+
+A template family is read as a stream of (protein id, SSE-IN):
+`load_templates` parses one index entry at a time, and `_family_profiles`
+skips the templates whose SSE count differs from the query's, adds each
+kept one to the residue-level mean profile (each distinct graph profiled
+once, keyed by its packed bytes) and keeps only its shortcut network, the
+part the SSE-level profile, the edge budget and the occurrence matrices
+read.  So `predict` holds one template's full SSE-IN at a time, plus the
+family's shortcut edges.
 
 An SSE graph is a sorted set of 1-based SSE links throughout: the `links`
 of the individual `run_moga` returns, and the query's and each template's
@@ -39,9 +45,11 @@ import logging
 import math
 import statistics
 import time
-from dataclasses import asdict, astuple, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, replace
+from itertools import chain
+from operator import attrgetter
 from pathlib import Path
-from typing import Collection, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -58,7 +66,15 @@ from .aco import (
     validate_built_network,
 )
 from .contact import Edge, SseInGraph, build_contact_map
-from .ingest import FamilyIndex, load_family_index, parse_pdb_detailed
+from .ingest import (
+    EmptyStructureError,
+    FamilyEntry,
+    FamilyIndex,
+    PdbParseError,
+    PdbParseResult,
+    load_family_index,
+    parse_pdb_detailed,
+)
 from .metrics import (
     TopologicalProfile,
     incidence_matrix,
@@ -127,46 +143,69 @@ def family_sse_profile(templates: Iterable[SseInGraph]) -> TopologicalProfile:
 
 def family_residue_profile(templates: Iterable[SseInGraph]) -> TopologicalProfile:
     """Mean profile of the templates' residue-level SSE-IN graphs."""
-    return _mean_over_graphs((t.vertices, t.edges) for t in templates)
+    return _mean_over_graphs(map(attrgetter("vertices", "edges"), templates))
 
 
 def _mean_over_graphs(
-    graphs: Iterable[tuple[Sequence[int], tuple[Edge, ...]]],
+    graphs: Iterable[tuple[Sequence[int], Sequence[Edge]]],
 ) -> TopologicalProfile:
     """Mean profile of (vertices, edges) graphs.  Each distinct graph is
     profiled once; the mean still runs over every graph, repeats included,
-    in order, so it adds the same values as profiling each one would."""
-    distinct: dict[tuple[tuple, tuple], TopologicalProfile] = {}
-    profiles = []
-    for vertices, edges in graphs:
-        key = (tuple(vertices), edges)
+    in order, so it adds the same values as profiling each one would.
+
+    The graphs are read one at a time and none is held past its own
+    profile: the memo keys each by its vertices and edges packed as int32
+    bytes, not by the edge tuples."""
+    distinct: dict[tuple[bytes, bytes], TopologicalProfile] = {}
+
+    def profile_once(graph: tuple[Sequence[int], Sequence[Edge]]) -> TopologicalProfile:
+        vertices, edges = graph
+        key = (_packed(vertices), _packed(chain.from_iterable(edges)))
         if key not in distinct:
             distinct[key] = topological_profile(vertices, edges)
-        profiles.append(distinct[key])
-    return mean_profile(profiles)
+        return distinct[key]
+
+    return mean_profile(list(map(profile_once, graphs)))
+
+
+def _packed(values: Iterable[int]) -> bytes:
+    """Integers as int32 bytes: a compact exact key."""
+    return np.fromiter(values, np.int32).tobytes()
+
+
+def _parse_file(path: Path, protein_id: str, source: str) -> PdbParseResult:
+    """Parse a structure file; a parse error names `source` before its line."""
+    text = path.read_text()
+    try:
+        return parse_pdb_detailed(text, protein_id=protein_id)
+    except (PdbParseError, EmptyStructureError) as exc:
+        exc.args = (f"{source}: {exc}",)  # same type and line number, the file named
+        raise
 
 
 def load_templates(
     index: FamilyIndex, base_dir: Path, threshold: float
-) -> dict[str, SseInGraph]:
-    """Parse every family entry into its SSE-IN, keyed by protein id; paths
-    resolve relative to the index file."""
-    templates = {}
+) -> Iterator[tuple[str, SseInGraph]]:
+    """Parse the family entries into their SSE-INs one at a time, yielding
+    (protein id, SSE-IN) in index order; paths resolve relative to the
+    index file.  Nothing here holds a template once it is yielded."""
     for entry in index.entries:
-        path = Path(entry.path)
-        if not path.is_absolute():
-            path = base_dir / path
-        structure = parse_pdb_detailed(path.read_text(), protein_id=entry.protein_id).structure
-        template = build_contact_map(structure, threshold)
-        if template.sse_count != entry.sse_count:
-            logger.info(
-                "template %s: index says %d SSEs, file has %d",
-                entry.protein_id,
-                entry.sse_count,
-                template.sse_count,
-            )
-        templates[entry.protein_id] = template
-    return templates
+        yield entry.protein_id, _read_template(entry, base_dir, threshold)
+
+
+def _read_template(entry: FamilyEntry, base_dir: Path, threshold: float) -> SseInGraph:
+    path = base_dir / entry.path  # an absolute entry path stays as it is
+    source = f"{path} (template {entry.protein_id})"
+    structure = _parse_file(path, entry.protein_id, source).structure
+    template = build_contact_map(structure, threshold)
+    if template.sse_count != entry.sse_count:
+        logger.info(
+            "template %s: index says %d SSEs, file has %d",
+            entry.protein_id,
+            entry.sse_count,
+            template.sse_count,
+        )
+    return template
 
 
 @dataclass(frozen=True)
@@ -275,44 +314,76 @@ def shortcut_edges_to_tsv(rows: Sequence[tuple[int, int, str, str, float]]) -> s
 
 
 def _family_profiles(
-    templates: Collection[SseInGraph], family: str
-) -> tuple[TopologicalProfile, TopologicalProfile]:
-    """The family's SSE-level and residue-level mean profiles; fails on a
-    residue-level field of 0, which the topology gate cannot use."""
-    profile_sse = family_sse_profile(templates)
-    profile_residue = family_residue_profile(templates)
+    templates: Iterable[tuple[str, SseInGraph]], sse_count: int, family: str
+) -> tuple[dict[str, SseInGraph], tuple[TopologicalProfile, TopologicalProfile]]:
+    """Read a family of (protein id, SSE-IN) once, one template at a time.
+
+    Templates whose SSE count differs from the query's are skipped.  Each
+    kept template adds to the residue-level mean profile, and only its
+    shortcut network (the same ranges and shortcut edges, no intra edges)
+    is kept: that is all the SSE-level profile, the edge budget and the
+    occurrence matrices read.  Templates with equal networks share one.
+
+    Returns (the shortcut networks by protein id, (the SSE-level profile,
+    the residue-level profile)).  Fails, before any profile, when no
+    template is left, and on a residue-level field of 0, which the
+    topology gate cannot use.
+    """
+    kept: dict[str, SseInGraph] = {}
+    networks: dict[tuple, SseInGraph] = {}
+
+    def matching() -> Iterator[SseInGraph]:
+        for protein_id, template in templates:
+            if template.sse_count == sse_count:
+                key = (
+                    template.sse_ids,
+                    template.sse_ranges,
+                    _packed(chain.from_iterable(template.shortcut_edges)),
+                )
+                if key not in networks:
+                    networks[key] = replace(template, intra_edges=())
+                kept[protein_id] = networks[key]
+                yield template
+            del template  # unreachable before the next template is read
+        if not kept:
+            raise FamilyMatchError(f"family {family} has no template with {sse_count} SSEs")
+
+    # The residue-level profile consumes the read, so its call's time covers it.
+    profile_residue = family_residue_profile(matching())
+    profile_sse = family_sse_profile(kept.values())
     for name, value in profile_residue.as_dict().items():
         if value <= 0:
             raise DegenerateFamilyError(
                 f"family {family}: residue-level {name} is {value}; "
                 "the topology gate needs every profile field positive"
             )
-    return profile_sse, profile_residue
+    return kept, (profile_sse, profile_residue)
 
 
 def _stages(
     query: SseInGraph,
     ctx: SseContext,
-    templates: Mapping[str, SseInGraph],
+    family: Mapping[str, SseInGraph],
     profiles: tuple[TopologicalProfile, TopologicalProfile],
     config: RunConfig,
     seed_seq: np.random.SeedSequence,
     pairs: Optional[Sequence[tuple[int, int]]] = None,
 ) -> tuple[Individual, int, Iterator[tuple[AttemptOutcome, TopologicalProfile, bool]]]:
-    """Both stages after the family profiles: split the seed into the GA
+    """Both stages after the family read: split the seed into the GA
     stream and one stream per simulation, run the GA, estimate the edge
-    budget E_p, build the colony graphs of `pairs` (the GA's links by
-    default) and hand back the gated attempts, still lazy.
+    budget E_p from the family's shortcut networks, build the colony
+    graphs of `pairs` (the GA's links by default) and hand back the gated
+    attempts, still lazy.
 
     Returns (the GA's best individual, E_p, the attempts).
     """
     profile_sse, profile_residue = profiles
     moga_seq, *sim_seqs = seed_seq.spawn(1 + config.simulations)
     best = run_moga(ctx, config.ga, profile_sse, np.random.default_rng(moga_seq))
-    e_p = estimate_edge_budget(query.sse_sizes, templates)
+    e_p = estimate_edge_budget(query.sse_sizes, family)
     if pairs is None:
         pairs = best.links
-    graphs = pair_heuristics(pairs, query.sse_sizes, templates.values(), e_p, config.aco)
+    graphs = pair_heuristics(pairs, query.sse_sizes, family.values(), e_p, config.aco)
     attempts = gated_attempts(query, pairs, graphs, e_p, profile_residue, config.aco, sim_seqs)
     return best, e_p, attempts
 
@@ -352,7 +423,7 @@ def run_predict(config: RunConfig) -> RunReport:
     t_start = time.perf_counter()
 
     pdb_path = Path(config.pdb_path)
-    parsed = parse_pdb_detailed(pdb_path.read_text(), protein_id=pdb_path.stem)
+    parsed = _parse_file(pdb_path, pdb_path.stem, config.pdb_path)
     protein = parsed.structure
     if parsed.dropped_residues or parsed.skipped_annotations:
         logger.info(
@@ -366,18 +437,16 @@ def run_predict(config: RunConfig) -> RunReport:
 
     index_path = Path(config.family_index_path)
     index = load_family_index(index_path.read_text(), family_id=index_path.stem)
-    templates = load_templates(index, index_path.parent, config.threshold)
-    matching = {pid: t for pid, t in templates.items() if t.sse_count == query.sse_count}
-    if not matching:
-        raise FamilyMatchError(
-            f"family {index.family_id} has no template with {query.sse_count} SSEs"
-        )
+    family, profiles = _family_profiles(
+        load_templates(index, index_path.parent, config.threshold),
+        query.sse_count,
+        index.family_id,
+    )
     t_ingest = time.perf_counter()
 
     ctx = SseContext.from_structure(protein)
-    profiles = _family_profiles(matching.values(), index.family_id)
     best, e_p, gated = _stages(
-        query, ctx, matching, profiles, config, np.random.SeedSequence(config.seed)
+        query, ctx, family, profiles, config, np.random.SeedSequence(config.seed)
     )
     t_moga = time.perf_counter()  # the colony graphs count here, the attempts below
 
@@ -537,8 +606,9 @@ def benchmark_instance(
     edge-prediction stages, the way they are analysed.
     """
     query = instance.query
-    templates = instance.templates
-    profiles = _family_profiles(templates.values(), instance.instance_id)
+    family, profiles = _family_profiles(
+        instance.templates.items(), query.sse_count, instance.instance_id
+    )
     e_real = len(query.shortcut_edges)
     if e_real == 0:
         raise ValueError(
@@ -546,7 +616,7 @@ def benchmark_instance(
         )
     pairs = query.sse_links()
     best, e_p, attempts = _stages(
-        query, instance.ctx, templates, profiles, config, seed_seq, pairs
+        query, instance.ctx, family, profiles, config, seed_seq, pairs
     )
     truth = set(query.shortcut_edges)
 
@@ -561,7 +631,7 @@ def benchmark_instance(
     stddev = statistics.stdev(scores) if len(scores) > 1 else 0.0
     return InstanceResult(
         instance_id=instance.instance_id,
-        n_templates=len(templates),
+        n_templates=len(family),
         residues=len(query.vertices),
         sse_count=query.sse_count,
         e_real=e_real,

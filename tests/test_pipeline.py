@@ -1,7 +1,9 @@
+import gc
 import hashlib
 import json
 import math
 import sys
+import weakref
 from dataclasses import fields
 
 import numpy as np
@@ -12,6 +14,8 @@ from test_golden import DESK_ARGV, DESK_SWEEP
 from ssein import aco, pipeline
 from ssein.aco import AcoParams, Colony, ColonyGraph, FamilyMatchError, edge_probabilities
 from ssein.cli import main
+from ssein.contact import build_contact_map
+from ssein.ingest import parse_pdb_detailed
 from ssein.pipeline import (
     DegenerateFamilyError,
     InstanceResult,
@@ -284,6 +288,70 @@ def test_desk_sweep_profiles_each_distinct_graph_once(tmp_path, monkeypatch):
     assert hashlib.sha256(table).hexdigest() == DESK_SWEEP["benchmark_table.tsv"]
 
 
+def test_family_is_read_one_template_at_a_time(tmp_path, monkeypatch):
+    """While predict reads a family of 6 templates, no earlier template's
+    SSE-IN is still reachable when the next one is built."""
+    query, index = write_family(tmp_path, n_templates=6)
+    templates = []  # weak references, in build order
+    alive_at_build = []
+    build = pipeline.build_contact_map
+
+    def tracking(structure, threshold):
+        gc.collect()
+        alive_at_build.append(sum(ref() is not None for ref in templates))
+        graph = build(structure, threshold)
+        if structure.id != query.stem:
+            templates.append(weakref.ref(graph))
+        return graph
+
+    monkeypatch.setattr(pipeline, "build_contact_map", tracking)
+    run_predict(RunConfig(pdb_path=str(query), family_index_path=str(index), simulations=2))
+    assert len(templates) == 6
+    assert alive_at_build == [0] * 7  # the query, then each template
+
+
+def test_family_read_profiles_and_reduces_each_distinct_graph_once(tmp_path, monkeypatch):
+    """An index listing one file under two non-adjacent ids: the two
+    distinct residue graphs are profiled once each, the repeat shares its
+    shortcut network, and the family profile still averages all three."""
+    query, index = write_family(tmp_path, n_templates=2)
+    index.write_text("first\ttmpl1.pdb\t2\nother\ttmpl2.pdb\t2\nagain\ttmpl1.pdb\t2\n")
+    residue_profiles = 0
+    family = {}
+    profile = pipeline.topological_profile
+    budget = pipeline.estimate_edge_budget
+
+    def counting(vertices, edges):
+        nonlocal residue_profiles
+        gate = sys._getframe(1).f_code.co_name == "gated_attempts"
+        residue_profiles += not gate and not isinstance(vertices, range)
+        return profile(vertices, edges)
+
+    def capturing(sizes, templates):
+        family.update(templates)
+        return budget(sizes, templates)
+
+    monkeypatch.setattr(pipeline, "topological_profile", counting)
+    monkeypatch.setattr(pipeline, "estimate_edge_budget", capturing)
+    report = run_predict(
+        RunConfig(pdb_path=str(query), family_index_path=str(index), simulations=2)
+    )
+    assert residue_profiles == 2
+    assert list(family) == ["first", "other", "again"]
+    assert family["first"] is family["again"]
+    assert all(t.intra_edges == () for t in family.values())
+    graphs = [
+        build_contact_map(parse_pdb_detailed((tmp_path / name).read_text()).structure)
+        for name in ("tmpl1.pdb", "tmpl2.pdb", "tmpl1.pdb")
+    ]
+    for network, graph in zip(family.values(), graphs):
+        assert network.sse_ranges == graph.sse_ranges
+        assert network.shortcut_edges == graph.shortcut_edges
+    assert report.family_profile == mean_profile(
+        [profile(g.vertices, g.edges) for g in graphs]
+    )
+
+
 class TestMeanProfile:
     def test_field_means(self):
         p1 = TopologicalProfile(4.0, 2.0, 3.0, 0.2)
@@ -388,6 +456,24 @@ class TestCli:
         err = capsys.readouterr().err
         assert code == 1
         assert f"line {at + 1}: non-finite N coordinates for residue 4" in err
+
+    @pytest.mark.parametrize("name, source", [
+        ("query.pdb", "query.pdb"),
+        ("tmpl2.pdb", "tmpl2.pdb (template tmpl2)"),
+    ])
+    def test_parse_error_names_the_file(self, tmp_path, capsys, monkeypatch, name, source):
+        _, index = write_family(tmp_path, n_templates=2)
+        path = tmp_path / name
+        lines = path.read_text().splitlines()
+        at = next(i for i, line in enumerate(lines) if line.startswith("ATOM"))
+        lines[at] = f"{lines[at][:30]}{'abc.x':>8}{lines[at][38:]}"
+        path.write_text("\n".join(lines) + "\n")
+        monkeypatch.chdir(tmp_path)
+        code = main(["predict", "--pdb", "query.pdb", "--family", index.name,
+                     "--out", "out"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"error: {source}: line {at + 1}: cannot parse x coordinate from 'abc.x'" in err
 
     def test_benchmark_cli(self, tmp_path):
         manifest = tmp_path / "m.tsv"
