@@ -58,6 +58,8 @@ class SseInGraph:
     sse_sizes: tuple[int, ...] = field(init=False)
     # (len(intra_edges), 2): each intra edge's endpoints as positions in `vertices`
     intra_positions: np.ndarray = field(init=False, repr=False, compare=False)
+    # (sse_ranges, the endpoints of `edges` as int32 bytes): equal keys, equal graphs
+    key: tuple[tuple[tuple[int, int], ...], bytes] = field(init=False, repr=False, compare=False)
     _bounds: np.ndarray = field(init=False, repr=False, compare=False)  # (2, M) firsts, lasts
 
     def __post_init__(self):
@@ -91,6 +93,7 @@ class SseInGraph:
             if bad.any():
                 u, w = self.edges[int(bad.argmax())]
                 raise ValueError(message.format(u=u, w=w))
+        object.__setattr__(self, "key", (self.sse_ranges, ends.astype(np.int32).tobytes()))
         intra_ends = ends[: 2 * len(self.intra_edges)]
         positions = np.searchsorted(np.array(self.vertices, dtype=np.intp), intra_ends)
         object.__setattr__(self, "intra_positions", positions.reshape(-1, 2))
