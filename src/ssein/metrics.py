@@ -10,13 +10,6 @@ order is measured, and float sums run left to right in vertex order, so
 profiles are exact across Python versions (builtin `sum` over floats is
 compensated from 3.12 on).
 
-`batch_profiles` runs that search for several graphs over one vertex
-sequence at once, given as `neighbour_masks`: each bitset holds one block
-of source bits per graph, so one Python int operation moves every graph a
-level forward, and `np.bitwise_count` (numpy 2.0) splits each level's
-counts by graph.  Its profiles equal `topological_profile`'s field for
-field; `batch_width` keeps a batch's bitsets within `BATCH_BITS`.
-
 The error rate reads SSE graphs as link sets; `incidence_matrix` builds
 the M x M matrix only for the report files.
 """
@@ -24,15 +17,12 @@ the M x M matrix only for the report files.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Iterable
 
 import numpy as np
 
 Vertex = Hashable
 Edge = tuple[int, int]
-
-# Bits per bitset of a `batch_profiles` search.
-BATCH_BITS = 4096
 
 
 @dataclass(frozen=True)
@@ -106,30 +96,6 @@ def _adjacency(
     return {v: {labels[u] for u in nb} for v, nb in zip(labels, nbrs)}
 
 
-def _mask(positions: Iterable[int]) -> int:
-    mask = 0
-    for u in positions:
-        mask |= 1 << u
-    return mask
-
-
-def _clustering(masks: Sequence[int], nbrs: Sequence[Sequence[int]]) -> float:
-    """Mean triangle density over all vertices, 0 for degree < 2, summed
-    left to right in vertex order.  Neighbour masks count each triangle at
-    v twice."""
-    total = 0.0
-    for v, nb in enumerate(nbrs):
-        k = len(nb)
-        if k < 2:
-            continue
-        mask = masks[v]
-        twice = 0
-        for u in nb:
-            twice += (masks[u] & mask).bit_count()
-        total += twice // 2 / (k * (k - 1) / 2)
-    return total / len(nbrs)
-
-
 def topological_profile(
     vertices: Iterable[Vertex], edges: Iterable[tuple[Vertex, Vertex]]
 ) -> TopologicalProfile:
@@ -188,133 +154,28 @@ def topological_profile(
     pair_count = largest * (largest - 1)
     cpl = total / pair_count if pair_count else 0.0
 
-    masks = [_mask(nb) for nb in nbrs]
     mean_degree = sum(len(nb) for nb in nbrs) / n
-    return TopologicalProfile(float(diameter), cpl, mean_degree, _clustering(masks, nbrs))
 
+    # Neighbour masks count each triangle at v twice.
+    masks = []
+    for nb in nbrs:
+        mask = 0
+        for u in nb:
+            mask |= 1 << u
+        masks.append(mask)
+    clustering_sum = 0.0
+    for v, nb in enumerate(nbrs):
+        k = len(nb)
+        if k < 2:
+            continue
+        mask = masks[v]
+        twice = 0
+        for u in nb:
+            twice += (masks[u] & mask).bit_count()
+        clustering_sum += twice // 2 / (k * (k - 1) / 2)
+    clustering = clustering_sum / n
 
-def neighbour_masks(
-    vertices: Iterable[Vertex], edges: Iterable[tuple[Vertex, Vertex]]
-) -> list[int]:
-    """Per distinct vertex, in first-seen order, the bitmask of its
-    neighbours' positions: the form `batch_profiles` reads.  Raises as
-    `topological_profile` does on the same graph, bar an empty one."""
-    return [_mask(nb) for nb in _neighbour_sets(vertices, edges)[1]]
-
-
-def batch_width(n: int) -> int:
-    """How many graphs of n vertices one batch holds: its bitsets stay
-    within `BATCH_BITS`, each graph's block a whole number of 64-bit words."""
-    return BATCH_BITS // (64 * -(-n // 64))
-
-
-def batch_profiles(masks: Sequence[Sequence[int]]) -> list[TopologicalProfile]:
-    """`topological_profile` of several graphs over one vertex sequence,
-    each given by its `neighbour_masks`, from one all-sources search.
-
-    Graph g owns block g of every bitset, a run of `words` 64-bit words
-    whose low n bits are the sources.  An edge in every graph carries all
-    blocks; an edge in only some carries those graphs' blocks, through its
-    block mask.  Each level's new sources are counted per block by one
-    numpy popcount, so distance sums, eccentricities and component sizes
-    stay per graph, and every field equals `topological_profile`'s.
-    """
-    if not masks:
-        return []
-    count, n = len(masks), len(masks[0])
-    if any(len(m) != n for m in masks):
-        raise ValueError("a batch's graphs must share one vertex sequence")
-    if not n:
-        raise ValueError("graph has no vertices")
-    words = -(-n // 64)
-    shift = 64 * words
-    blocks = [((1 << n) - 1) << (g * shift) for g in range(count)]
-    full = sum(blocks)
-    ones = sum(1 << (g * shift) for g in range(count))
-
-    # Per vertex: the neighbours it has in every graph, and (neighbour,
-    # block mask of the graphs with that edge) for the rest.
-    common: list[list[int]] = []
-    partial: list[list[tuple[int, int]]] = []
-    for v in range(n):
-        row = [m[v] for m in masks]
-        every = some = row[0]
-        for m in row:
-            every &= m
-            some |= m
-        common.append(_positions(every))
-        partial.append(
-            [
-                (u, sum(b for b, m in zip(blocks, row) if m >> u & 1))
-                for u in _positions(some ^ every)
-            ]
-        )
-
-    frontier = [ones << v for v in range(n)]
-    unreached = [full ^ bit for bit in frontier]
-    dist_sum = np.zeros((n, count), np.int64)
-    ecc = np.zeros((n, count), np.int64)
-    active = [v for v in range(n) if common[v] or partial[v]]
-    level = 0
-    while active:
-        level += 1
-        gained = [0] * n
-        still, news = [], []
-        for v in active:
-            new = 0
-            for u in common[v]:
-                new |= frontier[u]
-            for u, b in partial[v]:
-                new |= frontier[u] & b
-            new &= unreached[v]
-            if new:
-                gained[v] = new
-                unreached[v] ^= new
-                still.append(v)
-                news.append(new)
-        if still:
-            # Sources at distance exactly `level` from a vertex exist for
-            # levels 1 to its eccentricity, so that is its count of such levels.
-            counts = _block_counts(news, count, words)
-            dist_sum[still] += level * counts
-            ecc[still] += counts > 0
-        frontier, active = gained, still
-
-    size = n - _block_counts(unreached, count, words)
-    profiles = []
-    for g, m in enumerate(masks):
-        first = int(size[:, g].argmax())  # ties go to the first in vertex order
-        largest = int(size[first, g])
-        if largest == n:
-            diameter, total = ecc[:, g].max(), dist_sum[:, g].sum()
-        else:
-            members = _positions((full ^ unreached[first]) >> (g * shift) & blocks[0])
-            diameter, total = ecc[members, g].max(), dist_sum[members, g].sum()
-        pair_count = largest * (largest - 1)
-        cpl = int(total) / pair_count if pair_count else 0.0
-        mean_degree = sum(x.bit_count() for x in m) / n
-        nbrs = [common[v] + [u for u, b in partial[v] if b & blocks[g]] for v in range(n)]
-        profiles.append(
-            TopologicalProfile(float(diameter), cpl, mean_degree, _clustering(m, nbrs))
-        )
-    return profiles
-
-
-def _positions(mask: int) -> list[int]:
-    """The set bits of a mask, lowest first."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
-def _block_counts(bitsets: Sequence[int], count: int, words: int) -> np.ndarray:
-    """(len(bitsets), count) int64 popcounts of each bitset's blocks."""
-    raw = b"".join(x.to_bytes(8 * words * count, "little") for x in bitsets)
-    blocks = np.frombuffer(raw, np.uint64).reshape(len(bitsets), count, words)
-    return np.bitwise_count(blocks).sum(axis=2, dtype=np.int64)
+    return TopologicalProfile(float(diameter), cpl, mean_degree, clustering)
 
 
 def profile_deviation(candidate: TopologicalProfile, template: TopologicalProfile) -> float:

@@ -24,11 +24,8 @@ skips the templates whose SSE count differs from the query's, adds each
 kept one to the residue-level mean profile (each distinct graph profiled
 once, keyed by the packed edges `SseInGraph.key` carries) and keeps only
 its shortcut network, the part the SSE-level profile, the edge budget and
-the occurrence matrices read.  Distinct graphs over a vertex sequence
-already seen wait, as their keys, to be profiled together by
-`metrics.batch_profiles`.  So `predict` holds one template's full SSE-IN
-at a time, plus the family's shortcut edges and the keys of at most one
-batch per vertex sequence.
+the occurrence matrices read.  So `predict` holds one template's full
+SSE-IN at a time, plus the family's shortcut edges.
 
 An SSE graph is a sorted set of 1-based SSE links throughout: the `links`
 of the individual `run_moga` returns, and the query's and each template's
@@ -80,12 +77,9 @@ from .ingest import (
 )
 from .metrics import (
     TopologicalProfile,
-    batch_profiles,
-    batch_width,
     incidence_matrix,
     left_sum,
     link_error_rate,
-    neighbour_masks,
     prediction_accuracy,
     topological_profile,
 )
@@ -93,11 +87,6 @@ from .moga import GaParams, Individual, SseContext, run_moga
 from .synth import PlantedInstance, check_planted_shape, make_planted_instance, planted_pairs
 
 logger = logging.getLogger("ssein")
-
-
-# Fewest waiting graphs of one vertex sequence that the family read
-# profiles as one batch rather than one by one.
-MIN_BATCH = 4
 
 
 class DegenerateFamilyError(ValueError):
@@ -147,89 +136,45 @@ def mean_profile(profiles: Sequence[TopologicalProfile]) -> TopologicalProfile:
 
 def family_sse_profile(templates: Iterable[SseInGraph]) -> TopologicalProfile:
     """Mean profile of the templates' SSE graphs, given by their links."""
-    return _mean_over_graphs(map(_sse_graph, templates), batched=False)
+    return _mean_over_graphs(map(_sse_graph, templates))
 
 
 def _sse_graph(template: SseInGraph) -> tuple[tuple[bytes, bytes], range, tuple[Edge, ...]]:
+    """(Key, vertices, links) of a template's SSE graph, its key the
+    vertices and links packed as int32 bytes."""
     vertices, links = range(1, template.sse_count + 1), tuple(template.sse_links())
     return (_packed(vertices), _packed(chain.from_iterable(links))), vertices, links
 
 
 def family_residue_profile(templates: Iterable[SseInGraph]) -> TopologicalProfile:
     """Mean profile of the templates' residue-level SSE-IN graphs."""
-    return _mean_over_graphs(map(attrgetter("key", "vertices", "edges"), templates), batched=True)
+    return _mean_over_graphs(map(attrgetter("key", "vertices", "edges"), templates))
 
 
 def _mean_over_graphs(
-    graphs: Iterable[tuple[tuple[Hashable, bytes], Sequence[int], Sequence[Edge]]],
-    batched: bool,
+    graphs: Iterable[tuple[Hashable, Sequence[int], Sequence[Edge]]],
 ) -> TopologicalProfile:
-    """Mean profile of (key, vertices, edges) graphs, the key's second part
-    the edges' endpoints as int32 bytes.  Each distinct key is profiled
-    once; the mean still runs over every graph, repeats included, in
-    order, so it adds the same values as profiling each one would.
+    """Mean profile of (key, vertices, edges) graphs, whose keys are equal
+    only for equal graphs.  Each distinct key is profiled once; the mean
+    still runs over every graph, repeats included, in order, so it adds the
+    same values as profiling each one would.
 
     The graphs are read one at a time and none is held past its own
-    profile, bar its key.  With `batched`, the first distinct graph over a
-    vertex sequence is profiled at once and later ones over the same
-    sequence wait, as their keys, for `metrics.batch_profiles`: a batch
-    runs when `batch_width(n)` of them wait, and at the end of the read
-    when at least `MIN_BATCH` do; fewer are profiled one by one.  So a
-    family whose templates share one numbering and one SSE annotation is
-    profiled in batches, and a vertex sequence that is seen once costs
-    what it did unbatched."""
-    slots: dict[tuple[Hashable, bytes], int] = {}
-    profiles: list[Optional[TopologicalProfile]] = []
-    waiting: dict[Sequence[int], list[tuple[int, bytes]]] = {}
+    profile: the memo keeps the keys, packed bytes, not the edge tuples."""
+    distinct: dict[Hashable, TopologicalProfile] = {}
 
-    def read(graph: tuple[tuple[Hashable, bytes], Sequence[int], Sequence[Edge]]) -> int:
+    def profile_once(graph: tuple[Hashable, Sequence[int], Sequence[Edge]]) -> TopologicalProfile:
         key, vertices, edges = graph
-        slot = slots.setdefault(key, len(slots))
-        if slot < len(profiles):
-            return slot
-        group = waiting.get(vertices)
-        if group is None:
-            profiles.append(topological_profile(vertices, edges))
-            if batched and batch_width(len(vertices)) >= MIN_BATCH:
-                waiting[vertices] = []
-        else:
-            profiles.append(None)
-            group.append((slot, key[1]))
-            if len(group) == batch_width(len(vertices)):
-                _profile_batch(vertices, group, profiles)
-        return slot
+        if key not in distinct:
+            distinct[key] = topological_profile(vertices, edges)
+        return distinct[key]
 
-    order = list(map(read, graphs))
-    for vertices, group in waiting.items():
-        if len(group) >= MIN_BATCH:
-            _profile_batch(vertices, group, profiles)
-        else:
-            for slot, packed in group:
-                profiles[slot] = topological_profile(vertices, _unpacked(packed))
-    return mean_profile([profiles[slot] for slot in order])
-
-
-def _profile_batch(
-    vertices: Sequence[int],
-    group: list[tuple[int, bytes]],
-    profiles: list[Optional[TopologicalProfile]],
-) -> None:
-    """Profile the waiting graphs of one vertex sequence in one batch."""
-    masks = [neighbour_masks(vertices, _unpacked(packed)) for _, packed in group]
-    for (slot, _), profile in zip(group, batch_profiles(masks)):
-        profiles[slot] = profile
-    group.clear()
+    return mean_profile(list(map(profile_once, graphs)))
 
 
 def _packed(values: Iterable[int]) -> bytes:
     """Integers as int32 bytes: a compact exact key."""
     return np.fromiter(values, np.int32).tobytes()
-
-
-def _unpacked(packed: bytes) -> list[list[int]]:
-    """The edges of int32 endpoint bytes, as `_packed` and `SseInGraph.key`
-    write them."""
-    return np.frombuffer(packed, np.int32).reshape(-1, 2).tolist()
 
 
 def _parse_file(path: Path, protein_id: str, source: str) -> PdbParseResult:
@@ -381,7 +326,7 @@ def _family_profiles(
     kept template adds to the residue-level mean profile, and only its
     shortcut network (the same ranges and shortcut edges, no intra edges)
     is kept: that is all the SSE-level profile, the edge budget and the
-    occurrence matrices read.  Templates with equal SSE-INs share one.
+    occurrence matrices read.  Templates with equal networks share one.
 
     Returns (the shortcut networks by protein id, (the SSE-level profile,
     the residue-level profile)).  Fails, before any profile, when no
@@ -394,7 +339,9 @@ def _family_profiles(
     def matching() -> Iterator[SseInGraph]:
         for protein_id, template in templates:
             if template.sse_count == sse_count:
-                key = (template.sse_ids, template.key)
+                # The shortcut edges' endpoints follow the intra edges' in the key.
+                shortcut_ends = template.key[1][8 * len(template.intra_edges) :]
+                key = (template.sse_ids, template.sse_ranges, shortcut_ends)
                 if key not in networks:
                     networks[key] = replace(template, intra_edges=())
                 kept[protein_id] = networks[key]

@@ -166,19 +166,16 @@ def two_helix_protein(jitter=None, helix_len=10, loop_len=4, separation=11.0):
     return multi_helix_protein(2, jitter, helix_len, loop_len, separation)
 
 
-def write_family(
-    tmp_path: Path, n_templates: int = 3, seed: int = 9, **shape
-) -> tuple[Path, Path]:
+def write_family(tmp_path: Path, n_templates: int = 3, seed: int = 9) -> tuple[Path, Path]:
     """Write a query PDB plus a jittered template family; returns
-    (query_path, index_path).  `shape` (helix_len, loop_len, separation)
-    goes to `two_helix_protein` for the query and every template."""
+    (query_path, index_path)."""
     rng = np.random.default_rng(seed)
-    query_text, _ = two_helix_protein(**shape)
+    query_text, _ = two_helix_protein()
     query_path = tmp_path / "query.pdb"
     query_path.write_text(query_text)
     index_lines = []
     for t in range(1, n_templates + 1):
-        text, _ = two_helix_protein(jitter=rng, **shape)
+        text, _ = two_helix_protein(jitter=rng)
         path = tmp_path / f"tmpl{t}.pdb"
         path.write_text(text)
         index_lines.append(f"tmpl{t}\t{path.name}\t2")

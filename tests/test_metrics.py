@@ -12,11 +12,8 @@ from conftest import upper_triangle_edges
 from ssein.metrics import (
     TopologicalProfile,
     _adjacency,
-    batch_profiles,
-    batch_width,
     incidence_matrix,
     link_error_rate,
-    neighbour_masks,
     prediction_accuracy,
     profile_deviation,
     topological_profile,
@@ -357,104 +354,6 @@ class TestLargeGraphProfiles:
         assert p.char_path_length == 1.0
         assert p.mean_degree == n - 1
         assert p.clustering_coeff == (1.0 if n > 2 else 0.0)
-
-
-@st.composite
-def profile_families(draw):
-    """Up to 6 graphs over one shuffled vertex sequence (up to ~150
-    vertices, so blocks of one to three 64-bit words): each keeps its own
-    random share of a base graph's edges and adds a few of its own, listed
-    reversed and twice at random, so edges lie in every graph, in some or
-    in one; a graph may keep none.  The base has components of random or
-    of equal sizes plus isolated vertices."""
-    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    count = draw(st.integers(1, 3))
-    if draw(st.booleans()):
-        sizes = [draw(st.integers(1, 50))] * count
-    else:
-        sizes = draw(st.lists(st.integers(1, 50), min_size=count, max_size=count))
-    label = LABELS[draw(st.sampled_from(sorted(LABELS)))]
-    vertices, base = labelled_graph(
-        rng, sizes, draw(st.floats(0.0, 0.3)), draw(st.integers(0, 5)), label
-    )
-    graphs = []
-    for _ in range(draw(st.integers(1, 6))):
-        keep = rng.choice([0.0, 0.5, 0.9, 1.0])
-        edges = [e for e in base if rng.random() < keep]
-        if len(vertices) > 1:
-            for _ in range(rng.randrange(4)):
-                a, b = rng.sample(vertices, 2)
-                edges += [(a, b), (b, a)][: rng.randint(1, 2)]
-        rng.shuffle(edges)
-        graphs.append(edges)
-    return vertices, graphs
-
-
-class TestBatchProfiles:
-    """The batch kernel against the one-graph search and the per-source
-    BFS reference: every field of every graph equal, bit for bit."""
-
-    @settings(max_examples=120, deadline=None)
-    @given(profile_families())
-    def test_matches_single_path_and_per_source_bfs(self, family):
-        vertices, graphs = family
-        got = batch_profiles([neighbour_masks(vertices, edges) for edges in graphs])
-        assert len(got) == len(graphs)
-        for profile, edges in zip(got, graphs):
-            assert profile == topological_profile(vertices, edges)
-            assert profile.as_dict() == reference_profile(vertices, edges).as_dict()
-
-    @pytest.mark.parametrize("n", [480, 1000])
-    def test_full_width_batches_of_jittered_paths(self, n):
-        """A batch as wide as `batch_width` allows, over paths with a few
-        chords each: every graph connected, so no member list is read."""
-        rng = random.Random(n)
-        path = [(i, i + 1) for i in range(n - 1)]
-        graphs = [
-            path + [tuple(rng.sample(range(n), 2)) for _ in range(5)]
-            for _ in range(batch_width(n))
-        ]
-        got = batch_profiles([neighbour_masks(range(n), edges) for edges in graphs])
-        assert got == [topological_profile(range(n), edges) for edges in graphs]
-
-    def test_ties_between_equal_largest_components(self):
-        """Two graphs over one sequence, each with two equal components in
-        the other order: each measures the one holding the earliest vertex."""
-        path = [("p", i) for i in range(4)]
-        star = [("s", i) for i in range(4)]
-        vertices = star + path
-        path_edges = [(path[i], path[i + 1]) for i in range(3)]
-        star_edges = [(star[0], v) for v in star[1:]]
-        graphs = [path_edges + star_edges, path_edges, star_edges[:2] + path_edges]
-        got = batch_profiles([neighbour_masks(vertices, edges) for edges in graphs])
-        assert [p.diameter for p in got] == [2.0, 3.0, 3.0]
-        assert got == [topological_profile(vertices, edges) for edges in graphs]
-
-    def test_graphs_without_edges(self):
-        got = batch_profiles([neighbour_masks("abc", []), neighbour_masks("abc", [("a", "b")])])
-        assert got == [topological_profile("abc", []), topological_profile("abc", [("a", "b")])]
-
-    def test_errors_match_the_single_path(self):
-        for vertices, edges in (
-            (["a", "b"], [("a", "b"), ("a", "a")]),
-            (["a", "b"], [("a", "z")]),
-            (["a", "b"], [("z", "z")]),
-        ):
-            with pytest.raises(ValueError) as single:
-                topological_profile(vertices, edges)
-            with pytest.raises(ValueError) as batch:
-                neighbour_masks(vertices, edges)
-            assert str(batch.value) == str(single.value)
-        with pytest.raises(ValueError, match="graph has no vertices"):
-            batch_profiles([neighbour_masks([], []), neighbour_masks([], [])])
-        with pytest.raises(ValueError, match="share one vertex sequence"):
-            batch_profiles([neighbour_masks("ab", []), neighbour_masks("abc", [])])
-        assert batch_profiles([]) == []
-
-    def test_width_keeps_bitsets_within_4096_bits(self):
-        assert [batch_width(n) for n in (1, 64, 65, 72, 480, 1000, 1024, 1025)] == [
-            64, 64, 32, 32, 8, 4, 4, 3,
-        ]
 
 
 class TestIsCompatible:

@@ -9,13 +9,13 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from conftest import multi_helix_protein, write_family
+from conftest import write_family
 from test_golden import DESK_ARGV, DESK_SWEEP
 from ssein import aco, contact, pipeline
 from ssein.aco import AcoParams, Colony, ColonyGraph, FamilyMatchError, edge_probabilities
 from ssein.cli import main
 from ssein.contact import build_contact_map
-from ssein.ingest import PdbParseError, parse_pdb_detailed
+from ssein.ingest import parse_pdb_detailed
 from ssein.pipeline import (
     DegenerateFamilyError,
     InstanceResult,
@@ -29,7 +29,7 @@ from ssein.pipeline import (
     run_predict,
     shortcut_edges_to_tsv,
 )
-from ssein.metrics import TopologicalProfile, topological_profile
+from ssein.metrics import TopologicalProfile
 from ssein.moga import GaParams
 from ssein.synth import make_planted_instance
 
@@ -352,93 +352,6 @@ def test_family_read_profiles_and_reduces_each_distinct_graph_once(tmp_path, mon
     )
 
 
-# Two 16-residue helices 9 Å apart: at seed 0 the six jittered templates
-# of `write_family` are six distinct residue graphs over one vertex sequence.
-ONE_LAYOUT = dict(helix_len=16, separation=9.0)
-
-
-def _template_graphs(tmp_path, count):
-    return [
-        build_contact_map(parse_pdb_detailed((tmp_path / f"tmpl{t}.pdb").read_text()).structure)
-        for t in range(1, count + 1)
-    ]
-
-
-def _counting_batches(monkeypatch):
-    """Record the size of each batch the family read profiles."""
-    sizes = []
-    batch = pipeline.batch_profiles
-
-    def counting(masks):
-        sizes.append(len(masks))
-        return batch(masks)
-
-    monkeypatch.setattr(pipeline, "batch_profiles", counting)
-    return sizes
-
-
-def test_family_of_one_layout_is_profiled_in_a_batch(tmp_path, monkeypatch):
-    """Six distinct templates over one vertex sequence: the first is
-    profiled on its own, the other five wait and go as one batch.  The
-    family profile is the mean of the single-path profiles, the report has
-    the bytes of a read that batches nothing, and a parse error still
-    stops the run before the GA."""
-    query, index = write_family(tmp_path, n_templates=6, seed=0, **ONE_LAYOUT)
-    graphs = _template_graphs(tmp_path, 6)
-    assert len({g.key for g in graphs}) == 6
-    assert len({g.vertices for g in graphs}) == 1
-    batches = _counting_batches(monkeypatch)
-    config = RunConfig(pdb_path=str(query), family_index_path=str(index), simulations=2)
-    report = run_predict(config)
-    assert batches == [5]
-    assert report.family_profile == mean_profile(
-        [topological_profile(g.vertices, g.edges) for g in graphs]
-    )
-    monkeypatch.setattr(pipeline, "MIN_BATCH", 6)  # five waiting graphs go one by one
-    unbatched = run_predict(config)
-    assert batches == [5]
-    assert emit_report(unbatched) == emit_report(report)
-
-    # Graphs waiting for their batch do not delay a later parse error: it
-    # still ends the run before the GA, naming the file.
-    (tmp_path / "tmpl6.pdb").write_text("ATOM  garbage\n")
-
-    def no_ga(*args, **kwargs):
-        raise AssertionError("the GA ran after a parse error")
-
-    monkeypatch.setattr(pipeline, "run_moga", no_ga)
-    with pytest.raises(PdbParseError, match="tmpl6.pdb"):
-        run_predict(config)
-
-
-def test_only_a_layout_with_enough_waiting_graphs_batches(tmp_path, monkeypatch):
-    """A family of two helix lengths with equal SSE counts, interleaved:
-    the five graphs of one layout give a batch of the four that waited;
-    the three of the other are profiled one by one.  The mean runs over
-    all eight in read order."""
-    rng = np.random.default_rng(5)
-    long = [multi_helix_protein(2, rng, **ONE_LAYOUT)[0] for _ in range(5)]
-    short = [multi_helix_protein(2, rng, helix_len=10, separation=10.0)[0] for _ in range(3)]
-    texts = [long[0], short[0], long[1], short[1], long[2], short[2], long[3], long[4]]
-    graphs = [build_contact_map(parse_pdb_detailed(text).structure) for text in texts]
-    assert len({g.key for g in graphs}) == 8
-    assert len({g.vertices for g in graphs}) == 2
-    assert {g.sse_count for g in graphs} == {2}
-    batches = _counting_batches(monkeypatch)
-    singles = []
-    profile = pipeline.topological_profile
-
-    def counting(vertices, edges):
-        singles.append(len(vertices))
-        return profile(vertices, edges)
-
-    monkeypatch.setattr(pipeline, "topological_profile", counting)
-    got = pipeline.family_residue_profile(iter(graphs))
-    assert batches == [4]
-    assert sorted(singles) == [20, 20, 20, 32]
-    assert got == mean_profile([profile(g.vertices, g.edges) for g in graphs])
-
-
 def test_planted_family_packs_its_shared_graph_once(monkeypatch):
     """A planted instance maps its 25 template ids to one SSE-IN.  Its key,
     the edges packed as int32 bytes, is made once, when the graph is built:
@@ -474,6 +387,24 @@ def test_planted_family_packs_its_shared_graph_once(monkeypatch):
     kept, _ = pipeline._family_profiles(instance.templates.items(), 4, "p")
     assert (built, residue_packs) == (1, 0)
     assert len(set(map(id, kept.values()))) == 1
+
+
+def test_templates_differing_only_in_intra_edges_share_one_network():
+    """The kept shortcut network is keyed by the SSEs and shortcut edges
+    alone: two templates that differ only in an intra edge are two residue
+    graphs but share one network; one that differs in a shortcut edge gets
+    its own."""
+    instance = make_planted_instance("p", (9, 8, 10, 9), np.random.default_rng(3))
+    graph = instance.templates["p-T1"]
+    fewer_intra = replace(graph, intra_edges=graph.intra_edges[:-1])
+    fewer_shortcuts = replace(graph, shortcut_edges=graph.shortcut_edges[:-1])
+    kept, _ = pipeline._family_profiles(
+        [("a", graph), ("b", fewer_intra), ("c", fewer_shortcuts)], 4, "p"
+    )
+    assert kept["a"] is kept["b"]
+    assert kept["c"] is not kept["a"]
+    assert kept["a"].shortcut_edges == graph.shortcut_edges
+    assert kept["c"].shortcut_edges == graph.shortcut_edges[:-1]
 
 
 class TestMeanProfile:
