@@ -96,9 +96,7 @@ def round_half_up(x: float) -> int:
 
 
 def allele_distance(a: Sequence[int], b: Sequence[int]) -> int:
-    """L1 distance between two size vectors, allele by allele."""
-    if len(a) != len(b):
-        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
+    """L1 distance between two size vectors of one length, allele by allele."""
     return sum(abs(x - y) for x, y in zip(a, b))
 
 
@@ -152,29 +150,16 @@ def occurrence_matrices(
 
 
 def edge_probabilities(q: np.ndarray, e: float) -> np.ndarray:
-    """Normalize Q into edge weights S with sum(S) = e."""
-    q = np.asarray(q, dtype=float)
-    if np.any(q < 0):
-        raise ValueError("occurrence matrix must be nonnegative")
-    total = float(q.sum())
-    if e < 0:
-        raise ValueError(f"edge budget must be nonnegative, got {e}")
-    if total <= 0:
-        raise ValueError("occurrence matrix sums to zero")
-    return e * q / total
+    """Normalize Q, a smoothed occurrence matrix (every cell >= 1), into
+    edge weights S with sum(S) = e for a budget e >= 0."""
+    return e * q / float(q.sum())
 
 
 def allocate_pair_budgets(e_total: int, masses: Sequence[float]) -> list[int]:
-    """Split E_p across SSE pairs proportionally to Q mass (largest remainder)."""
-    if e_total < 0:
-        raise ValueError("edge total must be nonnegative")
-    if not masses:
-        return []
+    """Split E_p >= 0 across SSE pairs proportionally to their positive Q
+    masses (largest remainder)."""
     total = float(left_sum(masses))
-    if total <= 0:
-        quotas = [e_total / len(masses)] * len(masses)
-    else:
-        quotas = [e_total * m / total for m in masses]
+    quotas = [e_total * m / total for m in masses]
     base = [math.floor(q) for q in quotas]
     remainder = e_total - sum(base)
     order = sorted(range(len(masses)), key=lambda i: (-(quotas[i] - base[i]), i))
@@ -219,11 +204,9 @@ class ColonyGraph:
         s_intra: float,
         beta: float,
     ) -> "ColonyGraph":
-        """The graph given as (k, 2) edge lists over 0..vertex_count-1; an
-        intra-SSE edge that is also an inter-SSE edge is inter."""
+        """The graph given as (k, 2) edge lists over 0..vertex_count-1: at
+        least one inter-SSE edge, every edge distinct and in one list only."""
         e = len(inter_edges)
-        if e == 0:
-            raise ValueError("a colony needs at least one inter-SSE edge")
         ends = np.concatenate(
             [np.asarray(edges, dtype=np.intp).reshape(-1, 2) for edges in (inter_edges, intra_edges)]
         )
@@ -231,15 +214,9 @@ class ColonyGraph:
         src = np.concatenate([ends[:, 0], ends[:, 1]])
         dst = np.concatenate([ends[:, 1], ends[:, 0]])
         slot = np.concatenate([slot, slot])
-        # Ascending (vertex, neighbour), the inter slot first among duplicates.
-        order = np.lexsort((slot, dst, src))
+        order = np.lexsort((dst, src))  # ascending (vertex, neighbour)
         src, dst, slot = src[order], dst[order], slot[order]
-        first = np.ones(src.size, dtype=bool)
-        first[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
-        src, dst, slot = src[first], dst[first], slot[first]
         degree = np.bincount(src, minlength=vertex_count)
-        if degree.size != vertex_count:
-            raise ValueError(f"an edge leaves the vertices 0..{vertex_count - 1}")
         column = np.arange(src.size) - (np.cumsum(degree) - degree)[src]
         width = int(degree.max(initial=0))
         neighbors = np.zeros((vertex_count, width), dtype=np.intp)
@@ -292,10 +269,7 @@ class Colony:
         on its own, never padded, so it is bit for bit the 1-D computation.
         """
         graph = self.graph
-        degrees = graph.degree[vertices]
-        d = int(degrees[0])
-        if not (degrees == d).all():
-            raise ValueError("rows takes vertices of one degree")
+        d = int(graph.degree[vertices[0]])
         w = log_weights[graph.slots[vertices, :d]]
         peak = w.max(axis=1, keepdims=True)
         if peak.min() == -math.inf:
@@ -393,12 +367,9 @@ def local_aco(
     params: AcoParams,
     rng: np.random.Generator,
 ) -> LocalResult:
-    """Stage one: keep pair edges whose tau / max tau clears lambda_min."""
+    """Stage one: keep pair edges whose tau / max tau clears lambda_min.
+    `graph` is the pair's, built from an (n, m) = `pair_sizes` weight matrix."""
     n, m = pair_sizes
-    if n < 1 or m < 1:
-        raise ValueError("both SSEs must be non-empty")
-    if graph.n_inter != n * m:
-        raise ValueError(f"pair graph has {graph.n_inter} inter-SSE edges, not {n} x {m}")
     colony = Colony(graph, params, rng)
     iterations = colony.run()
     tau = colony.tau[: n * m]
@@ -429,12 +400,9 @@ def global_aco(
     The candidates are a non-empty (k, 2) array of distinct shortcut edges
     (u, v), u < v, of the query, in any order, with weights s.  The slots
     hold them in ascending order; a residue's vertex is its position in
-    `query.vertices`.  Fewer than E_p are all kept, the shortfall reported.
+    `query.vertices`.  E_p is positive; fewer than E_p candidates are all
+    kept, the shortfall reported.
     """
-    if e_p <= 0:
-        raise ValueError(f"number of edges to predict must be positive, got {e_p}")
-    if len(inter_edges) == 0:
-        raise ValueError("global colony needs a non-empty candidate set")
     order = np.lexsort(inter_edges.T[::-1])
     edges, s = inter_edges[order], s[order]
     vertices = np.asarray(query.vertices, dtype=np.intp)

@@ -52,11 +52,8 @@ class FamilyIndexError(ValueError):
 
 
 def assign_hydrophobicity(code: str) -> float:
-    """Kyte-Doolittle hydropathy for a one-letter residue code."""
-    try:
-        return KYTE_DOOLITTLE[code]
-    except KeyError:
-        raise ValueError(f"unknown amino-acid code {code!r}") from None
+    """Kyte-Doolittle hydropathy for a standard one-letter residue code."""
+    return KYTE_DOOLITTLE[code]
 
 
 @dataclass(frozen=True)

@@ -172,11 +172,8 @@ class SseContext:
 
 
 def gene_links(genes: Genes) -> tuple[Edge, ...]:
-    """The sorted distinct SSE links (min(i, g_i), max(i, g_i)) with i != g_i."""
-    m = len(genes)
-    for g in genes:
-        if not 1 <= g <= m:
-            raise ValueError(f"allele {g} out of range 1..{m}")
+    """The sorted distinct SSE links (min(i, g_i), max(i, g_i)) with i != g_i,
+    every allele g_i in 1..M."""
     links = {(i, g) if i < g else (g, i) for i, g in enumerate(genes, start=1) if g != i}
     return tuple(sorted(links))
 
@@ -273,11 +270,9 @@ def density(pool: Sequence[Individual], k: int) -> list[tuple[float, float]]:
     with a constant objective normalize that coordinate to zero.  The
     squared distance adds the objectives' squared differences as
     (d0² + d1²) + d2², the order numpy's sum over a length-3 axis uses; a
-    constant objective adds an exact 0 and is skipped.
+    constant objective adds an exact 0 and is skipped.  k < len(pool).
     """
     n = len(pool)
-    if k >= n:
-        raise ValueError(f"k = {k} must be smaller than pool size {n}")
     # Halved before differencing so the link-free sentinel cannot overflow.
     half = np.array([ind.objectives for ind in pool], dtype=float) / 2.0
     lo = half.min(axis=0)
@@ -453,9 +448,7 @@ def breed(
     picks a different allele.  The sized mask draw consumes the stream as M
     scalar `integers(0, 2)` would; `PcgDraws` replays it as the top bits of
     M 32-bit draws.  A one-gene chromosome is never mutated and draws
-    nothing for it."""
-    if not archive:
-        raise ValueError("archive is empty")
+    nothing for it.  The archive is non-empty."""
     n = len(archive)
     m = len(archive[0].genes)
     integers, random = rng.integers, rng.random

@@ -95,12 +95,9 @@ def make_planted_instance(
 
     `boost_fraction` controls which share of the true shortcut edges shows
     up in the templates, every one of the `n_templates` (and hence in the
-    occurrence matrix Q).
+    occurrence matrix Q).  The shape passes `check_planted_shape`, and
+    `n_templates` >= 1.
     """
-    check_planted_shape(instance_id, sse_sizes, boost_fraction, shortcuts_per_pair)
-    if n_templates < 1:
-        raise ValueError(f"instance {instance_id}: need at least one template")
-
     m = len(sse_sizes)
     ranges = []
     start = 1

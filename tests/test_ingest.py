@@ -364,10 +364,6 @@ class TestHydrophobicity:
     def test_kyte_doolittle_values(self, code, value):
         assert assign_hydrophobicity(code) == value
 
-    def test_unknown_code(self):
-        with pytest.raises(ValueError):
-            assign_hydrophobicity("X")
-
 
 def structure_with_helices(*spans, n=8):
     """An n-residue structure with one helix per (first, last) span, in the

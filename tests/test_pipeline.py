@@ -29,7 +29,7 @@ from ssein.pipeline import (
     run_predict,
     shortcut_edges_to_tsv,
 )
-from ssein.metrics import TopologicalProfile
+from ssein.metrics import TopologicalProfile, topological_profile
 from ssein.moga import GaParams
 from ssein.synth import make_planted_instance
 
@@ -352,6 +352,47 @@ def test_family_read_profiles_and_reduces_each_distinct_graph_once(tmp_path, mon
     )
 
 
+def test_family_skips_a_template_of_another_sse_count(tmp_path, monkeypatch):
+    """An index listing a one-helix template between two kept entries: the
+    skipped id never reaches the edge budget, the family profile averages
+    the kept templates only, and the outputs equal those of the run on the
+    index without that entry (`report.json` outside its `config` echo)."""
+    query, index = write_family(tmp_path)
+    text = (tmp_path / "tmpl2.pdb").read_text().splitlines()
+    helix = next(i for i, line in enumerate(text) if line.startswith("HELIX"))
+    (tmp_path / "one_helix.pdb").write_text("\n".join(text[:helix] + text[helix + 1 :]) + "\n")
+    mixed = tmp_path / "mixed.tsv"
+    mixed.write_text(
+        "tmpl1\ttmpl1.pdb\t2\ntmpl2\ttmpl2.pdb\t2\nodd\tone_helix.pdb\t1\ntmpl3\ttmpl3.pdb\t2\n"
+    )
+    families = []
+    budget = pipeline.estimate_edge_budget
+
+    def capturing(sizes, templates):
+        families.append(list(templates))
+        return budget(sizes, templates)
+
+    monkeypatch.setattr(pipeline, "estimate_edge_budget", capturing)
+    outputs = []
+    for family_index in (mixed, index):
+        out = tmp_path / family_index.stem
+        argv = ["predict", "--pdb", str(query), "--family", str(family_index),
+                "--simulations", "10", "--seed", "5", "--out", str(out)]
+        assert main(argv) == 0
+        report = json.loads((out / "report.json").read_text())
+        del report["config"]
+        tsvs = [(out / name).read_text() for name in ("sse_incidence.tsv", "shortcut_edges.tsv")]
+        outputs.append((report, tsvs))
+    assert families == [["tmpl1", "tmpl2", "tmpl3"]] * 2
+    graphs = [
+        build_contact_map(parse_pdb_detailed((tmp_path / f"tmpl{t}.pdb").read_text()).structure)
+        for t in (1, 2, 3)
+    ]
+    kept_mean = mean_profile([topological_profile(g.vertices, g.edges) for g in graphs])
+    assert outputs[0][0]["family_profile"] == kept_mean.as_dict()
+    assert outputs[0] == outputs[1]
+
+
 def test_planted_family_packs_its_shared_graph_once(monkeypatch):
     """A planted instance maps its 25 template ids to one SSE-IN.  Its key,
     the edges packed as int32 bytes, is made once, when the graph is built:
@@ -416,10 +457,6 @@ class TestMeanProfile:
         assert mean.char_path_length == pytest.approx(3.0)
         assert mean.mean_degree == pytest.approx(4.0)
         assert mean.clustering_coeff == pytest.approx(0.3)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            mean_profile([])
 
 
 class TestFloatSumsAcrossPythonVersions:

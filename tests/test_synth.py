@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -88,14 +87,3 @@ class TestPlantedInstance:
         assert all(template is graph for template in inst.templates.values())
         assert graph.sse_ranges == inst.query.sse_ranges
         assert graph.intra_edges == inst.query.intra_edges
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            make_planted_instance("i", (8,), np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            make_planted_instance("i", (8, 8), np.random.default_rng(0), boost_fraction=1.5)
-        for per_pair in (0, -1):
-            with pytest.raises(ValueError, match="instance i: shortcuts_per_pair must be >= 1"):
-                make_planted_instance(
-                    "i", (8, 8), np.random.default_rng(0), shortcuts_per_pair=per_pair
-                )
