@@ -30,9 +30,11 @@ colony's random draws, in order: V ant starts from one integers(0, V);
 then per step one random(k) for the k ants not on an isolated vertex, in
 ant order, each inverted through its vertex's cumulative transition row
 exactly as Generator.choice(p=row) would.
-A step computes the rows of all occupied vertices together, in one 2-D pass
-per vertex degree.  Rows are grouped by degree, never padded: padding would
-regroup numpy's pairwise row sum and move its last bit.
+A step computes the rows of all occupied vertices together, in one padded
+2-D pass in (degree, vertex) order.  Only the row sum runs per degree, over
+each group's real columns: summing a padded row would regroup numpy's
+pairwise sum and move its last bit.  The -inf padding weighs exactly 0, so
+every other part of the pass gives the unpadded bits.
 """
 
 from __future__ import annotations
@@ -182,6 +184,7 @@ class ColonyGraph:
     (V, max degree) tables `neighbors` and `slots` holds vertex v's
     degree[v] neighbours in ascending order and the slot of each edge; the
     rest of the row is padding.  `s_term` is beta ln s per slot.
+    `by_degree` lists the vertices in stable degree order.
     """
 
     neighbors: np.ndarray
@@ -189,6 +192,7 @@ class ColonyGraph:
     degree: np.ndarray
     s: np.ndarray
     s_term: np.ndarray
+    by_degree: np.ndarray
 
     @property
     def n_inter(self) -> int:
@@ -225,7 +229,7 @@ class ColonyGraph:
         slots[src, column] = slot
         s = np.asarray(s, dtype=float)
         s_term = beta * _logs([*s.tolist(), s_intra]) if beta > 0 else np.zeros(e + 1)
-        return cls(neighbors, slots, degree, s, s_term)
+        return cls(neighbors, slots, degree, s, s_term, degree.argsort(kind="stable"))
 
     @classmethod
     def pair(cls, s: np.ndarray, beta: float) -> "ColonyGraph":
@@ -260,26 +264,40 @@ class Colony:
         return self.params.alpha * _logs(self.tau.tolist()) + self.graph.s_term
 
     def rows(self, vertices: np.ndarray, log_weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Move probabilities from vertices of one degree d, as (k, d) arrays
-        of neighbours and probabilities: p_ij ~ tau_ij^alpha * s_ij^beta.
+        """Move probabilities from vertices of degree >= 1 in (degree,
+        vertex) order, as (k, width) arrays of neighbours and probabilities,
+        width the largest degree: p_ij ~ tau_ij^alpha * s_ij^beta.
 
         Computed as exp(w - max w) so the published exponents stay finite;
         zero-weight candidates get probability zero, and a vertex whose
-        every candidate is zero-weight moves uniformly.  Each row is summed
-        on its own, never padded, so it is bit for bit the 1-D computation.
+        every candidate is zero-weight moves uniformly.  A row of degree d
+        is padded past column d with neighbour 0 and probability 0.  The
+        padding enters as w = -inf, which moves no row max and gives exp 0,
+        and each row is summed over its d real columns only, one degree at
+        a time, so row for row it is bit for bit the 1-D computation.
         """
         graph = self.graph
-        d = int(graph.degree[vertices[0]])
-        w = log_weights[graph.slots[vertices, :d]]
+        degrees = graph.degree[vertices]
+        width = int(degrees[-1])
+        w = log_weights[graph.slots[vertices, :width]]
+        bounds = [0, len(vertices)]
+        mixed = degrees[0] != width
+        if mixed:
+            padding = np.arange(width) >= degrees[:, None]
+            w[padding] = -math.inf
+            bounds[1:1] = ((degrees[1:] != degrees[:-1]).nonzero()[0] + 1).tolist()
         peak = w.max(axis=1, keepdims=True)
         if peak.min() == -math.inf:
-            # All zero-weight: shift by 0 from 0, never -inf - -inf; the row
-            # of ones sums to d exactly, so each entry becomes 1 / d.
+            # All zero-weight: shift by 0 from 0, never -inf - -inf; the d
+            # real ones sum to d exactly, so each entry becomes 1 / d.
             dead = peak[:, 0] == -math.inf
             w[dead] = peak[dead] = 0.0
+            if mixed:
+                w[padding] = -math.inf
         probs = np.exp(w - peak)
-        probs /= probs.sum(axis=1, keepdims=True)
-        return graph.neighbors[vertices, :d], probs
+        for start, stop in zip(bounds, bounds[1:]):
+            probs[start:stop] /= probs[start:stop, : degrees[start]].sum(axis=1, keepdims=True)
+        return graph.neighbors[vertices, :width], probs
 
     def update(self, move_counts: np.ndarray) -> None:
         """Evaporate and deposit on inter-SSE slots, then re-pin intra-SSE tau."""
@@ -293,8 +311,9 @@ class Colony:
         Ants on isolated vertices stay put and draw nothing.  The others
         take one uniform each, in ant order, from a single draw, and invert
         their vertex's cumulative row with it, as Generator.choice(p=row)
-        would.  The rows of the occupied vertices are built in one pass
-        per degree.
+        would.  The rows of the occupied vertices are built in one padded
+        pass; a padded cumulative entry repeats the row's last, so after
+        dividing by it the padding reads 1.0, above every uniform.
         """
         graph = self.graph
         e = graph.n_inter
@@ -305,30 +324,19 @@ class Colony:
         at = self.ants[live]
         occupied = np.zeros(graph.degree.size, dtype=bool)
         occupied[at] = True
-        verts = occupied.nonzero()[0]
-        verts = verts[graph.degree[verts].argsort(kind="stable")]
-        degrees = graph.degree[verts]
+        verts = graph.by_degree[occupied[graph.by_degree]]
+        _, probs = self.rows(verts, self.log_weights())
+        rows = probs.cumsum(axis=1)
+        miss = np.abs(rows[:, -1] - 1.0)
+        if not (probs.min() >= 0 and miss.max() <= _ROW_SUM_TOL):
+            bad = ~((probs.min(axis=1) >= 0) & (miss <= _ROW_SUM_TOL))
+            vertex = int(verts[bad.argmax()])
+            raise ValueError(f"transition row of vertex {vertex} is not a distribution")
+        rows /= rows[:, -1:]
         row_at = np.empty(graph.degree.size, dtype=np.intp)
         row_at[verts] = np.arange(verts.size)
-        bounds = [0, verts.size]
-        if degrees[0] != degrees[-1]:
-            bounds[1:1] = ((degrees[1:] != degrees[:-1]).nonzero()[0] + 1).tolist()
-        # Each degree group's cumulative rows, computed unpadded, are stored
-        # over a padding above every uniform, so a pick counts real entries.
-        cdf = np.full((verts.size, degrees[-1]), 2.0)
-        log_weights = self.log_weights()
-        for start, stop in zip(bounds, bounds[1:]):
-            _, probs = self.rows(verts[start:stop], log_weights)
-            rows = probs.cumsum(axis=1)
-            miss = np.abs(rows[:, -1] - 1.0)
-            if not (probs.min() >= 0 and miss.max() <= _ROW_SUM_TOL):
-                bad = ~((probs.min(axis=1) >= 0) & (miss <= _ROW_SUM_TOL))
-                vertex = int(verts[start + bad.argmax()])
-                raise ValueError(f"transition row of vertex {vertex} is not a distribution")
-            rows /= rows[:, -1:]
-            cdf[start:stop, : rows.shape[1]] = rows
         # searchsorted(side="right") on each ant's non-decreasing row
-        pick = (cdf[row_at[at]] <= u[:, None]).sum(axis=1)
+        pick = (rows[row_at[at]] <= u[:, None]).sum(axis=1)
         self.ants[live] = graph.neighbors[at, pick]
         crossed = graph.slots[at, pick]
         return np.bincount(crossed, minlength=e + 1)[:e]

@@ -49,7 +49,7 @@ from dataclasses import asdict, astuple, dataclass, field, replace
 from itertools import chain
 from operator import attrgetter
 from pathlib import Path
-from typing import Hashable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Collection, Hashable, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -133,9 +133,17 @@ def mean_profile(profiles: Sequence[TopologicalProfile]) -> TopologicalProfile:
     )
 
 
-def family_sse_profile(templates: Iterable[SseInGraph]) -> TopologicalProfile:
-    """Mean profile of the templates' SSE graphs, given by their links."""
-    return _mean_over_graphs(map(_sse_graph, templates))
+def family_sse_profile(templates: Collection[SseInGraph]) -> TopologicalProfile:
+    """Mean profile of the templates' SSE graphs, given by their links.
+
+    Each template object's links are read and packed once, however many
+    protein ids share it (a planted instance's ids share one shortcut
+    network).  The collection holds its objects, so no id is reused."""
+    graphs: dict[int, tuple[tuple[bytes, bytes], range, tuple[Edge, ...]]] = {}
+    for template in templates:
+        if id(template) not in graphs:
+            graphs[id(template)] = _sse_graph(template)
+    return _mean_over_graphs(graphs[id(template)] for template in templates)
 
 
 def _sse_graph(template: SseInGraph) -> tuple[tuple[bytes, bytes], range, tuple[Edge, ...]]:

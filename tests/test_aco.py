@@ -447,16 +447,18 @@ class TestBatchedRows:
         s_of = dict(zip(inter, s))
         adjacency = reference_adjacency(vertex_count, [*inter, *intra])
         log_weights = colony.log_weights()
-        for d in sorted(set(colony.graph.degree.tolist()) - {0}):
-            group = np.flatnonzero(colony.graph.degree == d)
+        degree = colony.graph.degree
+        mixed = colony.graph.by_degree[degree[colony.graph.by_degree] > 0]
+        groups = [np.flatnonzero(degree == d) for d in sorted(set(degree.tolist()) - {0})]
+        for group in [*groups, mixed]:
             nbrs, probs = colony.rows(group, log_weights)
-            assert nbrs.shape == probs.shape == (group.size, d)
+            assert nbrs.shape == probs.shape == (group.size, degree[group].max())
             for k, v in enumerate(group.tolist()):
                 expected = reference_row(
                     adjacency, s_of, s_intra, tau, colony.tau[-1], v, params
                 )
-                assert nbrs[k].tolist() == list(adjacency[v])
-                assert probs[k].tolist() == expected.tolist()
+                assert nbrs[k, : degree[v]].tolist() == list(adjacency[v])
+                assert probs[k, : degree[v]].tolist() == expected.tolist()
 
     def test_block_boundary_degrees_with_dead_rows(self):
         rng = np.random.default_rng(41)
@@ -475,6 +477,158 @@ class TestBatchedRows:
             intra = [pairs[i] for i in picked[cut:]]
             s = rng.uniform(0.05, 3.0, size=len(inter)).tolist()
             self.check(vertex_count, inter, s, intra, sum(s) / len(s), AcoParams(), rng)
+
+
+# choice(p=...) rejects a row whose sum misses 1 by more than this.
+ROW_SUM_TOL = math.sqrt(np.finfo(float).eps)
+
+
+def reference_rows_of_one_degree(colony, vertices, log_weights):
+    """`Colony.rows` as it was before the padded pass, kept as its
+    reference: vertices of one degree d as (k, d) arrays, each row summed
+    on its own."""
+    graph = colony.graph
+    d = int(graph.degree[vertices[0]])
+    w = log_weights[graph.slots[vertices, :d]]
+    peak = w.max(axis=1, keepdims=True)
+    if peak.min() == -math.inf:
+        # All zero-weight: shift by 0 from 0, never -inf - -inf; the row
+        # of ones sums to d exactly, so each entry becomes 1 / d.
+        dead = peak[:, 0] == -math.inf
+        w[dead] = peak[dead] = 0.0
+    probs = np.exp(w - peak)
+    probs /= probs.sum(axis=1, keepdims=True)
+    return graph.neighbors[vertices, :d], probs
+
+
+def reference_grouped_step(colony):
+    """`Colony.step` as it was before the padded pass, kept as its
+    reference: one unpadded pass per degree group, over a cdf padded
+    with 2.0."""
+    graph = colony.graph
+    e = graph.n_inter
+    live = graph.degree[colony.ants].nonzero()[0]
+    u = colony.rng.random(live.size)
+    if not live.size:
+        return np.zeros(e, dtype=np.intp)
+    at = colony.ants[live]
+    occupied = np.zeros(graph.degree.size, dtype=bool)
+    occupied[at] = True
+    verts = occupied.nonzero()[0]
+    verts = verts[graph.degree[verts].argsort(kind="stable")]
+    degrees = graph.degree[verts]
+    row_at = np.empty(graph.degree.size, dtype=np.intp)
+    row_at[verts] = np.arange(verts.size)
+    bounds = [0, verts.size]
+    if degrees[0] != degrees[-1]:
+        bounds[1:1] = ((degrees[1:] != degrees[:-1]).nonzero()[0] + 1).tolist()
+    # Each degree group's cumulative rows, computed unpadded, are stored
+    # over a padding above every uniform, so a pick counts real entries.
+    cdf = np.full((verts.size, degrees[-1]), 2.0)
+    log_weights = colony.log_weights()
+    for start, stop in zip(bounds, bounds[1:]):
+        _, probs = reference_rows_of_one_degree(colony, verts[start:stop], log_weights)
+        rows = probs.cumsum(axis=1)
+        miss = np.abs(rows[:, -1] - 1.0)
+        if not (probs.min() >= 0 and miss.max() <= ROW_SUM_TOL):
+            bad = ~((probs.min(axis=1) >= 0) & (miss <= ROW_SUM_TOL))
+            vertex = int(verts[start + bad.argmax()])
+            raise ValueError(f"transition row of vertex {vertex} is not a distribution")
+        rows /= rows[:, -1:]
+        cdf[start:stop, : rows.shape[1]] = rows
+    # searchsorted(side="right") on each ant's non-decreasing row
+    pick = (cdf[row_at[at]] <= u[:, None]).sum(axis=1)
+    colony.ants[live] = graph.neighbors[at, pick]
+    crossed = graph.slots[at, pick]
+    return np.bincount(crossed, minlength=e + 1)[:e]
+
+
+EXPONENTS = (AcoParams(), AcoParams(alpha=1.0, beta=1.0), AcoParams(beta=0.0), AcoParams(alpha=0.0))
+
+
+@st.composite
+def mixed_degree_colonies(draw):
+    """(graph, params, tau, seed): a `ColonyGraph.from_edges` graph of
+    mixed degrees, its last vertices isolated, with dead rows from zero s
+    (inter or intra) and from zero tau."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    vertex_count = draw(st.integers(4, 40))
+    isolated = draw(st.integers(0, 2))
+    linked = vertex_count - isolated
+    reach = rng.uniform(0.05, 1.0, size=linked)
+    pairs = [(u, v) for u in range(linked) for v in range(u + 1, linked)]
+    edges = [e for e in pairs if rng.random() < reach[e[0]] * reach[e[1]]] or [(0, 1)]
+    inter_share = draw(st.sampled_from([0.3, 0.7, 1.0]))
+    split = rng.random(len(edges)) < inter_share
+    split[0] = True
+    inter = [e for e, is_inter in zip(edges, split) if is_inter]
+    intra = [e for e, is_inter in zip(edges, split) if not is_inter]
+    zero_share = draw(st.sampled_from([0.0, 0.2, 0.6]))
+    s = np.where(rng.random(len(inter)) < zero_share, 0.0, rng.uniform(0.05, 3.0, len(inter)))
+    s_intra = draw(st.sampled_from([0.0, float(s.mean())]))
+    params = draw(st.sampled_from(EXPONENTS))
+    graph = ColonyGraph.from_edges(vertex_count, inter, s, intra, s_intra, params.beta)
+    tau = rng.uniform(1.0, 1e4, size=len(inter) + 1)
+    tau[rng.random(tau.size) < zero_share] = 0.0
+    return graph, params, tau, seed
+
+
+class TestPaddedPass:
+    """One padded `Colony.rows` pass over vertices of mixed degree against
+    the per-vertex and per-degree computations, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(mixed_degree_colonies())
+    def test_each_row_is_its_single_vertex_row(self, case):
+        graph, params, tau, seed = case
+        colony = Colony(graph, params, np.random.default_rng(seed))
+        colony.tau[:] = tau
+        log_weights = colony.log_weights()
+        order = sorted(range(graph.degree.size), key=lambda v: (graph.degree[v], v))
+        verts = np.array([v for v in order if graph.degree[v]])
+        nbrs, probs = colony.rows(verts, log_weights)
+        width = int(graph.degree.max())
+        assert nbrs.shape == probs.shape == (verts.size, width)
+        for k, v in enumerate(verts.tolist()):
+            d = int(graph.degree[v])
+            one_nbrs, one_probs = colony.rows(np.array([v]), log_weights)
+            ref_nbrs, ref_probs = reference_rows_of_one_degree(colony, np.array([v]), log_weights)
+            assert one_probs.tolist() == ref_probs.tolist()
+            assert one_nbrs.tolist() == ref_nbrs.tolist()
+            assert probs[k, :d].tolist() == one_probs[0].tolist()
+            assert nbrs[k, :d].tolist() == one_nbrs[0].tolist()
+            assert probs[k, d:].tolist() == [0.0] * (width - d)
+
+    @settings(max_examples=150, deadline=None)
+    @given(mixed_degree_colonies())
+    def test_step_equals_the_grouped_reference(self, case):
+        graph, params, tau, seed = case
+        colony = Colony(graph, params, np.random.default_rng(seed))
+        reference = Colony(graph, params, np.random.default_rng(seed))
+        colony.tau[:] = reference.tau[:] = tau
+        for _ in range(6):
+            moved = colony.step()
+            assert moved.tolist() == reference_grouped_step(reference).tolist()
+            assert colony.ants.tolist() == reference.ants.tolist()
+            assert colony.rng.bit_generator.state == reference.rng.bit_generator.state
+            colony.update(moved)
+            reference.update(moved)
+
+    def test_not_a_distribution_names_the_first_vertex_by_degree(self):
+        # an infinite tau on edge (0, 4) leaves rows 0 (degree 4) and 4
+        # (degree 1) NaN; in (degree, vertex) order vertex 4 comes first
+        inter = [(0, 1), (0, 2), (0, 3), (0, 4)]
+        colony = colony_from_edges(
+            5, inter, [1.0] * 4, [], 1.0, AcoParams(), np.random.default_rng(0)
+        )
+        colony.ants[:] = [0, 1, 2, 3, 4]
+        colony.tau[3] = math.inf
+        for step in (colony.step, lambda: reference_grouped_step(colony)):
+            with np.errstate(invalid="ignore"), pytest.raises(
+                ValueError, match="transition row of vertex 4 is not a distribution"
+            ):
+                step()
 
 
 class TestColonyOracle:

@@ -114,12 +114,9 @@ def test_far_helix_rejected_reports_last_attempt(tmp_path, monkeypatch):
     assert _digests(Path("out"), FAR_HELIX_REJECTED) == FAR_HELIX_REJECTED
 
 
-def test_four_helix_digests_without_wide_simd(tmp_path, monkeypatch):
-    """The same bytes when numpy may not dispatch to AVX2 or AVX-512 and
-    OpenBLAS runs its oldest x86-64 kernels: the float paths depend neither
-    on the x86 SIMD level nor on the BLAS kernel."""
-    monkeypatch.chdir(tmp_path)
-    argv = _write_four_helix_family()
+def _run_without_wide_simd(argv) -> None:
+    """Run the CLI in a child where numpy may not dispatch to AVX2 or
+    AVX-512 and OpenBLAS runs its oldest x86-64 kernels."""
     path = os.environ.get("PYTHONPATH")
     env = {
         **os.environ,
@@ -132,4 +129,20 @@ def test_four_helix_digests_without_wide_simd(tmp_path, monkeypatch):
         env=env, capture_output=True, text=True,
     )
     assert child.returncode == 0, child.stderr
+
+
+def test_four_helix_digests_without_wide_simd(tmp_path, monkeypatch):
+    """The same bytes without wide SIMD or newer BLAS kernels: the float
+    paths depend neither on the x86 SIMD level nor on the BLAS kernel."""
+    monkeypatch.chdir(tmp_path)
+    _run_without_wide_simd(_write_four_helix_family())
     assert _digests(Path("out"), FOUR_HELIX_ACCEPTED) == FOUR_HELIX_ACCEPTED
+
+
+def test_desk_sweep_digests_without_wide_simd(tmp_path, monkeypatch):
+    """The README sweep's bytes without wide SIMD: the colonies' padded
+    transition pass computes each exp in another SIMD lane than an
+    unpadded one would, and must give the same bits at any lane width."""
+    monkeypatch.chdir(tmp_path)
+    _run_without_wide_simd(DESK_ARGV)
+    assert _digests(Path("bench_out"), DESK_SWEEP) == DESK_SWEEP

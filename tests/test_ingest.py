@@ -364,6 +364,11 @@ class TestHydrophobicity:
     def test_kyte_doolittle_values(self, code, value):
         assert assign_hydrophobicity(code) == value
 
+    def test_unknown_code_is_refused_by_residue(self):
+        # the one check in front of assign_hydrophobicity
+        with pytest.raises(ValueError, match="unknown amino-acid code"):
+            Residue(index=1, code="X", ca=(0.0, 0.0, 0.0))
+
 
 def structure_with_helices(*spans, n=8):
     """An n-residue structure with one helix per (first, last) span, in the
