@@ -263,18 +263,19 @@ class Colony:
             return self.graph.s_term
         return self.params.alpha * _logs(self.tau.tolist()) + self.graph.s_term
 
-    def rows(self, vertices: np.ndarray, log_weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def rows(self, vertices: np.ndarray, log_weights: np.ndarray) -> np.ndarray:
         """Move probabilities from vertices of degree >= 1 in (degree,
-        vertex) order, as (k, width) arrays of neighbours and probabilities,
-        width the largest degree: p_ij ~ tau_ij^alpha * s_ij^beta.
+        vertex) order, as a (k, width) array, width the largest degree:
+        p_ij ~ tau_ij^alpha * s_ij^beta.  Column c of vertex v's row is the
+        move to `graph.neighbors[v, c]`.
 
         Computed as exp(w - max w) so the published exponents stay finite;
         zero-weight candidates get probability zero, and a vertex whose
         every candidate is zero-weight moves uniformly.  A row of degree d
-        is padded past column d with neighbour 0 and probability 0.  The
-        padding enters as w = -inf, which moves no row max and gives exp 0,
-        and each row is summed over its d real columns only, one degree at
-        a time, so row for row it is bit for bit the 1-D computation.
+        is padded past column d with probability 0.  The padding enters as
+        w = -inf, which moves no row max and gives exp 0, and each row is
+        summed over its d real columns only, one degree at a time, so row
+        for row it is bit for bit the 1-D computation.
         """
         graph = self.graph
         degrees = graph.degree[vertices]
@@ -297,7 +298,7 @@ class Colony:
         probs = np.exp(w - peak)
         for start, stop in zip(bounds, bounds[1:]):
             probs[start:stop] /= probs[start:stop, : degrees[start]].sum(axis=1, keepdims=True)
-        return graph.neighbors[vertices, :width], probs
+        return probs
 
     def update(self, move_counts: np.ndarray) -> None:
         """Evaporate and deposit on inter-SSE slots, then re-pin intra-SSE tau."""
@@ -325,7 +326,7 @@ class Colony:
         occupied = np.zeros(graph.degree.size, dtype=bool)
         occupied[at] = True
         verts = graph.by_degree[occupied[graph.by_degree]]
-        _, probs = self.rows(verts, self.log_weights())
+        probs = self.rows(verts, self.log_weights())
         rows = probs.cumsum(axis=1)
         miss = np.abs(rows[:, -1] - 1.0)
         if not (probs.min() >= 0 and miss.max() <= _ROW_SUM_TOL):
@@ -361,11 +362,13 @@ def _logs(values: list[float]) -> np.ndarray:
         return np.array([math.log(x) if x > 0 else -math.inf for x in values])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LocalResult:
-    """Per-pair candidates: cells are (position in X, position in Y), 1-based."""
+    """Per-pair candidates: `cells` a (k, 2) array of 0-based (row in X,
+    column in Y) in row-major order, and `weights` their s."""
 
-    cells: tuple[tuple[int, int], ...]
+    cells: np.ndarray
+    weights: np.ndarray
     iterations: int
 
 
@@ -381,9 +384,8 @@ def local_aco(
     colony = Colony(graph, params, rng)
     iterations = colony.run()
     tau = colony.tau[: n * m]
-    normalized = tau.reshape(n, m) / tau.max()
-    cells = tuple((int(i) + 1, int(j) + 1) for i, j in np.argwhere(normalized >= params.lambda_min))
-    return LocalResult(cells, iterations)
+    kept = np.flatnonzero(tau / tau.max() >= params.lambda_min)
+    return LocalResult(np.column_stack(np.divmod(kept, m)), graph.s[kept], iterations)
 
 
 @dataclass(frozen=True)

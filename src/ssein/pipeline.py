@@ -46,7 +46,6 @@ import math
 import statistics
 import time
 from dataclasses import asdict, astuple, dataclass, field, replace
-from itertools import chain
 from operator import attrgetter
 from pathlib import Path
 from typing import Collection, Hashable, Iterable, Iterator, Mapping, Optional, Sequence
@@ -136,21 +135,16 @@ def mean_profile(profiles: Sequence[TopologicalProfile]) -> TopologicalProfile:
 def family_sse_profile(templates: Collection[SseInGraph]) -> TopologicalProfile:
     """Mean profile of the templates' SSE graphs, given by their links.
 
-    Each template object's links are read and packed once, however many
-    protein ids share it (a planted instance's ids share one shortcut
-    network).  The collection holds its objects, so no id is reused."""
-    graphs: dict[int, tuple[tuple[bytes, bytes], range, tuple[Edge, ...]]] = {}
+    Each template object's links are read once, however many protein ids
+    share it (a planted instance's ids share one shortcut network), and
+    each distinct (SSE count, links) graph is profiled once.  The
+    collection holds its objects, so no id is reused."""
+    graphs: dict[int, tuple[tuple[int, tuple[Edge, ...]], range, tuple[Edge, ...]]] = {}
     for template in templates:
         if id(template) not in graphs:
-            graphs[id(template)] = _sse_graph(template)
+            count, links = template.sse_count, tuple(template.sse_links())
+            graphs[id(template)] = (count, links), range(1, count + 1), links
     return _mean_over_graphs(graphs[id(template)] for template in templates)
-
-
-def _sse_graph(template: SseInGraph) -> tuple[tuple[bytes, bytes], range, tuple[Edge, ...]]:
-    """(Key, vertices, links) of a template's SSE graph, its key the
-    vertices and links packed as int32 bytes."""
-    vertices, links = range(1, template.sse_count + 1), tuple(template.sse_links())
-    return (_packed(vertices), _packed(chain.from_iterable(links))), vertices, links
 
 
 def family_residue_profile(templates: Iterable[SseInGraph]) -> TopologicalProfile:
@@ -167,7 +161,8 @@ def _mean_over_graphs(
     same values as profiling each one would.
 
     The graphs are read one at a time and none is held past its own
-    profile: the memo keeps the keys, packed bytes, not the edge tuples."""
+    profile: the memo keeps only the keys, which for a residue graph are
+    its edges packed as bytes, not its edge tuples."""
     distinct: dict[Hashable, TopologicalProfile] = {}
 
     def profile_once(graph: tuple[Hashable, Sequence[int], Sequence[Edge]]) -> TopologicalProfile:
@@ -177,11 +172,6 @@ def _mean_over_graphs(
         return distinct[key]
 
     return mean_profile(list(map(profile_once, graphs)))
-
-
-def _packed(values: Iterable[int]) -> bytes:
-    """Integers as int32 bytes: a compact exact key."""
-    return np.fromiter(values, np.int32).tobytes()
 
 
 def _parse_file(path: Path, protein_id: str, source: str) -> PdbParseResult:
@@ -259,9 +249,8 @@ def aco_attempt(
     for (a, b), pair_graph, stream in zip(pairs, graphs, streams):
         n, m = query.sse_sizes[a - 1], query.sse_sizes[b - 1]
         result = local_aco((n, m), pair_graph, params, np.random.default_rng(stream))
-        cells = np.array(result.cells, dtype=np.intp).reshape(-1, 2) - 1
-        ends.append(cells + (query.sse_ranges[a - 1][0], query.sse_ranges[b - 1][0]))
-        weights.append(pair_graph.s[cells[:, 0] * m + cells[:, 1]])
+        ends.append(result.cells + (query.sse_ranges[a - 1][0], query.sse_ranges[b - 1][0]))
+        weights.append(result.weights)
     edges = np.concatenate(ends)
     candidates = tuple(zip(*edges.T.tolist()))
     if e_p <= 0 or not candidates:
@@ -333,7 +322,8 @@ def _family_profiles(
     kept template adds to the residue-level mean profile, and only its
     shortcut network (the same ranges and shortcut edges, no intra edges)
     is kept: that is all the SSE-level profile, the edge budget and the
-    occurrence matrices read.  Templates with equal networks share one.
+    occurrence matrices read.  Templates with equal SSE ids, ranges and
+    shortcut edges share one network, keyed by those tuples.
 
     Returns (the shortcut networks by protein id, (the SSE-level profile,
     the residue-level profile)).  Fails, before any profile, when no
@@ -346,9 +336,7 @@ def _family_profiles(
     def matching() -> Iterator[SseInGraph]:
         for protein_id, template in templates:
             if template.sse_count == sse_count:
-                # The shortcut edges' endpoints follow the intra edges' in the key.
-                shortcut_ends = template.key[1][8 * len(template.intra_edges) :]
-                key = (template.sse_ids, template.sse_ranges, shortcut_ends)
+                key = (template.sse_ids, template.sse_ranges, template.shortcut_edges)
                 if key not in networks:
                     networks[key] = replace(template, intra_edges=())
                 kept[protein_id] = networks[key]
@@ -471,7 +459,7 @@ def run_predict(config: RunConfig) -> RunReport:
     if e_real:
         score = len(set(outcome.selected) & set(query.shortcut_edges)) / e_real
     sse_ids = query.sse_ids
-    sse_k = query.sse_index(np.array(outcome.selected, dtype=np.intp).reshape(-1, 2))
+    sse_k = query.sse_index(outcome.selected)
     rows = [
         (u, v, sse_ids[ku - 1], sse_ids[kv - 1], tau)
         for (u, v), (ku, kv), tau in zip(outcome.selected, sse_k.tolist(), outcome.selected_tau)

@@ -142,7 +142,7 @@ def test_criterion_05_transition_stability():
             colony.tau[slot] = float(rng.uniform(0.1, 10.0 ** rng.integers(0, 8)))
         colony.tau[e] = sum(colony.tau[:e].tolist()) / e
         vertex = int(rng.integers(0, n + m))
-        _, (probs,) = colony.rows(np.array([vertex]), colony.log_weights())
+        (probs,) = colony.rows(np.array([vertex]), colony.log_weights())
         assert np.all(np.isfinite(probs))
         worst = max(worst, abs(float(probs.sum()) - 1.0))
     assert worst < 1e-9

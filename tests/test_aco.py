@@ -284,8 +284,9 @@ def colony_from_edges(vertex_count, inter, s, intra, s_intra, params, rng):
 
 
 def row(colony, vertex):
-    nbrs, probs = colony.rows(np.array([vertex]), colony.log_weights())
-    return nbrs[0], probs[0]
+    """A vertex's neighbours, from the table `step` indexes, and its row."""
+    (probs,) = colony.rows(np.array([vertex]), colony.log_weights())
+    return colony.graph.neighbors[vertex, : colony.graph.degree[vertex]], probs
 
 
 class TestTransitionDistribution:
@@ -451,13 +452,13 @@ class TestBatchedRows:
         mixed = colony.graph.by_degree[degree[colony.graph.by_degree] > 0]
         groups = [np.flatnonzero(degree == d) for d in sorted(set(degree.tolist()) - {0})]
         for group in [*groups, mixed]:
-            nbrs, probs = colony.rows(group, log_weights)
-            assert nbrs.shape == probs.shape == (group.size, degree[group].max())
+            probs = colony.rows(group, log_weights)
+            assert probs.shape == (group.size, degree[group].max())
             for k, v in enumerate(group.tolist()):
                 expected = reference_row(
                     adjacency, s_of, s_intra, tau, colony.tau[-1], v, params
                 )
-                assert nbrs[k, : degree[v]].tolist() == list(adjacency[v])
+                assert colony.graph.neighbors[v, : degree[v]].tolist() == list(adjacency[v])
                 assert probs[k, : degree[v]].tolist() == expected.tolist()
 
     def test_block_boundary_degrees_with_dead_rows(self):
@@ -587,17 +588,16 @@ class TestPaddedPass:
         log_weights = colony.log_weights()
         order = sorted(range(graph.degree.size), key=lambda v: (graph.degree[v], v))
         verts = np.array([v for v in order if graph.degree[v]])
-        nbrs, probs = colony.rows(verts, log_weights)
+        probs = colony.rows(verts, log_weights)
         width = int(graph.degree.max())
-        assert nbrs.shape == probs.shape == (verts.size, width)
+        assert probs.shape == (verts.size, width)
         for k, v in enumerate(verts.tolist()):
             d = int(graph.degree[v])
-            one_nbrs, one_probs = colony.rows(np.array([v]), log_weights)
+            one_probs = colony.rows(np.array([v]), log_weights)
             ref_nbrs, ref_probs = reference_rows_of_one_degree(colony, np.array([v]), log_weights)
             assert one_probs.tolist() == ref_probs.tolist()
-            assert one_nbrs.tolist() == ref_nbrs.tolist()
+            assert graph.neighbors[v, :d].tolist() == ref_nbrs[0].tolist()
             assert probs[k, :d].tolist() == one_probs[0].tolist()
-            assert nbrs[k, :d].tolist() == one_nbrs[0].tolist()
             assert probs[k, d:].tolist() == [0.0] * (width - d)
 
     @settings(max_examples=150, deadline=None)
@@ -746,7 +746,7 @@ class TestLocalAco:
         hits = 0
         for seed in range(20):
             result = local_aco((6, 7), graph, params, np.random.default_rng(seed))
-            hits += (3, 4) in result.cells
+            hits += [2, 3] in result.cells.tolist()
         assert hits >= 19  # >= 0.95 frequency
 
     def test_lambda_one_keeps_only_argmax(self):
@@ -756,8 +756,8 @@ class TestLocalAco:
         colony = Colony(graph, params, np.random.default_rng(1))
         colony.run()
         tau = colony.tau[:16]
-        max_cells = [(k // 4 + 1, k % 4 + 1) for k in np.flatnonzero(tau == tau.max())]
-        assert sorted(result.cells) == max_cells
+        max_cells = [[k // 4, k % 4] for k in np.flatnonzero(tau == tau.max())]
+        assert sorted(result.cells.tolist()) == max_cells
 
     def test_cells_are_the_tau_ratios_clearing_lambda_min(self):
         q = np.random.default_rng(7).uniform(1.0, 3.0, size=(4, 5))
@@ -768,8 +768,8 @@ class TestLocalAco:
             colony = Colony(graph, params, np.random.default_rng(1))
             assert colony.run() == result.iterations
             ratio = colony.tau[:20] / colony.tau[:20].max()
-            expected = [(k // 5 + 1, k % 5 + 1) for k in np.flatnonzero(ratio >= lambda_min)]
-            assert list(result.cells) == expected
+            expected = [[k // 5, k % 5] for k in np.flatnonzero(ratio >= lambda_min)]
+            assert result.cells.tolist() == expected
 
     def test_planted_signal_recovery(self):
         # one boosted cell per pair across several pairs: >= 80% recovered
@@ -782,7 +782,7 @@ class TestLocalAco:
             q[r, c] = 26.0
             result = local_aco((9, 9), pair_graph(q, 1.0, params), params, rng)
             total += 1
-            recovered += (r + 1, c + 1) in result.cells
+            recovered += [r, c] in result.cells.tolist()
         assert recovered / total >= 0.8
 
     def test_one_graph_serves_every_simulation(self):
@@ -793,7 +793,11 @@ class TestLocalAco:
         for seed in range(4):
             shared = local_aco((5, 6), graph, params, np.random.default_rng(seed))
             own = local_aco((5, 6), pair_graph(q, 3.0, params), params, np.random.default_rng(seed))
-            assert shared == own
+            assert shared.cells.tolist() == own.cells.tolist()
+            assert shared.weights.tolist() == own.weights.tolist()
+            assert shared.iterations == own.iterations
+            rows, columns = shared.cells.T
+            assert shared.weights.tolist() == graph.s[rows * 6 + columns].tolist()
 
 
 class TestColonyGraph:

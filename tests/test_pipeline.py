@@ -313,18 +313,21 @@ def test_family_is_read_one_template_at_a_time(tmp_path, monkeypatch):
 def test_family_read_profiles_and_reduces_each_distinct_graph_once(tmp_path, monkeypatch):
     """An index listing one file under two non-adjacent ids: the two
     distinct residue graphs are profiled once each, the repeat shares its
-    shortcut network, and the family profile still averages all three."""
+    shortcut network, and the family profile still averages all three.
+    The two networks have one SSE graph, which is profiled once: the
+    SSE-level memo is keyed by content, not by object."""
     query, index = write_family(tmp_path, n_templates=2)
     index.write_text("first\ttmpl1.pdb\t2\nother\ttmpl2.pdb\t2\nagain\ttmpl1.pdb\t2\n")
-    residue_profiles = 0
+    residue_profiles = sse_profiles = 0
     family = {}
     profile = pipeline.topological_profile
     budget = pipeline.estimate_edge_budget
 
     def counting(vertices, edges):
-        nonlocal residue_profiles
+        nonlocal residue_profiles, sse_profiles
         gate = sys._getframe(1).f_code.co_name == "gated_attempts"
         residue_profiles += not gate and not isinstance(vertices, range)
+        sse_profiles += not gate and isinstance(vertices, range)
         return profile(vertices, edges)
 
     def capturing(sizes, templates):
@@ -336,9 +339,10 @@ def test_family_read_profiles_and_reduces_each_distinct_graph_once(tmp_path, mon
     report = run_predict(
         RunConfig(pdb_path=str(query), family_index_path=str(index), simulations=2)
     )
-    assert residue_profiles == 2
+    assert (residue_profiles, sse_profiles) == (2, 1)
     assert list(family) == ["first", "other", "again"]
     assert family["first"] is family["again"]
+    assert family["first"] is not family["other"]
     assert all(t.intra_edges == () for t in family.values())
     graphs = [
         build_contact_map(parse_pdb_detailed((tmp_path / name).read_text()).structure)
@@ -395,26 +399,12 @@ def test_family_skips_a_template_of_another_sse_count(tmp_path, monkeypatch):
 
 def test_planted_family_packs_its_shared_graph_once(monkeypatch):
     """A planted instance maps its 25 template ids to one SSE-IN.  Its key,
-    the edges packed as int32 bytes, is made once, when the graph is built:
-    the family read packs none of its residue edges again, and builds only
-    the one shortcut network the ids share."""
+    the edges packed as int32 bytes, is made once, when the graph is built,
+    and the family read builds only the one shortcut network the ids share."""
     instance = make_planted_instance("p", (9, 8, 10, 9), np.random.default_rng(3))
     graph, *others = instance.templates.values()
     assert len(others) == 24 and all(t is graph for t in others)
     assert graph.key == (graph.sse_ranges, np.array(graph.edges, np.int32).tobytes())
-    residue_data = {
-        np.array(data, np.int32).tobytes()
-        for data in (graph.vertices, graph.edges, graph.shortcut_edges)
-    }
-    residue_packs = 0
-    pack = pipeline._packed
-
-    def counting_packs(values):
-        nonlocal residue_packs
-        packed = pack(values)
-        residue_packs += packed in residue_data
-        return packed
-
     built = 0
     init = contact.SseInGraph.__post_init__
 
@@ -423,10 +413,9 @@ def test_planted_family_packs_its_shared_graph_once(monkeypatch):
         built += 1
         init(self)
 
-    monkeypatch.setattr(pipeline, "_packed", counting_packs)
     monkeypatch.setattr(contact.SseInGraph, "__post_init__", counting_builds)
     kept, _ = pipeline._family_profiles(instance.templates.items(), 4, "p")
-    assert (built, residue_packs) == (1, 0)
+    assert built == 1
     assert len(set(map(id, kept.values()))) == 1
 
 

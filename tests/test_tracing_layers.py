@@ -23,6 +23,9 @@ WORK = {
     # 20 x 19 for the first generation's population, then 149 x 32 x 31.
     "moga.dominance_tests": 148_188,
     "aco.local_ant_steps": 271,
+    # 2 simulations x 2 pair colonies (72 and 90 cells) keep 4 of their
+    # 324 cells, one each.
+    "aco.local_keep_ratio": 4 / 324,
     "aco.global_iterations": 60,
     # Each distinct graph profiled once: 1 SSE-level family profile x 4
     # vertices, 1 residue-level x 36, 1 gate (both attempts select the
