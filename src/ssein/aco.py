@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -55,6 +55,8 @@ class FamilyMatchError(ValueError):
 
 @dataclass(frozen=True)
 class AcoParams:
+    """The colony's settings; `initial_tau` works out the starting pheromone."""
+
     alpha: float = 25.0
     beta: float = 12.0
     rho: float = 0.7
@@ -62,12 +64,11 @@ class AcoParams:
     e_stop: float = 2.0
     lambda_min: float = 0.8
     max_iterations: int = 200
-    initial_tau: Optional[float] = None  # default: delta_tau * |inter edges| / (1 - rho)
 
     def __post_init__(self):
-        for name in ("alpha", "beta", "delta_tau", "e_stop", "initial_tau"):
+        for name in ("alpha", "beta", "delta_tau", "e_stop"):
             value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
+            if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
         if self.e_stop <= 1:
             # max tau >= e_stop * mean tau would hold after the first update
@@ -82,15 +83,13 @@ class AcoParams:
             raise ValueError(f"lambda_min must be in (0, 1], got {self.lambda_min}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.initial_tau is not None and self.initial_tau <= 0:
-            raise ValueError("initial_tau must be positive")
 
-    def resolve_initial_tau(self, inter_edge_count: int) -> float:
-        if self.initial_tau is not None:
-            return self.initial_tau
-        # Large enough that the stop ratio measures concentration of the
-        # colony, not the very first deposit.
-        return self.delta_tau * max(1, inter_edge_count) / (1.0 - self.rho)
+    def initial_tau(self, inter_edge_count: int) -> float:
+        """Every slot's starting pheromone, delta_tau * |inter edges| /
+        (1 - rho): large enough that the stop ratio measures concentration
+        of the colony, not the very first deposit.  Positive, since every
+        `ColonyGraph` has at least one inter-SSE edge."""
+        return self.delta_tau * inter_edge_count / (1.0 - self.rho)
 
 
 def round_half_up(x: float) -> int:
@@ -254,7 +253,7 @@ class Colony:
         self.graph = graph
         self.params = params
         self.rng = rng
-        self.tau = np.full(e + 1, params.resolve_initial_tau(e))
+        self.tau = np.full(e + 1, params.initial_tau(e))
         self.ants = rng.integers(0, len(graph.degree), size=len(graph.degree))
 
     def log_weights(self) -> np.ndarray:

@@ -41,7 +41,6 @@ _SCHEMA = {
         "population_size": int,
         "archive_size": int,
         "generations": int,
-        "k": int,
         "crossover_rate": float,
         "mutation_rate": float,
     },
@@ -53,7 +52,6 @@ _SCHEMA = {
         "e_stop": float,
         "lambda_min": float,
         "max_iterations": int,
-        "initial_tau": float,
     },
 }
 
@@ -63,7 +61,7 @@ class _Parser(argparse.ArgumentParser):
     # topology rejection.
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(EXIT_ERROR)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
 def _setup_logging() -> None:

@@ -51,11 +51,6 @@ class FamilyIndexError(ValueError):
     """Malformed or degenerate family index file."""
 
 
-def assign_hydrophobicity(code: str) -> float:
-    """Kyte-Doolittle hydropathy for a standard one-letter residue code."""
-    return KYTE_DOOLITTLE[code]
-
-
 @dataclass(frozen=True)
 class Residue:
     """One residue: sequence position, identity and backbone atoms.  The Cα
@@ -125,14 +120,6 @@ class FamilyEntry:
     protein_id: str
     path: str
     sse_count: int
-
-
-@dataclass(frozen=True)
-class FamilyIndex:
-    """A parsed family index; `load_family_index` validates the entries."""
-
-    family_id: str
-    entries: tuple[FamilyEntry, ...]
 
 
 @dataclass(frozen=True)
@@ -337,7 +324,7 @@ def backbone_dihedrals(
     return phi, psi
 
 
-def load_family_index(text: str, family_id: str = "family") -> FamilyIndex:
+def load_family_index(text: str) -> tuple[FamilyEntry, ...]:
     """Parse a TSV family index: ``protein_id<TAB>path<TAB>sse_count`` lines.
 
     Blank lines and ``#`` comments are skipped.  Raises FamilyIndexError on
@@ -367,4 +354,4 @@ def load_family_index(text: str, family_id: str = "family") -> FamilyIndex:
         entries.append(FamilyEntry(protein_id, path, sse_count))
     if not entries:
         raise FamilyIndexError("family index has no entries")
-    return FamilyIndex(family_id, tuple(entries))
+    return tuple(entries)

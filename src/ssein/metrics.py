@@ -70,9 +70,9 @@ def incidence_matrix(edges: Iterable[Edge], size: int) -> np.ndarray:
 
 def _neighbour_sets(
     vertices: Iterable[Vertex], edges: Iterable[tuple[Vertex, Vertex]]
-) -> tuple[dict[Vertex, int], list[set[int]]]:
-    """(Each distinct vertex's position in first-seen order, each one's
-    neighbours as positions.)  A self-loop or an endpoint outside the
+) -> list[set[int]]:
+    """Each distinct vertex's neighbours, both given as positions in
+    first-seen vertex order.  A self-loop or an endpoint outside the
     vertices raises, at the first edge that has one."""
     index = {v: i for i, v in enumerate(dict.fromkeys(vertices))}
     nbrs: list[set[int]] = [set() for _ in index]
@@ -84,7 +84,7 @@ def _neighbour_sets(
             raise ValueError(f"edge ({u!r}, {v!r}) endpoint outside vertex set")
         nbrs[iu].add(iv)
         nbrs[iv].add(iu)
-    return index, nbrs
+    return nbrs
 
 
 def topological_profile(
@@ -97,7 +97,7 @@ def topological_profile(
     clustering coefficient averages per-vertex triangle density, counting 0
     for vertices of degree < 2.
     """
-    _, sets = _neighbour_sets(vertices, edges)
+    sets = _neighbour_sets(vertices, edges)
     n = len(sets)
     if not n:
         raise ValueError("graph has no vertices")

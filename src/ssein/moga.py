@@ -40,7 +40,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .ingest import ProteinStructure, assign_hydrophobicity, backbone_dihedrals
+from .ingest import KYTE_DOOLITTLE, ProteinStructure, backbone_dihedrals
 from .metrics import (
     Edge,
     TopologicalProfile,
@@ -78,7 +78,6 @@ class GaParams:
     population_size: int = 20
     archive_size: int = 12
     generations: int = 150
-    k: Optional[int] = None  # density neighbour; default floor(sqrt(N_p + N_E))
     crossover_rate: float = 0.9
     mutation_rate: float = 0.1
 
@@ -89,17 +88,16 @@ class GaParams:
             raise ValueError("archive_size must be >= 1")
         if self.generations < 1:
             raise ValueError("generations must be >= 1")
-        if self.k is not None and self.k < 1:
-            raise ValueError("k must be >= 1")
         for name in ("crossover_rate", "mutation_rate"):
             rate = getattr(self, name)
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
 
-    def effective_k(self) -> int:
-        if self.k is not None:
-            return self.k
-        return max(1, int(math.sqrt(self.population_size + self.archive_size)))
+    @property
+    def k(self) -> int:
+        """The density neighbour, floor(sqrt(N_p + N_E)) as in SPEA2; at
+        least 1, since N_p >= 2 and N_E >= 1."""
+        return int(math.sqrt(self.population_size + self.archive_size))
 
 
 @dataclass(frozen=True)
@@ -160,9 +158,7 @@ class SseContext:
             psis = [psi for _, psi in angles if psi is not None]
             mean_phi.append(left_sum(phis) / len(phis) if phis else 0.0)
             mean_psi.append(left_sum(psis) / len(psis) if psis else 0.0)
-            mean_hydro.append(
-                left_sum(assign_hydrophobicity(r.code) for r in members) / len(members)
-            )
+            mean_hydro.append(left_sum(KYTE_DOOLITTLE[r.code] for r in members) / len(members))
         return cls(
             np.array(centroids, dtype=float),
             np.array(mean_phi, dtype=float),
@@ -492,7 +488,7 @@ def run_moga(
     m = ctx.sse_count
     if m < 2:
         raise ValueError("need at least 2 SSEs to predict links")
-    k = params.effective_k()
+    k = params.k
 
     population = [Individual(tuple(range(1, m + 1)))]
     while len(population) < params.population_size:

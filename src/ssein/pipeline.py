@@ -68,7 +68,6 @@ from .contact import Edge, SseInGraph, build_contact_map
 from .ingest import (
     EmptyStructureError,
     FamilyEntry,
-    FamilyIndex,
     PdbParseError,
     PdbParseResult,
     load_family_index,
@@ -83,7 +82,7 @@ from .metrics import (
     topological_profile,
 )
 from .moga import GaParams, Individual, SseContext, run_moga
-from .synth import PlantedInstance, check_planted_shape, make_planted_instance, planted_pairs
+from .synth import PlantedInstance, make_planted_instance
 
 logger = logging.getLogger("ssein")
 
@@ -115,10 +114,11 @@ class RunConfig:
 
     def echo(self) -> dict:
         """Full parameter echo with every default resolved."""
-        # `breed` always draws its tournaments with replacement: a constant,
+        # `breed` always draws its tournaments with replacement, and each
+        # colony derives its starting pheromone from its graph: constants,
         # echoed so that report.json keeps its bytes until it is re-recorded.
-        ga = {**asdict(self.ga), "k": self.ga.effective_k(), "tournament_replacement": True}
-        return {**asdict(self), "ga": ga}
+        ga = {**asdict(self.ga), "k": self.ga.k, "tournament_replacement": True}
+        return {**asdict(self), "ga": ga, "aco": {**asdict(self.aco), "initial_tau": None}}
 
 
 def mean_profile(profiles: Sequence[TopologicalProfile]) -> TopologicalProfile:
@@ -185,12 +185,12 @@ def _parse_file(path: Path, protein_id: str, source: str) -> PdbParseResult:
 
 
 def load_templates(
-    index: FamilyIndex, base_dir: Path, threshold: float
+    entries: Iterable[FamilyEntry], base_dir: Path, threshold: float
 ) -> Iterator[tuple[str, SseInGraph]]:
     """Parse the family entries into their SSE-INs one at a time, yielding
     (protein id, SSE-IN) in index order; paths resolve relative to the
     index file.  Nothing here holds a template once it is yielded."""
-    for entry in index.entries:
+    for entry in entries:
         yield entry.protein_id, _read_template(entry, base_dir, threshold)
 
 
@@ -280,13 +280,11 @@ class RunReport:
     seed: int
     config: dict
     shortcut_rows: list[tuple[int, int, str, str, float]] = field(default_factory=list)
-    timings: dict[str, float] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        """Deterministic report payload: every field but the timings, with
-        the shortcut rows reduced to their edges."""
+        """Deterministic report payload: every field, with the shortcut rows
+        reduced to their edges."""
         payload = asdict(self)
-        del payload["timings"]
         payload.update(
             sse_sizes=list(self.sse_sizes),
             incidence=self.incidence.astype(int).tolist(),
@@ -433,11 +431,11 @@ def run_predict(config: RunConfig) -> RunReport:
     query = build_contact_map(protein, config.threshold)
 
     index_path = Path(config.family_index_path)
-    index = load_family_index(index_path.read_text(), family_id=index_path.stem)
+    entries = load_family_index(index_path.read_text())
     family, profiles = _family_profiles(
-        load_templates(index, index_path.parent, config.threshold),
+        load_templates(entries, index_path.parent, config.threshold),
         query.sse_count,
-        index.family_id,
+        index_path.stem,
     )
     t_ingest = time.perf_counter()
 
@@ -453,6 +451,8 @@ def run_predict(config: RunConfig) -> RunReport:
             break
     verdict = "accepted" if accepted else "rejected"
     t_aco = time.perf_counter()
+    timings = dict(ingest_s=t_ingest - t_start, moga_s=t_moga - t_ingest, aco_s=t_aco - t_moga)
+    logger.info("%s: verdict=%s attempts=%d timings=%s", protein.id, verdict, attempt, timings)
 
     e_real = len(query.shortcut_edges)
     score = None
@@ -464,7 +464,7 @@ def run_predict(config: RunConfig) -> RunReport:
         (u, v, sse_ids[ku - 1], sse_ids[kv - 1], tau)
         for (u, v), (ku, kv), tau in zip(outcome.selected, sse_k.tolist(), outcome.selected_tau)
     ]
-    report = RunReport(
+    return RunReport(
         protein_id=protein.id,
         sse_count=query.sse_count,
         sse_sizes=query.sse_sizes,
@@ -483,20 +483,16 @@ def run_predict(config: RunConfig) -> RunReport:
         seed=config.seed,
         config=config.echo(),
         shortcut_rows=rows,
-        timings={
-            "ingest_s": t_ingest - t_start,
-            "moga_s": t_moga - t_ingest,
-            "aco_s": t_aco - t_moga,
-        },
     )
-    logger.info(
-        "%s: verdict=%s attempts=%d timings=%s", protein.id, verdict, attempt, report.timings
-    )
-    return report
 
 
 @dataclass(frozen=True)
 class ManifestRow:
+    """One benchmark instance, held to the generator's rules: a
+    non-negative seed, at least 3 SSEs (fewer plant no shortcut edge to
+    score against), each of at least one residue, at least one shortcut per
+    planted pair and a boost fraction in [0, 1] (NaN is refused)."""
+
     instance_id: str
     gen_seed: int
     sse_sizes: tuple[int, ...]
@@ -504,16 +500,21 @@ class ManifestRow:
     shortcuts_per_pair: int = 1
 
     def __post_init__(self):
+        instance = f"instance {self.instance_id}"
         if self.gen_seed < 0:
             raise ValueError(f"generator seed must be non-negative, got {self.gen_seed}")
-        check_planted_shape(
-            self.instance_id, self.sse_sizes, self.boost_fraction, self.shortcuts_per_pair
-        )
-        if not planted_pairs(len(self.sse_sizes)):
+        m = len(self.sse_sizes)
+        if m < 3:
+            sses = "1 SSE plants" if m == 1 else f"{m} SSEs plant"
+            raise ValueError(f"{instance}: {sses} no shortcut edge to score against")
+        if self.shortcuts_per_pair < 1:
             raise ValueError(
-                f"instance {self.instance_id}: {len(self.sse_sizes)} SSEs plant no "
-                "shortcut edge to score against"
+                f"{instance}: shortcuts_per_pair must be >= 1, got {self.shortcuts_per_pair}"
             )
+        if not 0.0 <= self.boost_fraction <= 1.0:
+            raise ValueError(f"{instance}: boost_fraction must be in [0, 1]")
+        if min(self.sse_sizes) < 1:
+            raise ValueError(f"{instance}: SSE sizes must be positive")
 
 
 def parse_manifest(text: str) -> list[ManifestRow]:

@@ -26,6 +26,9 @@ from .moga import SseContext
 # difference, cross-cluster pairs a large one.
 _CLUSTER_ANGLES = [(-57.0, -47.0), (80.0, 120.0), (-130.0, 150.0), (20.0, -100.0)]
 
+# Templates per planted family, with ids <instance>-T1 .. -T25.
+TEMPLATE_COUNT = 25
+
 
 @dataclass(frozen=True)
 class PlantedInstance:
@@ -60,27 +63,6 @@ def _intra_edges(first: int, last: int) -> list[Edge]:
     ]
 
 
-def check_planted_shape(
-    instance_id: str,
-    sse_sizes: tuple[int, ...],
-    boost_fraction: float,
-    shortcuts_per_pair: int,
-) -> None:
-    """The generator's rules for an instance: at least 2 SSEs, each of at
-    least one residue, at least one shortcut per planted pair and a boost
-    fraction in [0, 1] (NaN fails the comparison and is refused)."""
-    if len(sse_sizes) < 2:
-        raise ValueError(f"instance {instance_id}: planted instances need at least 2 SSEs")
-    if shortcuts_per_pair < 1:
-        raise ValueError(
-            f"instance {instance_id}: shortcuts_per_pair must be >= 1, got {shortcuts_per_pair}"
-        )
-    if not 0.0 <= boost_fraction <= 1.0:
-        raise ValueError(f"instance {instance_id}: boost_fraction must be in [0, 1]")
-    if min(sse_sizes) < 1:
-        raise ValueError(f"instance {instance_id}: SSE sizes must be positive")
-
-
 def make_planted_instance(
     instance_id: str,
     sse_sizes: tuple[int, ...],
@@ -88,15 +70,14 @@ def make_planted_instance(
     *,
     shortcuts_per_pair: int = 1,
     boost_fraction: float = 1.0,
-    n_templates: int = 25,
 ) -> PlantedInstance:
     """Build a planted query, whose SSE-IN holds the true shortcuts, with
-    its fabricated template family.
+    its fabricated family of `TEMPLATE_COUNT` templates.
 
     `boost_fraction` controls which share of the true shortcut edges shows
-    up in the templates, every one of the `n_templates` (and hence in the
-    occurrence matrix Q).  The shape passes `check_planted_shape`, and
-    `n_templates` >= 1.
+    up in the templates, every one of them (and hence in the occurrence
+    matrix Q).  Benchmark rows reach it through `pipeline.ManifestRow`,
+    which holds the generator's rules.
     """
     m = len(sse_sizes)
     ranges = []
@@ -127,7 +108,7 @@ def make_planted_instance(
     query = SseInGraph(sse_ids, sse_ranges, intra, tuple(shortcuts))
     # Every template has the same SSE-IN, the boosted truth.
     family_graph = SseInGraph(sse_ids, sse_ranges, intra, boosted)
-    templates = {f"{instance_id}-T{t + 1}": family_graph for t in range(n_templates)}
+    templates = {f"{instance_id}-T{t + 1}": family_graph for t in range(TEMPLATE_COUNT)}
 
     cluster_of = {sse: c for c, group in enumerate(groups) for sse in group}
     centroids = np.zeros((m, 3))

@@ -499,7 +499,7 @@ def reference_rows_of_one_degree(colony, vertices, log_weights):
         w[dead] = peak[dead] = 0.0
     probs = np.exp(w - peak)
     probs /= probs.sum(axis=1, keepdims=True)
-    return graph.neighbors[vertices, :d], probs
+    return probs
 
 
 def reference_grouped_step(colony):
@@ -528,7 +528,7 @@ def reference_grouped_step(colony):
     cdf = np.full((verts.size, degrees[-1]), 2.0)
     log_weights = colony.log_weights()
     for start, stop in zip(bounds, bounds[1:]):
-        _, probs = reference_rows_of_one_degree(colony, verts[start:stop], log_weights)
+        probs = reference_rows_of_one_degree(colony, verts[start:stop], log_weights)
         rows = probs.cumsum(axis=1)
         miss = np.abs(rows[:, -1] - 1.0)
         if not (probs.min() >= 0 and miss.max() <= ROW_SUM_TOL):
@@ -549,9 +549,9 @@ EXPONENTS = (AcoParams(), AcoParams(alpha=1.0, beta=1.0), AcoParams(beta=0.0), A
 
 @st.composite
 def mixed_degree_colonies(draw):
-    """(graph, params, tau, seed): a `ColonyGraph.from_edges` graph of
-    mixed degrees, its last vertices isolated, with dead rows from zero s
-    (inter or intra) and from zero tau."""
+    """(graph, adjacency, params, tau, seed): a `ColonyGraph.from_edges`
+    graph of mixed degrees, its last vertices isolated, with dead rows from
+    zero s (inter or intra) and from zero tau, and its reference adjacency."""
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
     vertex_count = draw(st.integers(4, 40))
@@ -572,7 +572,7 @@ def mixed_degree_colonies(draw):
     graph = ColonyGraph.from_edges(vertex_count, inter, s, intra, s_intra, params.beta)
     tau = rng.uniform(1.0, 1e4, size=len(inter) + 1)
     tau[rng.random(tau.size) < zero_share] = 0.0
-    return graph, params, tau, seed
+    return graph, reference_adjacency(vertex_count, [*inter, *intra]), params, tau, seed
 
 
 class TestPaddedPass:
@@ -582,7 +582,7 @@ class TestPaddedPass:
     @settings(max_examples=150, deadline=None)
     @given(mixed_degree_colonies())
     def test_each_row_is_its_single_vertex_row(self, case):
-        graph, params, tau, seed = case
+        graph, adjacency, params, tau, seed = case
         colony = Colony(graph, params, np.random.default_rng(seed))
         colony.tau[:] = tau
         log_weights = colony.log_weights()
@@ -594,16 +594,16 @@ class TestPaddedPass:
         for k, v in enumerate(verts.tolist()):
             d = int(graph.degree[v])
             one_probs = colony.rows(np.array([v]), log_weights)
-            ref_nbrs, ref_probs = reference_rows_of_one_degree(colony, np.array([v]), log_weights)
+            ref_probs = reference_rows_of_one_degree(colony, np.array([v]), log_weights)
             assert one_probs.tolist() == ref_probs.tolist()
-            assert graph.neighbors[v, :d].tolist() == ref_nbrs[0].tolist()
+            assert graph.neighbors[v, :d].tolist() == list(adjacency[v])
             assert probs[k, :d].tolist() == one_probs[0].tolist()
             assert probs[k, d:].tolist() == [0.0] * (width - d)
 
     @settings(max_examples=150, deadline=None)
     @given(mixed_degree_colonies())
     def test_step_equals_the_grouped_reference(self, case):
-        graph, params, tau, seed = case
+        graph, _, params, tau, seed = case
         colony = Colony(graph, params, np.random.default_rng(seed))
         reference = Colony(graph, params, np.random.default_rng(seed))
         colony.tau[:] = reference.tau[:] = tau
@@ -646,7 +646,7 @@ class TestColonyOracle:
         assert colony.ants.tolist() == ants
         adjacency = reference_adjacency(vertex_count, [*inter, *intra])
         s_of = dict(zip(inter, s))
-        tau_intra = params.resolve_initial_tau(len(inter))
+        tau_intra = params.initial_tau(len(inter))
         tau = {e: tau_intra for e in inter}
         for _ in range(steps):
             counts = reference_step(adjacency, s_of, s_intra, tau, tau_intra, ants, params, rng)
@@ -1036,7 +1036,7 @@ class TestTemplateProtein:
         with pytest.raises(ValueError):
             AcoParams(delta_tau=-1.0)
 
-    @pytest.mark.parametrize("name", ["alpha", "beta", "delta_tau", "e_stop", "initial_tau"])
+    @pytest.mark.parametrize("name", ["alpha", "beta", "delta_tau", "e_stop"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_params_rejected(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be finite"):

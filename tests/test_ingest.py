@@ -17,13 +17,13 @@ from conftest import (
     two_helix_protein,
 )
 from ssein.ingest import (
+    KYTE_DOOLITTLE,
     EmptyStructureError,
     FamilyIndexError,
     PdbParseError,
     ProteinStructure,
     Residue,
     SseAnnotation,
-    assign_hydrophobicity,
     backbone_dihedrals,
     dihedral_angle,
     load_family_index,
@@ -71,6 +71,20 @@ class TestParsePdb:
         with pytest.raises(PdbParseError) as err:
             parse_pdb_detailed("\n".join(lines))
         assert err.value.line_number == 2
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            (helix_record(1, "ALA", "ALA", "A", 2, 5)[:36], "line 2: HELIX record too short"),
+            (atom_line(2, "CA", "ALA", "A", 2, (3.8, 0.0, 0.0))[:53],
+             "line 2: ATOM record too short"),
+        ],
+        ids=["helix", "atom"],
+    )
+    def test_short_record_names_line(self, line, message):
+        with pytest.raises(PdbParseError) as err:
+            parse_pdb_detailed(_ca_text([(0.0, 0.0, 0.0)]) + line + "\n")
+        assert str(err.value) == message
 
     def test_no_ca_atoms(self):
         with pytest.raises(EmptyStructureError):
@@ -362,10 +376,10 @@ class TestDihedrals:
 class TestHydrophobicity:
     @pytest.mark.parametrize("code,value", [("I", 4.5), ("R", -4.5), ("G", -0.4)])
     def test_kyte_doolittle_values(self, code, value):
-        assert assign_hydrophobicity(code) == value
+        assert KYTE_DOOLITTLE[code] == value
 
     def test_unknown_code_is_refused_by_residue(self):
-        # the one check in front of assign_hydrophobicity
+        # the one check in front of the KYTE_DOOLITTLE lookup
         with pytest.raises(ValueError, match="unknown amino-acid code"):
             Residue(index=1, code="X", ca=(0.0, 0.0, 0.0))
 
@@ -381,6 +395,27 @@ def structure_with_helices(*spans, n=8):
 
 
 class TestProteinStructure:
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: Residue(0, "A", (0.0, 0.0, 0.0)), "residue index must be >= 1, got 0"),
+            (lambda: SseAnnotation("C1", "coil", 1, 3),
+             "kind must be helix or strand, got 'coil'"),
+            (lambda: SseAnnotation("H1", "helix", 4, 3), "SSE H1: first 4 > last 3"),
+            (
+                lambda: ProteinStructure(
+                    "p", (Residue(1, "A", (0.0, 0.0, 0.0)), Residue(3, "A", (3.8, 0.0, 0.0))), ()
+                ),
+                "residue indices must be contiguous starting at 1",
+            ),
+        ],
+        ids=["residue-index-0", "sse-kind", "sse-first-after-last", "gap-in-indices"],
+    )
+    def test_bad_record_refused(self, make, message):
+        with pytest.raises(ValueError) as info:
+            make()
+        assert str(info.value) == message
+
     @pytest.mark.parametrize(
         "spans, named",
         [
@@ -400,14 +435,14 @@ class TestProteinStructure:
 
 class TestFamilyIndex:
     def test_two_entries(self):
-        index = load_family_index("p1\ta/p1.pdb\t4\np2\tb/p2.pdb\t5\n")
-        assert len(index.entries) == 2
-        assert index.entries[0].protein_id == "p1"
-        assert index.entries[1].sse_count == 5
+        entries = load_family_index("p1\ta/p1.pdb\t4\np2\tb/p2.pdb\t5\n")
+        assert len(entries) == 2
+        assert entries[0].protein_id == "p1"
+        assert entries[1].sse_count == 5
 
     def test_comments_and_blanks_skipped(self):
-        index = load_family_index("# header\n\np1\tx.pdb\t2\n")
-        assert len(index.entries) == 1
+        entries = load_family_index("# header\n\np1\tx.pdb\t2\n")
+        assert len(entries) == 1
 
     def test_only_comments_is_empty_error(self):
         with pytest.raises(FamilyIndexError):
@@ -420,6 +455,19 @@ class TestFamilyIndex:
     def test_duplicate_protein_id(self):
         with pytest.raises(FamilyIndexError, match="duplicate"):
             load_family_index("p1\tx.pdb\t2\np1\ty.pdb\t3\n")
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("p2\ty.pdb", "line 2: expected 3 tab-separated fields"),
+            ("p2\ty.pdb\t0", "line 2: sse_count must be >= 1"),
+        ],
+        ids=["two-fields", "zero-sse-count"],
+    )
+    def test_bad_line_refused_naming_it(self, line, message):
+        with pytest.raises(FamilyIndexError) as info:
+            load_family_index(f"p1\tx.pdb\t2\n{line}\n")
+        assert str(info.value) == message
 
 
 @st.composite

@@ -146,6 +146,8 @@ class TestTopologicalProfile:
             TopologicalProfile(1.0, 2.0, 1.0, 0.5)  # cpl > diameter
         with pytest.raises(ValueError):
             TopologicalProfile(1.0, 1.0, 1.0, 1.5)
+        with pytest.raises(ValueError, match="mean_degree must be nonnegative, got -1.0"):
+            TopologicalProfile(1.0, 1.0, -1.0, 0.5)
 
 
 def reference_adjacency(vertices, edges):

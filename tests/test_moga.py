@@ -257,6 +257,20 @@ CHAIN_BREAK_HELICES = (
 )
 
 
+class TestSseContext:
+    @pytest.mark.parametrize(
+        "shapes, message",
+        [
+            (((3, 2), (3,), (3,), (3,)), r"centroids must have shape \(M, 3\)"),
+            (((3, 3), (3,), (2,), (3,)), r"mean_psi must have shape \(M,\)"),
+        ],
+        ids=["centroids", "mean-psi"],
+    )
+    def test_misshapen_features_refused(self, shapes, message):
+        with pytest.raises(ValueError, match=message):
+            SseContext(*(np.zeros(shape) for shape in shapes))
+
+
 class TestFromStructure:
     @pytest.mark.parametrize(
         "text",

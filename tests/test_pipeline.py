@@ -9,7 +9,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from conftest import write_family
+from conftest import multi_helix_protein, write_family
 from test_golden import DESK_ARGV, DESK_SWEEP
 from ssein import aco, contact, pipeline
 from ssein.aco import AcoParams, Colony, ColonyGraph, FamilyMatchError, edge_probabilities
@@ -69,6 +69,14 @@ class TestRunPredict:
             pdb_path=str(query), family_index_path=str(index), simulations=2
         )
         with pytest.raises(FamilyMatchError):
+            run_predict(config)
+
+    def test_one_sse_query_refused(self, tmp_path):
+        _, index = write_family(tmp_path)
+        query = tmp_path / "one.pdb"
+        query.write_text(multi_helix_protein(1)[0])
+        config = RunConfig(pdb_path=str(query), family_index_path=str(index))
+        with pytest.raises(ValueError, match="^one: need at least 2 SSEs, found 1$"):
             run_predict(config)
 
     def test_degenerate_family_fails_before_the_ga(self, tmp_path, monkeypatch, capsys):
@@ -137,8 +145,8 @@ class TestEmitReport:
         assert emit_report(report) == text
 
     def test_report_key_set_is_pinned(self, tmp_path):
-        # every RunReport field but the timings enters the report, the
-        # shortcut rows as their edges; a new field must be added here
+        # every RunReport field enters the report, the shortcut rows as
+        # their edges; a new field must be added here
         report = run_predict(predict_config(tmp_path))
         assert sorted(json.loads(emit_report(report))) == [
             "ac", "attempts", "built_profile", "config", "e_candidates", "e_p", "e_real",
@@ -180,7 +188,7 @@ class TestManifest:
     @pytest.mark.parametrize(
         "row, message",
         [
-            ("b\t2\t8\t0.5", "instance b: planted instances need at least 2 SSEs"),
+            ("b\t2\t8\t0.5", "instance b: 1 SSE plants no shortcut edge to score against"),
             ("b\t2\t5,0,5\t0.5", "instance b: SSE sizes must be positive"),
             ("b\t2\t5,-3,5\t0.5", "instance b: SSE sizes must be positive"),
             ("b\t2\t5,5,5\t1.5", "instance b: boost_fraction must be in [0, 1]"),
@@ -188,9 +196,10 @@ class TestManifest:
             ("b\t2\t5,5,5\tnan", "instance b: boost_fraction must be in [0, 1]"),
             ("b\t2\t5,5,5\t0.5\t0", "instance b: shortcuts_per_pair must be >= 1, got 0"),
             ("b\t2\t5,5\t0.5", "instance b: 2 SSEs plant no shortcut edge to score against"),
+            ("b\t2\t5,5,5", "expected 4 or 5 fields"),
         ],
         ids=["one-sse", "zero-size", "negative-size", "boost-above", "boost-below",
-             "boost-nan", "no-shortcuts", "two-sses"],
+             "boost-nan", "no-shortcuts", "two-sses", "three-fields"],
     )
     def test_generator_rules_name_line(self, row, message):
         with pytest.raises(ValueError) as info:
@@ -478,7 +487,16 @@ class TestFloatSumsAcrossPythonVersions:
 
 class TestCli:
     def test_usage_error_exits_one(self, capsys):
-        assert main(["predict"]) == 1  # missing required flags
+        # the usage, then what is wrong with the command line
+        for argv, message in [
+            (["predict", "--pdb", "x.pdb"], "the following arguments are required: --family"),
+            (["predict", "--pdb", "x.pdb", "--family", "f.tsv", "--seed", "abc"],
+             "argument --seed: invalid int value: 'abc'"),
+        ]:
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("usage: ssein predict ")
+            assert err.endswith(f"\nssein predict: error: {message}\n")
 
     def test_unknown_command_exits_one(self):
         assert main(["frobnicate"]) == 1
@@ -795,15 +813,50 @@ class TestCli:
         assert not out.exists()
 
     def test_bad_config_key_exits_one(self, tmp_path, capsys):
+        # k and the initial pheromone are worked out, never set
         query, index = write_family(tmp_path)
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("[run]\nbogus = 1\n")
-        code = main(
-            ["predict", "--pdb", str(query), "--family", str(index), "--config", str(cfg)]
-        )
+        for section, key in [("run", "bogus"), ("ga", "k"), ("aco", "initial_tau")]:
+            cfg.write_text(f"[{section}]\n{key} = 1\n")
+            code = main(
+                ["predict", "--pdb", str(query), "--family", str(index), "--config", str(cfg)]
+            )
+            assert code == 1
+            err = capsys.readouterr().err
+            assert err == f"error: config file {str(cfg)!r}: unknown key {key!r} in [{section}]\n"
+
+    def test_unreadable_config_exits_one(self, tmp_path, capsys):
+        cfg = tmp_path / "missing.cfg"
+        code = main(["predict", "--pdb", "q.pdb", "--family", "f.tsv", "--config", str(cfg)])
         assert code == 1
-        err = capsys.readouterr().err
-        assert err == f"error: config file {str(cfg)!r}: unknown key 'bogus' in [run]\n"
+        assert capsys.readouterr().err == f"error: cannot read config file {str(cfg)!r}\n"
+
+    @pytest.mark.parametrize(
+        "flags, config_text, message",
+        [
+            (["--pop", "1"], "", "population_size must be >= 2"),
+            (["--archive", "0"], "", "archive_size must be >= 1"),
+            (["--generations", "0"], "", "generations must be >= 1"),
+            ([], "[ga]\ncrossover_rate = 1.5\n", "crossover_rate must be in [0, 1]"),
+            ([], "[ga]\nmutation_rate = -0.1\n", "mutation_rate must be in [0, 1]"),
+            ([], "[aco]\nalpha = -1\n", "alpha and beta must be nonnegative"),
+            ([], "[aco]\nbeta = -1\n", "alpha and beta must be nonnegative"),
+            ([], "[aco]\nmax_iterations = 0\n", "max_iterations must be >= 1"),
+            (["--seed", "-1"], "", "seed must fit in 64 unsigned bits"),
+            (["--simulations", "0"], "", "simulations must be >= 1"),
+        ],
+        ids=["pop", "archive", "generations", "crossover-rate", "mutation-rate", "alpha",
+             "beta", "max-iterations", "seed", "simulations"],
+    )
+    def test_out_of_range_setting_exits_one(self, tmp_path, capsys, flags, config_text, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config_text)
+        out = tmp_path / "out"
+        code = main(["predict", "--pdb", "q.pdb", "--family", "f.tsv", "--config", str(cfg),
+                     "--out", str(out), *flags])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_unknown_config_section_exits_one(self, tmp_path, capsys):
         query, index = write_family(tmp_path)

@@ -63,7 +63,7 @@ class TestPlantedInstance:
     def test_planted_query(self, sizes, per_pair, boost_fraction, seed):
         inst = make_planted_instance(
             "h", tuple(sizes), np.random.default_rng(seed), shortcuts_per_pair=per_pair,
-            boost_fraction=boost_fraction, n_templates=3,
+            boost_fraction=boost_fraction,
         )
         query = inst.query
         pairs = cluster_chain_pairs(len(sizes))
@@ -78,11 +78,9 @@ class TestPlantedInstance:
             assert len(boosted) == boosted_count
 
     def test_family_maps_every_template_id_to_one_graph(self):
-        # the family is built once: n_templates ids, one shared SSE-IN
-        inst = make_planted_instance(
-            "i", (8, 8, 8), np.random.default_rng(4), boost_fraction=0.5, n_templates=5
-        )
-        assert list(inst.templates) == [f"i-T{t}" for t in range(1, 6)]
+        # the family is built once: 25 ids, one shared SSE-IN
+        inst = make_planted_instance("i", (8, 8, 8), np.random.default_rng(4), boost_fraction=0.5)
+        assert list(inst.templates) == [f"i-T{t}" for t in range(1, 26)]
         graph = inst.templates["i-T1"]
         assert all(template is graph for template in inst.templates.values())
         assert graph.sse_ranges == inst.query.sse_ranges
